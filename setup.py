@@ -1,23 +1,18 @@
 """Build hook for the optional compiled arithmetic core.
 
-The compiled backend builds from the shipped, Cython-generated
-``src/otsske/backend/_core.c`` and needs only a C compiler and the Python
-headers.  Cython is needed only to regenerate ``_core.c`` after an edit to
-``_core.pyx``: when it imports, the ``.pyx`` is cythonized (which rewrites
-``_core.c`` if the ``.pyx`` is newer) and that output is compiled.
+The compiled backend is one hand-written C file,
+``src/otsske/backend/_core.c``, and needs only a C compiler and the Python
+headers.
 
 The package is fully functional without the extension (the pure-Python
 backend is selected at import); a failed compile therefore downgrades to
 a warning instead of failing the install.
 """
 
-import os
 import warnings
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
-
-CORE = "src/otsske/backend/_core"
 
 
 class OptionalBuildExt(build_ext):
@@ -34,18 +29,5 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"compiled backend skipped ({exc}); using the pure-Python backend")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    source = CORE + (".pyx" if cythonize else ".c")
-    if not os.path.exists(source):
-        return []
-    ext = Extension("otsske.backend._core", [source], extra_compile_args=["-O3"])
-    if cythonize is None:
-        return [ext]
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+core = Extension("otsske.backend._core", ["src/otsske/backend/_core.c"], extra_compile_args=["-O3"])
+setup(ext_modules=[core], cmdclass={"build_ext": OptionalBuildExt})

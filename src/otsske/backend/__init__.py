@@ -1,8 +1,9 @@
 """Arithmetic backend selection.
 
 Two interchangeable implementations of the BLS12-381 group operations are
-provided: a Cython extension (``cython``) for speed and a pure-Python
-module (``pure``) that works without a compiler.  The default is the
+provided: a compiled C extension (``native``) for speed and a pure-Python
+module (``pure``) that works without a compiler and serves as the reference
+the tests compare the compiled one against.  The default is the
 fastest one that imports; ``OTSSKE_BACKEND`` overrides the choice.
 """
 
@@ -18,7 +19,7 @@ _BACKENDS: dict[str, ModuleType] = {"pure": pure}
 try:
     from . import _core  # compiled extension, optional
 
-    _BACKENDS["cython"] = _core
+    _BACKENDS["native"] = _core
 except ImportError:  # pragma: no cover - depends on the build environment
     _core = None
 
@@ -32,7 +33,7 @@ def load_backend(name: str | None = None) -> ModuleType:
     if name is None:
         name = os.environ.get("OTSSKE_BACKEND")
     if name is None:
-        name = "cython" if "cython" in _BACKENDS else "pure"
+        name = "native" if "native" in _BACKENDS else "pure"
     try:
         return _BACKENDS[name]
     except KeyError:

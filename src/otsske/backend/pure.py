@@ -1,7 +1,9 @@
 """Pure-Python BLS12-381 arithmetic backend.
 
-Works on plain integers so it runs anywhere; the compiled backend mirrors
-this module function for function.  Points cross the API boundary in
+Works on plain integers so it runs anywhere.  It is also the reference
+the tests check the compiled backend (``_core.c``) against: that backend
+mirrors this module function for function but calls none of its code
+after import, so the two are independent.  Points cross the API boundary in
 affine coordinates: a G1 point is ``(x, y)``, a G2 point is
 ``((x0, x1), (y0, y1))`` and the point at infinity is the empty tuple.
 GT elements are flat 12-tuples of integers (Fp2 towers flattened in

@@ -62,7 +62,9 @@ class SchemeParams:
             raise ParameterError("need at least one symbol position")
         if self.radix < 2:
             raise ParameterError("radix must be at least 2")
-        if self.sessions * self.radix**self.symbols >= ORDER:
+        # t >= 2 makes t^n >= 2^n > ORDER from here on; checking first keeps
+        # an untrusted symbol count from making t^n unboundedly expensive
+        if self.symbols >= ORDER.bit_length() or self.sessions * self.radix**self.symbols >= ORDER:
             raise ParameterError("N * t^n must stay below the group order for index injectivity")
 
     @property

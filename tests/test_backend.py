@@ -1,8 +1,10 @@
 """Group-law, pairing and encoding checks for both arithmetic backends."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otsske.backend import available_backends, load_backend
 from otsske.params import (
@@ -31,7 +33,7 @@ def backend(request):
 def test_both_backends_available():
     # the compiled core is expected to build in this environment
     assert "pure" in BACKENDS
-    assert "cython" in BACKENDS
+    assert "native" in BACKENDS
 
 
 class TestGroupLaws:
@@ -45,7 +47,7 @@ class TestGroupLaws:
 
     def test_additive_homomorphism(self, backend):
         rnd = random.Random(7)
-        trials = 100 if backend.NAME == "cython" else 5
+        trials = 100 if backend.NAME == "native" else 5
         for _ in range(trials):
             a = rnd.randrange(1, ORDER)
             b = rnd.randrange(1, ORDER)
@@ -81,7 +83,7 @@ class TestPairing:
     def test_bilinearity(self, backend):
         rnd = random.Random(9)
         base = backend.pairing(G1_GENERATOR, G2_GENERATOR)
-        trials = 100 if backend.NAME == "cython" else 4
+        trials = 100 if backend.NAME == "native" else 4
         for _ in range(trials):
             a = rnd.randrange(1, ORDER)
             b = rnd.randrange(1, ORDER)
@@ -127,7 +129,7 @@ def test_final_exponentiation_against_definition():
 def test_backends_agree_on_random_operations():
     if len(BACKENDS) < 2:
         pytest.skip("only one backend built")
-    fast, pure = load_backend("cython"), load_backend("pure")
+    fast, pure = load_backend("native"), load_backend("pure")
     rnd = random.Random(1234)
     for _ in range(8):
         a = rnd.randrange(ORDER)
@@ -163,7 +165,7 @@ def test_twist_order_consistency():
 class TestEncodings:
     def test_g1_round_trip(self, backend):
         rnd = random.Random(5)
-        trials = 100 if backend.NAME == "cython" else 10
+        trials = 100 if backend.NAME == "native" else 10
         for _ in range(trials):
             p = backend.g1_mul(G1_GENERATOR, rnd.randrange(1, ORDER))
             data = backend.g1_compress(p)
@@ -172,7 +174,7 @@ class TestEncodings:
 
     def test_g2_round_trip(self, backend):
         rnd = random.Random(6)
-        trials = 100 if backend.NAME == "cython" else 6
+        trials = 100 if backend.NAME == "native" else 6
         for _ in range(trials):
             p = backend.g2_mul(G2_GENERATOR, rnd.randrange(1, ORDER))
             data = backend.g2_compress(p)
@@ -243,3 +245,96 @@ class TestEncodings:
         other = (x, FIELD_MODULUS - y)
         assert backend.g1_decompress(backend.g1_compress(other)) == other
         assert backend.g1_compress(other) != backend.g1_compress(p)
+
+
+# ------------------------------------------------------------ differential
+# The compiled backend against the pure reference on identical inputs: the
+# results must be equal, or both calls must raise the same exception type.
+
+SCALARS = st.one_of(
+    st.sampled_from([0, 1, -1, ORDER, -ORDER, ORDER - 1, ORDER + 1, 2 * ORDER]),
+    st.integers(-ORDER, 2 * ORDER),
+)
+EXPONENTS = st.integers(0, ORDER - 1)
+FP = st.integers(0, FIELD_MODULUS - 1)
+GROUPS = {"g1": (48, G1_GENERATOR, FP), "g2": (96, G2_GENERATOR, st.tuples(FP, FP))}
+# one 48-byte x component of an encoding, in range or just above q
+X_COMPONENTS = st.one_of(FP, st.integers(FIELD_MODULUS, 2**381 - 1)).map(lambda c: c.to_bytes(48, "big"))
+
+
+def outcome(fn, args, message):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return (type(exc), str(exc)) if message else type(exc)
+
+
+def assert_agree(name, *args, message=False):
+    native, pure = load_backend("native"), load_backend("pure")
+    expected = outcome(getattr(pure, name), args, message)
+    assert outcome(getattr(native, name), args, message) == expected, (name, args)
+
+
+def point(group, a):
+    return getattr(load_backend("native"), f"{group}_mul")(GROUPS[group][1], a)
+
+
+@functools.cache
+def gt_base():
+    return load_backend("native").pairing(G1_GENERATOR, G2_GENERATOR)
+
+
+GT_ELEMENTS = st.one_of(
+    st.builds(lambda a: load_backend("native").gt_pow(gt_base(), a), EXPONENTS),
+    st.tuples(*[FP] * 12),  # arbitrary Fp12 elements, zero included
+)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@given(a=EXPONENTS, k=SCALARS)
+@settings(max_examples=40, deadline=None)
+def test_differential_mul(group, a, k):
+    assert_agree(f"{group}_mul", point(group, a), k)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_differential_point_ops(group, data):
+    pure = load_backend("pure")
+    p = point(group, data.draw(EXPONENTS))
+    s = point(group, data.draw(EXPONENTS))
+    for args in ((p, s), (p, p), (p, getattr(pure, f"{group}_neg")(p)), (p, ()), ((), s)):
+        assert_agree(f"{group}_add", *args)
+    coordinate = GROUPS[group][2]
+    for q in (p, (), (data.draw(coordinate), data.draw(coordinate))):
+        for op in ("neg", "on_curve", "compress"):
+            assert_agree(f"{group}_{op}", q)
+
+
+@given(a=GT_ELEMENTS, b=GT_ELEMENTS, e=SCALARS)
+@settings(max_examples=30, deadline=None)
+def test_differential_gt(a, b, e):
+    assert_agree("gt_mul", a, b)
+    assert_agree("gt_inv", a)
+    assert_agree("gt_pow", a, e)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_differential_decompress(group, data):
+    # decoder messages reach users as DecodeError text, so they must match too
+    size = GROUPS[group][0]
+    raw = data.draw(st.binary(min_size=size, max_size=size))
+    assert_agree(f"{group}_decompress", raw, message=True)
+    # random bytes rarely pass the range check; assembled x components do
+    assembled = bytearray(b"".join(data.draw(X_COMPONENTS) for _ in range(size // 48)))
+    assembled[0] |= data.draw(st.sampled_from([0x00, 0x80, 0xA0, 0xC0]))
+    assert_agree(f"{group}_decompress", bytes(assembled), message=True)
+    encoding = bytearray(getattr(load_backend("pure"), f"{group}_compress")(point(group, data.draw(EXPONENTS))))
+    assert_agree(f"{group}_decompress", bytes(encoding), message=True)
+    # bits 0-2 are the compressed, infinity and sign flags
+    bit = data.draw(st.one_of(st.integers(0, 2), st.integers(0, 8 * size - 1)))
+    encoding[bit // 8] ^= 0x80 >> (bit % 8)
+    assert_agree(f"{group}_decompress", bytes(encoding), message=True)

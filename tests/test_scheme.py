@@ -1,5 +1,7 @@
 """Signature-scheme tests: oracles first, then behaviour and codecs."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,13 @@ class TestSchemeParams:
         # N * t^n must stay below the group order
         with pytest.raises(ParameterError):
             SchemeParams(sessions=2, symbols=256, radix=2)
+
+        class Radix(int):
+            def __pow__(self, other):
+                pytest.fail("t^n computed before the symbol count was bounded")
+
+        with pytest.raises(ParameterError):
+            SchemeParams(sessions=2, symbols=2**62, radix=Radix(3))
 
 
 class TestKeygen:
@@ -471,6 +480,15 @@ class TestCodecs:
         params2, pk2 = scheme.decode_public_key(blob)
         assert params2 == medium_params
         assert pk2 == pk
+
+    def test_public_key_huge_symbol_count_rejected(self, medium_params, medium_keys):
+        # the symbol count is an untrusted 8-byte field (the third one, body
+        # at byte 40); t^n must never be evaluated for it
+        pk, _ = medium_keys
+        blob = bytearray(scheme.encode_public_key(medium_params, pk))
+        blob[40:48] = struct.pack(">Q", 2**62)
+        with pytest.raises(DecodeError):
+            scheme.decode_public_key(bytes(blob))
 
     def test_session_store_roundtrip(self, toy_params, toy_keys):
         pk, master = toy_keys
