@@ -222,9 +222,15 @@ static void f2_mul(u64 *r, const u64 *a, const u64 *b)
     fp_sub(r, t0, t1);
 }
 
-static inline void f2_sqr(u64 *r, const u64 *a)
+static void f2_sqr(u64 *r, const u64 *a)
 {
-    f2_mul(r, a, a);
+    /* (a0 + a1 i)^2 = (a0 + a1)(a0 - a1) + 2 a0 a1 i */
+    u64 s[6], d[6], m[6];
+    fp_add(s, a, a + 6);
+    fp_sub(d, a, a + 6);
+    fp_mul(m, a, a + 6);
+    fp_mul(r, s, d);
+    fp_add(r + 6, m, m);
 }
 
 static void f2_inv(u64 *r, const u64 *a)
@@ -652,31 +658,104 @@ static void miller(u64 *out, const u64 *xp, const u64 *yp, const u64 *qx, const 
     f12_conj(out, f); /* negative curve parameter */
 }
 
-static int HARD_COUNT, HARD_BITS;
-static u64 HARD_LIMBS[8][6]; /* base-q digits of the hard exponent */
+/* Granger-Scott squaring in the cyclotomic subgroup, as pure._cyc_sqr: with
+ * t = w^3, Fp12 = Fp4[w]/(w^3 - t) over Fp4 = Fp2[t]/(t^2 - xi), and
+ * a = A + B w + C w^2 for A = (g0, h1), B = (h0, g2), C = (g1, h2).  A
+ * unitary a squares to (3A^2 - 2 conj(A)) + (3t C^2 + 2 conj(B)) w
+ * + (3B^2 - 2 conj(C)) w^2. */
+
+static void f4_sqr(u64 *r0, u64 *r1, const u64 *a, const u64 *b)
+{
+    /* (a + b t)^2 = (a^2 + xi b^2) + ((a + b)^2 - a^2 - b^2) t */
+    u64 t0[12], t1[12], s[12];
+    f2_sqr(t0, a);
+    f2_sqr(t1, b);
+    f2_add(s, a, b);
+    f2_sqr(s, s);
+    f2_sub(s, s, t0);
+    f2_sub(r1, s, t1);
+    f2_mul(t1, XI_M, t1);
+    f2_add(r0, t0, t1);
+}
+
+static void f2_3s_2z(u64 *r, const u64 *s, const u64 *z, int sign)
+{
+    /* r = 3s + 2z (sign > 0) or 3s - 2z (sign < 0), as 2(s +/- z) + s */
+    u64 t[12];
+    if (sign > 0)
+        f2_add(t, s, z);
+    else
+        f2_sub(t, s, z);
+    f2_add(t, t, t);
+    f2_add(r, t, s);
+}
+
+static void f12_cyc_sqr(u64 *r, const u64 *a)
+{
+    /* g_j at offset 12j, h_j at offset 36 + 12j; r may alias a */
+    u64 A[24], B[24], C[24];
+    f4_sqr(A, A + 12, a, a + 48);
+    f4_sqr(B, B + 12, a + 36, a + 24);
+    f4_sqr(C, C + 12, a + 12, a + 60);
+    f2_3s_2z(r, A, a, -1);
+    f2_3s_2z(r + 12, B, a + 12, -1);
+    f2_3s_2z(r + 24, C, a + 24, -1);
+    f2_mul(C + 12, XI_M, C + 12);
+    f2_3s_2z(r + 36, C + 12, a + 36, 1);
+    f2_3s_2z(r + 48, A + 12, a + 48, 1);
+    f2_3s_2z(r + 60, B + 12, a + 60, 1);
+}
+
+static void cyc_pow(u64 *r, const u64 *a, const u64 *e, int bits)
+{
+    /* a^e for e > 0 (limbs, bits = bit length) and a cyclotomic; r may alias a */
+    u64 acc[72], b[72];
+    memcpy(b, a, 576);
+    memcpy(acc, a, 576);
+    for (int i = bits - 2; i >= 0; i--) {
+        f12_cyc_sqr(acc, acc);
+        if ((e[i >> 6] >> (i & 63)) & 1)
+            f12_mul(acc, acc, b);
+    }
+    memcpy(r, acc, 576);
+}
+
+static u64 X_ABS;      /* |x| */
+static u64 CHAIN[6];    /* params.HARD_CHAIN */
+static int CHAIN_BITS;
+
+static void cyc_pow_x(u64 *r, const u64 *a)
+{
+    /* a^x: x < 0 and a is unitary, so a^x = conj(a^|x|) */
+    cyc_pow(r, a, &X_ABS, X_BIT_COUNT + 1);
+    f12_conj(r, r);
+}
 
 static void final_exp(u64 *r, const u64 *f)
 {
-    u64 a[72], b[72], bases[8][72], acc[72];
-    /* easy part: f^((q^6-1)(q^2+1)) */
+    /* f nonzero; r may alias f */
+    u64 a[72], b[72], t0[72], t1[72], t2[72], t3[72];
+    /* easy part: f^((q^6-1)(q^2+1)) is unitary and cyclotomic */
     f12_conj(a, f);
     f12_inv(b, f);
     f12_mul(a, a, b);
     f12_frob(b, a);
     f12_frob(b, b);
     f12_mul(a, b, a);
-    /* hard part: shared-squaring multi-exponentiation over the base-q digits */
-    memcpy(bases[0], a, 576);
-    for (int i = 1; i < HARD_COUNT; i++)
-        f12_frob(bases[i], bases[i - 1]);
-    set_one(acc, 72);
-    for (int i = HARD_BITS - 1; i >= 0; i--) {
-        f12_sqr(acc, acc);
-        for (int d = 0; d < HARD_COUNT; d++)
-            if ((HARD_LIMBS[d][i >> 6] >> (i & 63)) & 1)
-                f12_mul(acc, acc, bases[d]);
-    }
-    memcpy(r, acc, 576);
+    /* hard part, by the chain in params: t0 * (t1 * (t2 * t3^q)^q)^q */
+    cyc_pow(t3, a, CHAIN, CHAIN_BITS);
+    cyc_pow_x(t2, t3);
+    cyc_pow_x(t1, t2);
+    f12_conj(b, t3);
+    f12_mul(t1, t1, b);
+    cyc_pow_x(t0, t1);
+    f12_mul(t0, t0, a);
+    f12_frob(b, t3);
+    f12_mul(b, t2, b);
+    f12_frob(b, b);
+    f12_mul(b, t1, b);
+    f12_frob(b, b);
+    f12_mul(r, t0, b);
 }
 
 /* --------------------------------------------------------- Python boundary */
@@ -973,6 +1052,7 @@ INLINE PyObject *group_decompress(const field *F, PyObject *data)
 
 static int gt_from_py(u64 *r, PyObject *v)
 {
+    /* like pure._gt_nest: exactly 12 coefficients, each in [0, q) */
     Py_ssize_t len = PySequence_Size(v);
     if (len < 0)
         return -1;
@@ -980,10 +1060,21 @@ static int gt_from_py(u64 *r, PyObject *v)
         PyErr_SetString(PyExc_ValueError, "GT element must have 12 coefficients");
         return -1;
     }
-    if (items_from_py(r, v, 12, 6))
-        return -1;
+    if (items_from_py(r, v, 12, 6)) {
+        /* int.to_bytes refuses negative and wider-than-384-bit values */
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+        goto out_of_range;
+    }
+    for (int i = 0; i < 72; i += 6)
+        if (fp_cmp(r + i, Q) >= 0)
+            goto out_of_range;
     to_mont(r, 72);
     return 0;
+out_of_range:
+    PyErr_SetString(PyExc_ValueError, "GT coefficient out of range");
+    return -1;
 }
 
 static PyObject *gt_to_py(const u64 *a)
@@ -1031,11 +1122,13 @@ UNARY(g2_compress, group_compress, &G2)
 UNARY(g1_decompress, group_decompress, &G1)
 UNARY(g2_decompress, group_decompress, &G2)
 
-static PyObject *pairing(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+static PyObject *miller_or_pairing(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                                   int with_final)
 {
+    /* miller_loop (with_final = 0) or pairing (1); either is 1 on infinity */
     u64 p[18], q[36], f[72];
     int tp, tq;
-    if (!nargs_ok("pairing", nargs))
+    if (!nargs_ok(name, nargs))
         return NULL;
     if ((tp = PyObject_IsTrue(args[0])) < 0 || (tq = PyObject_IsTrue(args[1])) < 0)
         return NULL;
@@ -1044,8 +1137,19 @@ static PyObject *pairing(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize
     if (point_from_py(&G1, p, args[0]) || point_from_py(&G2, q, args[1]))
         return NULL;
     miller(f, p, p + 6, q, q + 12);
-    final_exp(f, f);
+    if (with_final)
+        final_exp(f, f);
     return gt_to_py(f);
+}
+
+static PyObject *miller_loop(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    return miller_or_pairing("miller_loop", args, nargs, 0);
+}
+
+static PyObject *pairing(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    return miller_or_pairing("pairing", args, nargs, 1);
 }
 
 static PyObject *gt_mul(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
@@ -1057,14 +1161,21 @@ static PyObject *gt_mul(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_
     return gt_to_py(a);
 }
 
+static int gt_zero(const u64 *a)
+{
+    /* like pure.py, refuse the zero element, which has no inverse */
+    static const u64 zero[72];
+    if (memcmp(a, zero, sizeof zero))
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "GT element is not invertible");
+    return -1;
+}
+
 static int gt_invert(u64 *a)
 {
-    /* in place; like pure.py, refuse the zero element, which has no inverse */
-    static const u64 zero[72];
-    if (!memcmp(a, zero, sizeof zero)) {
-        PyErr_SetString(PyExc_ValueError, "GT element is not invertible");
+    /* in place */
+    if (gt_zero(a))
         return -1;
-    }
     f12_inv(a, a);
     return 0;
 }
@@ -1073,6 +1184,15 @@ static PyObject *gt_inv(PyObject *Py_UNUSED(m), PyObject *v)
 {
     u64 a[72];
     return gt_from_py(a, v) || gt_invert(a) ? NULL : gt_to_py(a);
+}
+
+static PyObject *py_final_exp(PyObject *Py_UNUSED(m), PyObject *v)
+{
+    u64 a[72];
+    if (gt_from_py(a, v) || gt_zero(a))
+        return NULL;
+    final_exp(a, a);
+    return gt_to_py(a);
 }
 
 static PyObject *gt_pow(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
@@ -1114,6 +1234,8 @@ static PyMethodDef methods[] = {
     {"g1_decompress", g1_decompress, METH_O, "Decode and validate a G1 point (ValueError)."},
     {"g2_decompress", g2_decompress, METH_O, "Decode and validate a G2 point (ValueError)."},
     {"pairing", FASTCALL(pairing), "Ate pairing e(P, Q) as a flat 12-tuple."},
+    {"miller_loop", FASTCALL(miller_loop), "Miller loop of e(P, Q), before final_exp."},
+    {"final_exp", py_final_exp, METH_O, "f^((q^12 - 1) / r) for a nonzero Fp12 element f."},
     {"gt_mul", FASTCALL(gt_mul), "Product in GT."},
     {"gt_inv", gt_inv, METH_O, "Inverse in GT."},
     {"gt_pow", FASTCALL(gt_pow), "a^e in GT for any integer e."},
@@ -1206,27 +1328,18 @@ static int init_frobenius(PyObject *pure)
 static int init_pairing(PyObject *params)
 {
     PyObject *x = PyObject_GetAttrString(params, "X"), *ax = x ? PyNumber_Absolute(x) : NULL;
-    PyObject *digits = PyObject_GetAttrString(params, "HARD_DIGITS"), *ord, *order = NULL;
+    PyObject *ord, *order = NULL;
     u64 xv = ax ? PyLong_AsUnsignedLongLong(ax) : 0;
     int rc = -1, neg;
     Py_XDECREF(x);
     Py_XDECREF(ax);
-    if (PyErr_Occurred() || !digits || !xv)
+    if (PyErr_Occurred() || !xv || limbs_attr(CHAIN, params, "HARD_CHAIN", 6))
         goto done;
+    X_ABS = xv;
     X_BIT_COUNT = 63 - __builtin_clzll(xv);
     for (int i = 0; i < X_BIT_COUNT; i++)
         X_BITS[i] = (xv >> (X_BIT_COUNT - 1 - i)) & 1;
-    HARD_COUNT = (int)PySequence_Size(digits);
-    if (HARD_COUNT < 1 || HARD_COUNT > 8) {
-        PyErr_SetString(PyExc_ValueError, "HARD_DIGITS must hold 1 to 8 digits");
-        goto done;
-    }
-    if (items_from_py(HARD_LIMBS[0], digits, HARD_COUNT, 6))
-        goto done;
-    HARD_BITS = 0;
-    for (int d = 0; d < HARD_COUNT; d++)
-        if (bit_length(HARD_LIMBS[d]) > HARD_BITS)
-            HARD_BITS = bit_length(HARD_LIMBS[d]);
+    CHAIN_BITS = bit_length(CHAIN);
     ord = PyObject_GetAttrString(params, "ORDER");
     order = ord ? scalar_bytes(ord, &neg) : NULL;
     Py_XDECREF(ord);
@@ -1240,7 +1353,6 @@ static int init_pairing(PyObject *params)
     memcpy(ORDER_BE, PyBytes_AS_STRING(order), ORDER_LEN);
     rc = 0;
 done:
-    Py_XDECREF(digits);
     Py_XDECREF(order);
     return rc;
 }

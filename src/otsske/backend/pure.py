@@ -20,7 +20,7 @@ from ..params import (
     G1_GENERATOR,
     G2_COFACTOR,
     G2_GENERATOR,
-    HARD_DIGITS,
+    HARD_CHAIN,
     ORDER,
     X as X_PARAM,
     XI,
@@ -62,7 +62,9 @@ def _f2_mul(a, b):
 
 
 def _f2_sqr(a):
-    return _f2_mul(a, a)
+    # (a0 + a1 i)^2 = (a0 + a1)(a0 - a1) + 2 a0 a1 i
+    a0, a1 = a
+    return ((a0 + a1) * (a0 - a1) % Q, 2 * a0 * a1 % Q)
 
 
 def _f2_muls(a, s):
@@ -228,6 +230,10 @@ def _gt_flatten(a):
 
 
 def _gt_nest(t):
+    if len(t) != 12:
+        raise ValueError("GT element must have 12 coefficients")
+    if not all(0 <= c < Q for c in t):
+        raise ValueError("GT coefficient out of range")
     return (
         ((t[0], t[1]), (t[2], t[3]), (t[4], t[5])),
         ((t[6], t[7]), (t[8], t[9]), (t[10], t[11])),
@@ -380,27 +386,76 @@ def _miller(p, q2):
     return _f12_conj(f)
 
 
+# Granger-Scott squaring (PKC 2010) in the cyclotomic subgroup, where every
+# element of the final exponentiation's hard part lives.  With t = w^3,
+# Fp4 = Fp2[t]/(t^2 - xi) and Fp12 = Fp4[w]/(w^3 - t), so
+# a = A + B w + C w^2 with A = (g0, h1), B = (h0, g2), C = (g1, h2), where
+# a = (g0 + g1 v + g2 v^2) + (h0 + h1 v + h2 v^2) w.  For unitary a,
+# a^2 = (3A^2 - 2 conj(A)) + (3t C^2 + 2 conj(B)) w + (3B^2 - 2 conj(C)) w^2.
+
+
+def _f4_sqr(a, b):
+    # (a + b t)^2 = (a^2 + xi b^2) + ((a + b)^2 - a^2 - b^2) t
+    t0 = _f2_sqr(a)
+    t1 = _f2_sqr(b)
+    return _f2_add(t0, _f2_mul(XI, t1)), _f2_sub(_f2_sub(_f2_sqr(_f2_add(a, b)), t0), t1)
+
+
+def _f2_3s_2z(s, z, k):
+    # 3s + k z for k = 2 or -2
+    return ((3 * s[0] + k * z[0]) % Q, (3 * s[1] + k * z[1]) % Q)
+
+
+def _cyc_sqr(a):
+    (g0, g1, g2), (h0, h1, h2) = a
+    a0, a1 = _f4_sqr(g0, h1)
+    b0, b1 = _f4_sqr(h0, g2)
+    c0, c1 = _f4_sqr(g1, h2)
+    return (
+        (_f2_3s_2z(a0, g0, -2), _f2_3s_2z(b0, g1, -2), _f2_3s_2z(c0, g2, -2)),
+        (_f2_3s_2z(_f2_mul(XI, c1), h0, 2), _f2_3s_2z(a1, h1, 2), _f2_3s_2z(b1, h2, 2)),
+    )
+
+
+def _cyc_pow(a, e):
+    # a^e for e > 0 and a in the cyclotomic subgroup
+    result = a
+    for bit in bin(e)[3:]:
+        result = _cyc_sqr(result)
+        if bit == "1":
+            result = _f12_mul(result, a)
+    return result
+
+
+def _cyc_pow_x(a):
+    # a^X: X < 0 and a is unitary, so a^X = conj(a^|X|)
+    return _f12_conj(_cyc_pow(a, -X_PARAM))
+
+
 def _final_exp(f):
     f = _f12_mul(_f12_conj(f), _f12_inv(f))  # f^(q^6 - 1)
-    f = _f12_mul(_f12_frob(_f12_frob(f)), f)  # f^(q^2 + 1)
-    bases = []
-    g = f
-    for _ in HARD_DIGITS:
-        bases.append(g)
-        g = _f12_frob(g)
-    acc = _F12_ONE
-    for bitpos in range(max(d.bit_length() for d in HARD_DIGITS) - 1, -1, -1):
-        acc = _f12_sqr(acc)
-        for base, d in zip(bases, HARD_DIGITS):
-            if (d >> bitpos) & 1:
-                acc = _f12_mul(acc, base)
-    return acc
+    f = _f12_mul(_f12_frob(_f12_frob(f)), f)  # f^(q^2 + 1), now cyclotomic
+    # f^HARD_EXPONENT by the chain in params:
+    # t0 * t1^q * t2^(q^2) * t3^(q^3), evaluated as t0 * (t1 * (t2 * t3^q)^q)^q
+    t3 = _cyc_pow(f, HARD_CHAIN)
+    t2 = _cyc_pow_x(t3)
+    t1 = _f12_mul(_cyc_pow_x(t2), _f12_conj(t3))
+    t0 = _f12_mul(_cyc_pow_x(t1), f)
+    return _f12_mul(t0, _f12_frob(_f12_mul(t1, _f12_frob(_f12_mul(t2, _f12_frob(t3))))))
+
+
+def miller_loop(p, q2):
+    if not p or not q2:
+        return GT_ONE
+    return _gt_flatten(_miller(p, q2))
+
+
+def final_exp(f):
+    return _gt_flatten(_final_exp(_gt_nest(f)))
 
 
 def pairing(p, q2):
-    if not p or not q2:
-        return GT_ONE
-    return _gt_flatten(_final_exp(_miller(p, q2)))
+    return final_exp(miller_loop(p, q2))
 
 
 # ---------------------------------------------------------------- encoding

@@ -237,7 +237,7 @@ def _ecdsa_stats(config: BenchConfig, message: bytes) -> dict[str, OpStats]:
 
 
 def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
-    """Pairing and exponentiation costs on every available backend."""
+    """Pairing (with its two halves) and exponentiation costs on every available backend."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
@@ -245,8 +245,12 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
         g = generator(group)
         g2 = aux_generator(group)
         exponent = group.order - 3
+        b = group.backend
+        f = b.miller_loop(g.first, g2.second)
         out[name] = {
             "pairing": _measure(lambda: pair(g, g2), reps, 1),
+            "miller_loop": _measure(lambda: b.miller_loop(g.first, g2.second), reps, 1),
+            "final_exp": _measure(lambda: b.final_exp(f), reps, 1),
             "g2_exp": _measure(lambda: g2.exp(exponent), reps, 1),
             "g1_exp": _measure(lambda: g.first_only().exp(exponent), reps, 1),
         }

@@ -66,15 +66,15 @@ _TWIST_CANDIDATES = [
 TWIST_ORDER = next(n for n in _TWIST_CANDIDATES if n % ORDER == 0)
 G2_COFACTOR = TWIST_ORDER // ORDER
 
-# Final exponentiation: (q^12-1)/r = (q^6-1)(q^2+1) * HARD_EXPONENT with
-# the hard part evaluated via its base-q digits and the q-power Frobenius.
+# Final exponentiation: (q^12-1)/r = (q^6-1)(q^2+1) * HARD_EXPONENT.  The
+# hard part is evaluated as an addition chain in X (Hayashida-Hayasaka-Teruya,
+# eprint 2020/875, without their factor 3, so GT values stay the definitional
+# ones): HARD_EXPONENT = HARD_CHAIN * (X + q) * (X^2 + q^2 - 1) + 1.
 HARD_EXPONENT = (_Q**4 - _Q**2 + 1) // ORDER
 assert (_Q**4 - _Q**2 + 1) % ORDER == 0
-HARD_DIGITS: tuple[int, ...] = ()
-_h = HARD_EXPONENT
-while _h:
-    HARD_DIGITS += (_h % _Q,)
-    _h //= _Q
+assert (X - 1) ** 2 % 3 == 0
+HARD_CHAIN = (X - 1) ** 2 // 3
+assert HARD_EXPONENT == HARD_CHAIN * (X + _Q) * (X**2 + _Q**2 - 1) + 1
 
 # Security levels supported by this parameter set.  Both map onto the same
 # curve: the group order is a 255-bit prime, which is what the 256-bit

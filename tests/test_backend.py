@@ -115,15 +115,27 @@ class TestPairing:
         assert backend.gt_mul(e, backend.gt_inv(e)) == backend.GT_ONE
 
 
-def test_final_exponentiation_against_definition():
-    """Structured final exponentiation must equal the definitional exponent."""
-    pure = require("pure")
-    m = pure._miller(
-        pure.g1_mul(G1_GENERATOR, 987654321), pure.g2_mul(G2_GENERATOR, 123456789)
-    )
-    structured = pure._final_exp(m)
-    naive = pure._f12_pow(m, (FIELD_MODULUS**12 - 1) // ORDER)
-    assert structured == naive
+def test_final_exponentiation_against_definition(backend):
+    """The x-chain final exponentiation must equal the definitional exponent.
+
+    The easy part maps every nonzero Fp12 element into the cyclotomic
+    subgroup, so the chain must agree on arbitrary elements too, not only on
+    Miller-loop outputs.
+    """
+    rnd = random.Random(11)
+    p = backend.g1_mul(G1_GENERATOR, 987654321)
+    q = backend.g2_mul(G2_GENERATOR, 123456789)
+    inputs = [backend.miller_loop(p, q)]
+    inputs += [tuple(rnd.randrange(1, FIELD_MODULUS) for _ in range(12)) for _ in range(2)]
+    for f in inputs:
+        assert backend.final_exp(f) == backend.gt_pow(f, (FIELD_MODULUS**12 - 1) // ORDER)
+
+
+def test_pairing_is_final_exp_of_miller_loop(backend):
+    p = backend.g1_mul(G1_GENERATOR, 31337)
+    q = backend.g2_mul(G2_GENERATOR, 42424242)
+    assert backend.pairing(p, q) == backend.final_exp(backend.miller_loop(p, q))
+    assert backend.miller_loop((), q) == backend.miller_loop(p, ()) == backend.GT_ONE
 
 
 def test_backends_agree_on_random_operations():
@@ -286,7 +298,18 @@ def gt_base():
 
 GT_ELEMENTS = st.one_of(
     st.builds(lambda a: load_backend("native").gt_pow(gt_base(), a), EXPONENTS),
-    st.tuples(*[FP] * 12),  # arbitrary Fp12 elements, zero included
+    st.just((0,) * 12),
+    st.tuples(*[FP] * 12),  # arbitrary Fp12 elements
+)
+# malformed GT inputs: a wrong length, or one coefficient outside [0, q)
+BAD_GT_ELEMENTS = st.one_of(
+    st.lists(FP, max_size=14).filter(lambda c: len(c) != 12).map(tuple),
+    st.builds(
+        lambda c, i, v: c[:i] + (v,) + c[i + 1 :],
+        st.tuples(*[FP] * 12),
+        st.integers(0, 11),
+        st.one_of(st.integers(FIELD_MODULUS, 2**384), st.integers(-(2**384), -1)),
+    ),
 )
 
 
@@ -318,6 +341,23 @@ def test_differential_gt(a, b, e):
     assert_agree("gt_mul", a, b)
     assert_agree("gt_inv", a)
     assert_agree("gt_pow", a, e)
+    assert_agree("final_exp", a)
+
+
+@given(bad=BAD_GT_ELEMENTS, good=GT_ELEMENTS)
+@settings(max_examples=30, deadline=None)
+def test_differential_gt_rejects_malformed(bad, good):
+    for name, args in (("gt_mul", (bad, good)), ("gt_mul", (good, bad)), ("gt_inv", (bad,)),
+                       ("gt_pow", (bad, 3)), ("final_exp", (bad,))):
+        assert_agree(name, *args, message=True)
+
+
+@given(a=EXPONENTS, b=EXPONENTS, infinity=st.sampled_from(["none", "g1", "g2"]))
+@settings(max_examples=10, deadline=None)
+def test_differential_miller_loop(a, b, infinity):
+    p = () if infinity == "g1" else point("g1", a)
+    q = () if infinity == "g2" else point("g2", b)
+    assert_agree("miller_loop", p, q)
 
 
 @pytest.mark.parametrize("group", GROUPS)

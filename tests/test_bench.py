@@ -63,7 +63,9 @@ class TestReportSchema:
         kv = parse_kv(small_report.to_kv())
         backends = {k.split(".")[1] for k in kv if k.startswith("backend.")}
         assert "pure" in backends
-        assert any(k.endswith("pairing_ms") for k in kv if k.startswith("backend."))
+        for name in backends:
+            for op in ("pairing", "miller_loop", "final_exp", "g1_exp", "g2_exp"):
+                assert f"backend.{name}.{op}_ms" in kv
 
     def test_table_renders(self, small_report):
         table = small_report.to_table()

@@ -27,12 +27,11 @@ def test_cofactors_divide_group_orders():
     assert params.G2_COFACTOR == params.TWIST_ORDER // params.ORDER
 
 
-def test_hard_exponent_digits_reconstruct():
-    value = 0
-    for digit in reversed(params.HARD_DIGITS):
-        value = value * params.FIELD_MODULUS + digit
-    assert value == params.HARD_EXPONENT
-    q = params.FIELD_MODULUS
+def test_hard_exponent_chain_identity():
+    x, q, c = params.X, params.FIELD_MODULUS, params.HARD_CHAIN
+    assert (x - 1) ** 2 % 3 == 0
+    assert c == (x - 1) ** 2 // 3 == 0x396C8C005555E1568C00AAAB0000AAAB
+    assert params.HARD_EXPONENT == c * (x + q) * (x**2 + q**2 - 1) + 1
     assert params.HARD_EXPONENT * params.ORDER == q**4 - q**2 + 1
 
 
