@@ -5,6 +5,7 @@ provided: a compiled C extension (``native``) for speed and a pure-Python
 module (``pure``) that works without a compiler and serves as the reference
 the tests compare the compiled one against.  The default is the
 fastest one that imports; ``OTSSKE_BACKEND`` overrides the choice.
+``NATIVE_STATUS`` says whether the compiled one loaded, and why not.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ try:
     from . import _core  # compiled extension, optional
 
     _BACKENDS["native"] = _core
-except ImportError:  # pragma: no cover - depends on the build environment
-    _core = None
+    NATIVE_STATUS = "native backend loaded"
+except ImportError as exc:  # pragma: no cover - depends on the build environment
+    NATIVE_STATUS = f"native backend not available: {exc}"
+except Exception as exc:  # noqa: BLE001 - a stale build fails its init with any error
+    # The extension exists but its init failed (a missing constant, the
+    # pairing self-check): fall back to pure and keep the reason visible.
+    NATIVE_STATUS = f"native backend failed its init, using pure: {type(exc).__name__}: {exc}"
 
 
 def available_backends() -> tuple[str, ...]:

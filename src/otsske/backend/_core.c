@@ -457,13 +457,34 @@ typedef struct {
     void (*inv)(u64 *, const u64 *);
     int (*sqrt)(u64 *, const u64 *);
     int (*is_zero)(const u64 *);
-    const u64 *b; /* curve coefficient, Montgomery */
+    void (*endo)(u64 *, const u64 *); /* the subgroup check's endomorphism, affine */
+    int chains;                       /* its eigenvalue on the subgroup is -|x|^chains */
+    const u64 *b;                     /* curve coefficient, Montgomery */
 } field;
+
+/* Subgroup-check endomorphisms, as pure.g1_in_subgroup/g2_in_subgroup:
+ * phi(x, y) = (beta x, y) on G1 and psi(x, y) = (conj(x) c_x, conj(y) c_y) on
+ * the twist, with the constants read at init (Montgomery). */
+static u64 BETA_M[6], PSI_X[12], PSI_Y[12];
+
+static void g1_phi(u64 *r, const u64 *a)
+{
+    fp_mul(r, a, BETA_M);
+    memcpy(r + 6, a + 6, 48);
+}
+
+static void g2_psi(u64 *r, const u64 *a)
+{
+    f2_conj(r, a);
+    f2_mul(r, r, PSI_X);
+    f2_conj(r + 12, a + 12);
+    f2_mul(r + 12, r + 12, PSI_Y);
+}
 
 static u64 B_M[6];   /* y^2 = x^3 + 4 */
 static u64 B2_M[12]; /* the twist, y^2 = x^3 + 4(1+i) */
-static const field G1 = {6, fp_add, fp_sub, fp_mul, fp_neg, fp_inv, fp_sqrt, fp_is_zero, B_M};
-static const field G2 = {12, f2_add, f2_sub, f2_mul, f2_neg, f2_inv, f2_sqrt, f2_is_zero, B2_M};
+static const field G1 = {6, fp_add, fp_sub, fp_mul, fp_neg, fp_inv, fp_sqrt, fp_is_zero, g1_phi, 2, B_M};
+static const field G2 = {12, f2_add, f2_sub, f2_mul, f2_neg, f2_inv, f2_sqrt, f2_is_zero, g2_psi, 1, B2_M};
 
 INLINE void jac_set_infinity(const field *F, u64 *r)
 {
@@ -600,13 +621,44 @@ INLINE void curve_rhs(const field *F, u64 *r, const u64 *x)
     F->add(r, r, F->b);
 }
 
+static int X_BIT_COUNT;
+static unsigned char X_BITS[64]; /* |x| below its leading bit, high to low */
+
+INLINE int jac_in_subgroup(const field *F, const u64 *p)
+{
+    /* p: on the curve, Jacobian with Z = 1.  G1: phi(P) == -[x^2]P, G2:
+     * psi(P) == [x]P = -[|x|]P; both read -endo(P) == [|x|^chains]P, done by
+     * double-and-add over |x| (63 doublings, 5 additions per chain) and one
+     * comparison with the affine -endo(P) scaled by Z^2 and Z^3. */
+    const int n = F->n;
+    u64 t[36], e[24], z2[12], u[12];
+    memcpy(t, p, 24 * n);
+    for (int c = 0; c < F->chains; c++) {
+        u64 base[36];
+        memcpy(base, t, 24 * n);
+        for (int i = 0; i < X_BIT_COUNT; i++) {
+            jac_double(F, t, t);
+            if (X_BITS[i])
+                jac_add(F, t, t, base);
+        }
+    }
+    if (F->is_zero(t + 2 * n))
+        return 0;
+    F->endo(e, p);
+    F->neg(e + n, e + n);
+    F->mul(z2, t + 2 * n, t + 2 * n);
+    F->mul(u, e, z2);
+    if (memcmp(u, t, 8 * n))
+        return 0;
+    F->mul(z2, z2, t + 2 * n);
+    F->mul(u, e + n, z2);
+    return !memcmp(u, t + n, 8 * n);
+}
+
 /* ----------------------------------------------------------------- pairing */
 /* Ate pairing with the Miller variable T kept affine on the twist, as in
  * pure._miller; lines are premultiplied by w^3, which the final
  * exponentiation erases. */
-
-static int X_BIT_COUNT;
-static unsigned char X_BITS[64]; /* |x| below its leading bit, high to low */
 
 static void miller_step(u64 *f, u64 *tx, u64 *ty, const u64 *num, const u64 *den, const u64 *sx,
                         const u64 *xp, const u64 *yp)
@@ -765,8 +817,6 @@ static PyObject *GT_ONE;         /* pure.GT_ONE */
 static PyObject *INT_TO_BYTES;   /* int.to_bytes */
 static PyObject *INT_FROM_BYTES; /* int.from_bytes */
 static PyObject *S_BIG, *S_BIT_LENGTH, *N48, *ZERO;
-static unsigned char ORDER_BE[48]; /* the group order, big-endian */
-static Py_ssize_t ORDER_LEN;
 
 static void limbs_from_be(u64 *r, const unsigned char *p)
 {
@@ -981,6 +1031,17 @@ INLINE PyObject *group_on_curve(const field *F, PyObject *p)
     return PyBool_FromLong(!memcmp(t, a + n, 8 * n));
 }
 
+INLINE PyObject *group_in_subgroup(const field *F, PyObject *p)
+{
+    u64 a[36];
+    int tp = PyObject_IsTrue(p);
+    if (tp <= 0)
+        return tp ? NULL : Py_NewRef(Py_True);
+    if (point_from_py(F, a, p))
+        return NULL;
+    return PyBool_FromLong(jac_in_subgroup(F, a));
+}
+
 INLINE PyObject *group_compress(const field *F, PyObject *p)
 {
     const int n = F->n;
@@ -1043,8 +1104,7 @@ INLINE PyObject *group_decompress(const field *F, PyObject *data)
         F->neg(p + n, p + n);
     }
     set_one(p + 2 * n, n);
-    jac_mul(F, t, p, ORDER_BE, ORDER_LEN);
-    if (!F->is_zero(t + 2 * n))
+    if (!jac_in_subgroup(F, p))
         return PyErr_Format(PyExc_ValueError, "point not in the prime-order subgroup");
     PyObject *xv = py_from_limbs(x, n);
     return xv ? pair(xv, py_from_limbs(y, n)) : NULL;
@@ -1117,6 +1177,8 @@ UNARY(g1_neg, group_neg, &G1)
 UNARY(g2_neg, group_neg, &G2)
 UNARY(g1_on_curve, group_on_curve, &G1)
 UNARY(g2_on_curve, group_on_curve, &G2)
+UNARY(g1_in_subgroup, group_in_subgroup, &G1)
+UNARY(g2_in_subgroup, group_in_subgroup, &G2)
 UNARY(g1_compress, group_compress, &G1)
 UNARY(g2_compress, group_compress, &G2)
 UNARY(g1_decompress, group_decompress, &G1)
@@ -1229,6 +1291,8 @@ static PyMethodDef methods[] = {
     {"g2_neg", g2_neg, METH_O, "-P in G2."},
     {"g1_on_curve", g1_on_curve, METH_O, "Whether P satisfies y^2 = x^3 + 4."},
     {"g2_on_curve", g2_on_curve, METH_O, "Whether P satisfies y^2 = x^3 + 4(1+i)."},
+    {"g1_in_subgroup", g1_in_subgroup, METH_O, "Whether an on-curve G1 point has order r: phi(P) == -[x^2]P."},
+    {"g2_in_subgroup", g2_in_subgroup, METH_O, "Whether an on-curve G2 point has order r: psi(P) == [x]P."},
     {"g1_compress", g1_compress, METH_O, "48-byte compressed encoding of a G1 point."},
     {"g2_compress", g2_compress, METH_O, "96-byte compressed encoding of a G2 point."},
     {"g1_decompress", g1_decompress, METH_O, "Decode and validate a G1 point (ValueError)."},
@@ -1300,24 +1364,29 @@ static int init_field(PyObject *params)
     memcpy(R2, r, 48);
     to_mont(INV2_M, 6);
     if (limbs_attr(B_M, params, "B_COEFF", 6) || limbs_attr(B2_M, params, "B_TWIST", 12)
-        || limbs_attr(XI_M, params, "XI", 12))
+        || limbs_attr(XI_M, params, "XI", 12) || limbs_attr(BETA_M, params, "BETA", 6))
         return -1;
     to_mont(B_M, 6);
     to_mont(B2_M, 12);
     to_mont(XI_M, 12);
+    to_mont(BETA_M, 6);
     return 0;
 }
 
 static int init_frobenius(PyObject *pure)
 {
+    /* also the psi constants of the G2 subgroup check */
     u64 v[36], w[12];
     PyObject *fv = PyObject_GetAttrString(pure, "_FROB_V");
     int rc = fv ? items_from_py(v, fv, 3, 12) : -1;
     Py_XDECREF(fv);
-    if (rc || limbs_attr(w, pure, "_FROB_W", 12))
+    if (rc || limbs_attr(w, pure, "_FROB_W", 12) || limbs_attr(PSI_X, pure, "_PSI_X", 12)
+        || limbs_attr(PSI_Y, pure, "_PSI_Y", 12))
         return -1;
     to_mont(v, 36);
     to_mont(w, 12);
+    to_mont(PSI_X, 12);
+    to_mont(PSI_Y, 12);
     for (int j = 0; j < 3; j++) {
         memcpy(FROB[j], v + 12 * j, 96);
         f2_mul(FROB[3 + j], v + 12 * j, w);
@@ -1327,34 +1396,19 @@ static int init_frobenius(PyObject *pure)
 
 static int init_pairing(PyObject *params)
 {
+    /* |x| for the Miller loop, the final exponentiation and the subgroup checks */
     PyObject *x = PyObject_GetAttrString(params, "X"), *ax = x ? PyNumber_Absolute(x) : NULL;
-    PyObject *ord, *order = NULL;
     u64 xv = ax ? PyLong_AsUnsignedLongLong(ax) : 0;
-    int rc = -1, neg;
     Py_XDECREF(x);
     Py_XDECREF(ax);
     if (PyErr_Occurred() || !xv || limbs_attr(CHAIN, params, "HARD_CHAIN", 6))
-        goto done;
+        return -1;
     X_ABS = xv;
     X_BIT_COUNT = 63 - __builtin_clzll(xv);
     for (int i = 0; i < X_BIT_COUNT; i++)
         X_BITS[i] = (xv >> (X_BIT_COUNT - 1 - i)) & 1;
     CHAIN_BITS = bit_length(CHAIN);
-    ord = PyObject_GetAttrString(params, "ORDER");
-    order = ord ? scalar_bytes(ord, &neg) : NULL;
-    Py_XDECREF(ord);
-    if (!order)
-        goto done;
-    ORDER_LEN = PyBytes_GET_SIZE(order);
-    if (neg || ORDER_LEN > 48) {
-        PyErr_SetString(PyExc_ValueError, "ORDER must be a positive 384-bit integer");
-        goto done;
-    }
-    memcpy(ORDER_BE, PyBytes_AS_STRING(order), ORDER_LEN);
-    rc = 0;
-done:
-    Py_XDECREF(order);
-    return rc;
+    return 0;
 }
 
 static int self_check(PyObject *m, PyObject *params)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from ..params import (
     B_COEFF,
     B_TWIST,
+    BETA,
     FIELD_MODULUS as Q,
     G1_GENERATOR,
     G2_COFACTOR,
@@ -351,13 +352,52 @@ def g2_on_curve(p):
     return _f2_sqr(y) == _f2_add(_f2_mul(_f2_sqr(x), x), (B_TWIST[0] % Q, B_TWIST[1] % Q))
 
 
+# ---------------------------------------------------------------- subgroups
+# Membership in the order-r subgroups through an endomorphism that acts on
+# the subgroup as a power of X (Scott, eprint 2021/1130; Bowe, eprint
+# 2019/814): one or two multiplications by the 64-bit |X| of Hamming weight
+# 6 instead of [r]P with the 255-bit r.  For on-curve points each test holds
+# exactly on the subgroup; the tests check both against [r]P == O.
+
+_X_BITS = bin(abs(X_PARAM))[3:]
+
+# psi(x, y) = (conj(x) c_x, conj(y) c_y) on the twist, with
+# c_x = xi^-((q-1)/3) and c_y = xi^-((q-1)/2)
+_PSI_X = _f2_inv(_FROB_V[1])
+_PSI_Y = _f2_inv(_f2_pow(XI, (Q - 1) // 2))
+
+
+def _mul_abs_x(p, add):
+    # [|X|]P by double-and-add: 63 doublings and 5 additions
+    acc = p
+    for bit in _X_BITS:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, p)
+    return acc
+
+
+def g1_in_subgroup(p):
+    """Whether an on-curve G1 point is in the order-r subgroup: phi(P) == -[X^2]P."""
+    if not p:
+        return True
+    return g1_neg(_mul_abs_x(_mul_abs_x(p, _e1_add), _e1_add)) == (BETA * p[0] % Q, p[1])
+
+
+def g2_in_subgroup(p):
+    """Whether an on-curve G2 point is in the order-r subgroup: psi(P) == [X]P."""
+    if not p:
+        return True
+    x, y = p
+    # X < 0, so [X]P = -[|X|]P
+    return g2_neg(_mul_abs_x(p, _e2_add)) == (_f2_mul(_f2_conj(x), _PSI_X), _f2_mul(_f2_conj(y), _PSI_Y))
+
+
 # ---------------------------------------------------------------- pairing
 # Ate pairing with the Miller variable kept affine on the twist and lines
 # mapped to Fp12 through the untwisting (x, y) -> (x/w^2, y/w^3).  Each
 # line value is premultiplied by w^3, which lies in an Fp4 subfield and is
 # therefore erased by the final exponentiation.
-
-_X_BITS = bin(abs(X_PARAM))[3:]
 
 
 def _line(lam, t, xp, yp):
@@ -520,7 +560,7 @@ def g1_decompress(data):
     if _y_is_larger_fp(y) != bool(flags & _FLAG_SIGN):
         y = Q - y
     p = (x, y)
-    if g1_mul(p, ORDER):
+    if not g1_in_subgroup(p):
         raise ValueError("point not in the prime-order subgroup")
     return p
 
@@ -542,7 +582,7 @@ def g2_decompress(data):
     if _y_is_larger_fp2(y) != bool(flags & _FLAG_SIGN):
         y = _f2_neg(y)
     p = (x, y)
-    if g2_mul(p, ORDER):
+    if not g2_in_subgroup(p):
         raise ValueError("point not in the prime-order subgroup")
     return p
 
@@ -576,5 +616,6 @@ def _derive_aux_generator():
 
 G2_AUX_GENERATOR = _derive_aux_generator()
 
-assert g1_on_curve(G1_GENERATOR) and not g1_mul(G1_GENERATOR, ORDER)
-assert g2_on_curve(G2_GENERATOR) and not g2_mul(G2_GENERATOR, ORDER)
+# the definitional [r]P == O pins the endomorphism constants of the subgroup checks
+assert g1_on_curve(G1_GENERATOR) and not g1_mul(G1_GENERATOR, ORDER) and g1_in_subgroup(G1_GENERATOR)
+assert g2_on_curve(G2_GENERATOR) and not g2_mul(G2_GENERATOR, ORDER) and g2_in_subgroup(G2_GENERATOR)

@@ -173,10 +173,9 @@ def _measure(func, repetitions: int, warmup: int) -> OpStats:
 def _keygen_stats(pk, master, params, rng, repetitions: int, warmup: int) -> dict[str, OpStats]:
     """Phase and total wall times for session generation.
 
-    Phase samples are segment timings inside composed runs; total samples
-    are whole gen_session calls.  The two alternate within one loop so
-    they see the same cache and allocator state, keeping the phase sum
-    and the total consistent.
+    Each sample is one gen_session call: its phase sink stamps the end of
+    each phase, so the phases and the total come from the same run and
+    total minus the phase sum is only the call's glue.
     """
     for _ in range(warmup):
         scheme.gen_session(pk, master, params, 0, rng)
@@ -188,21 +187,17 @@ def _keygen_stats(pk, master, params, rng, repetitions: int, warmup: int) -> dic
     gc.disable()
     try:
         for _ in range(repetitions):
+            stamps: list[int] = []
             t0 = time.perf_counter_ns()
-            r, betas = scheme._session_randomness(params, rng)
-            blinding = scheme._blinding_points(pk, betas)
-            t1 = time.perf_counter_ns()
-            scheme._aux_element(pk, r)
-            t2 = time.perf_counter_ns()
-            scheme._subkey_matrix(pk, params, master, 0, r, blinding)
-            t3 = time.perf_counter_ns()
+            scheme.gen_session(
+                pk, master, params, 0, rng, phase_sink=lambda _phase: stamps.append(time.perf_counter_ns())
+            )
+            t4 = time.perf_counter_ns()
+            t1, t2, t3 = stamps
             v_ms.append((t1 - t0) / 1e6)
             aux_ms.append((t2 - t1) / 1e6)
             sk_ms.append((t3 - t2) / 1e6)
-
-            t4 = time.perf_counter_ns()
-            scheme.gen_session(pk, master, params, 0, rng)
-            total_ms.append((time.perf_counter_ns() - t4) / 1e6)
+            total_ms.append((t4 - t0) / 1e6)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -237,7 +232,7 @@ def _ecdsa_stats(config: BenchConfig, message: bytes) -> dict[str, OpStats]:
 
 
 def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
-    """Pairing (with its two halves) and exponentiation costs on every available backend."""
+    """Pairing (with its two halves), exponentiation and decoding costs on every available backend."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
@@ -247,12 +242,15 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
         exponent = group.order - 3
         b = group.backend
         f = b.miller_loop(g.first, g2.second)
+        g1_bytes, g2_bytes = b.g1_compress(g.first), b.g2_compress(g2.second)
         out[name] = {
             "pairing": _measure(lambda: pair(g, g2), reps, 1),
             "miller_loop": _measure(lambda: b.miller_loop(g.first, g2.second), reps, 1),
             "final_exp": _measure(lambda: b.final_exp(f), reps, 1),
             "g2_exp": _measure(lambda: g2.exp(exponent), reps, 1),
             "g1_exp": _measure(lambda: g.first_only().exp(exponent), reps, 1),
+            "g1_decompress": _measure(lambda: b.g1_decompress(g1_bytes), reps, 1),
+            "g2_decompress": _measure(lambda: b.g2_decompress(g2_bytes), reps, 1),
         }
     return out
 

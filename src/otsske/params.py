@@ -66,6 +66,14 @@ _TWIST_CANDIDATES = [
 TWIST_ORDER = next(n for n in _TWIST_CANDIDATES if n % ORDER == 0)
 G2_COFACTOR = TWIST_ORDER // ORDER
 
+# Cube root of unity in Fp for the G1 endomorphism phi(x, y) = (BETA x, y).
+# Of the two nontrivial roots, this is the one for which phi acts on G1 as
+# multiplication by -X^2 (a cube root of unity mod ORDER, since ORDER =
+# X^4 - X^2 + 1), which the subgroup check relies on; pure.py asserts it on
+# the generator at import.
+BETA = 0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE
+assert pow(BETA, 3, FIELD_MODULUS) == 1 and BETA != 1
+
 # Final exponentiation: (q^12-1)/r = (q^6-1)(q^2+1) * HARD_EXPONENT.  The
 # hard part is evaluated as an addition chain in X (Hayashida-Hayasaka-Teruya,
 # eprint 2020/875, without their factor 3, so GT values stay the definitional

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DecodeError, ParameterError
 from .groups import (
@@ -227,19 +227,29 @@ def gen_session(
     session: int,
     rng,
     retain_secrets: bool = False,
+    phase_sink: Callable[[str], None] | None = None,
 ) -> SessionKeyMaterial:
     """Generate one session's key material.
 
     The generation transients (r and the blinding exponents) are dropped
     unless ``retain_secrets`` is set; retaining them exists for tests that
     check the subkey structure against the defining equation.
+
+    ``phase_sink``, when given, is called with the name of each phase as it
+    ends: ``"v"`` (blinding points), ``"aux"`` and ``"sk"`` (subkey matrix).
+    The benchmark times the phases of a call with it, so that the phase
+    times and the call's total come from the same run.
     """
     if not 0 <= session < params.sessions:
         raise ParameterError(f"session {session} outside [0, {params.sessions})")
+    mark = phase_sink or (lambda _phase: None)
     r, betas = _session_randomness(params, rng)
     blinding = _blinding_points(pk, betas)
+    mark("v")
     aux = _aux_element(pk, r)
+    mark("aux")
     subkeys = _subkey_matrix(pk, params, master, session, r, blinding)
+    mark("sk")
     secrets = SessionSecrets(r, betas) if retain_secrets else None
     return SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux, secrets=secrets)
 
@@ -515,9 +525,14 @@ def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemePa
         group = setup(security, backend=backend)
     except ParameterError as exc:
         raise DecodeError(str(exc)) from exc
-    g = SourceElement.deserialize(group, reader.take(144))
+    # g and g2 are fixed base points that keygen_setup always emits; a key
+    # carrying any other point is refused, and the constants are used as is
+    g, g2 = generator(group), aux_generator(group)
+    if reader.take(144) != g.serialize():
+        raise DecodeError("public key base point g is not the fixed generator")
     g1 = SourceElement.deserialize(group, reader.take(144))
-    g2 = SourceElement.deserialize(group, reader.take(96))
+    if reader.take(96) != g2.serialize():
+        raise DecodeError("public key base point g2 is not the fixed auxiliary generator")
     h = SourceElement.deserialize(group, reader.take(144))
     reader.finish()
     return params, PublicKey(group, g, g1, g2, h)

@@ -41,11 +41,12 @@ def _build_compiled_core():
 BUILD_STATUS = _build_compiled_core()
 
 from otsske import scheme  # noqa: E402 - must follow the build
+from otsske.backend import NATIVE_STATUS  # noqa: E402
 from otsske.groups import DeterministicRandomness, setup  # noqa: E402
 
 
 def pytest_report_header(config):
-    return BUILD_STATUS
+    return [BUILD_STATUS, NATIVE_STATUS]
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,22 @@
 """Group-law, pairing and encoding checks for both arithmetic backends."""
 
 import functools
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otsske.backend import available_backends, load_backend
 from otsske.params import (
+    B_COEFF,
+    B_TWIST,
     FIELD_MODULUS,
+    G1_COFACTOR,
     G1_GENERATOR,
     G2_COFACTOR,
     G2_GENERATOR,
@@ -34,6 +42,28 @@ def test_both_backends_available():
     # the compiled core is expected to build in this environment
     assert "pure" in BACKENDS
     assert "native" in BACKENDS
+
+
+def test_failed_native_init_falls_back_to_pure(tmp_path):
+    # a copy of the package whose compiled core fails its init the way a
+    # stale build's self-check does; the package must still import
+    src = Path(__file__).resolve().parent.parent / "src" / "otsske"
+    shutil.copytree(src, tmp_path / "otsske", ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"))
+    stub = tmp_path / "otsske" / "backend" / "_core.py"
+    stub.write_text('raise AssertionError("compiled pairing self-check failed")\n')
+    code = (
+        "import otsske, otsske.backend as b; "
+        "print(b.available_backends(), b.load_backend().NAME); print(b.NATIVE_STATUS)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OTSSKE_BACKEND"}
+    env["PYTHONPATH"] = str(tmp_path)
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "('pure',) pure",
+        "native backend failed its init, using pure: AssertionError: compiled pairing self-check failed",
+    ]
 
 
 class TestGroupLaws:
@@ -378,3 +408,56 @@ def test_differential_decompress(group, data):
     bit = data.draw(st.one_of(st.integers(0, 2), st.integers(0, 8 * size - 1)))
     encoding[bit // 8] ^= 0x80 >> (bit % 8)
     assert_agree(f"{group}_decompress", bytes(encoding), message=True)
+
+
+# --------------------------------------------------------- subgroup checks
+# The endomorphism checks against the definitional [r]P == O of the pure
+# backend, on points in the subgroup, on raw curve points (cofactor not
+# cleared) and on points whose cofactor is cleared but for one small prime,
+# so that they sit in a subgroup of order prime * r.
+
+COFACTORS = {"g1": (G1_COFACTOR, (3, 11, 10177, 859267)), "g2": (G2_COFACTOR, (13, 23, 2713, 11953, 262069))}
+
+
+def curve_point(group, x):
+    """A curve point with x coordinate x, or the next x (real part on G2) that has one."""
+    pure = load_backend("pure")
+    while True:
+        if group == "g1":
+            y = pure._fp_sqrt((x**3 + B_COEFF) % FIELD_MODULUS)
+        else:
+            y = pure._f2_sqrt(pure._f2_add(pure._f2_mul(pure._f2_sqr(x), x), B_TWIST))
+        if y is not None:
+            return (x, y)
+        x = (x + 1) % FIELD_MODULUS if group == "g1" else ((x[0] + 1) % FIELD_MODULUS, x[1])
+
+
+def test_subgroup_check_infinity(backend):
+    assert backend.g1_in_subgroup(()) is True
+    assert backend.g2_in_subgroup(()) is True
+
+
+@pytest.mark.parametrize("kind", ["subgroup", "raw", "partly_cleared"])
+@pytest.mark.parametrize("group", GROUPS)
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_subgroup_check_against_definition(group, kind, data):
+    pure = load_backend("pure")
+    if kind == "subgroup":
+        p = point(group, data.draw(EXPONENTS))
+    else:
+        p = curve_point(group, data.draw(GROUPS[group][2]))
+        if kind == "partly_cleared":
+            cofactor, primes = COFACTORS[group]
+            prime = data.draw(st.sampled_from(primes))
+            assert cofactor % prime == 0
+            p = getattr(load_backend("native"), f"{group}_mul")(p, cofactor // prime)
+    assert getattr(pure, f"{group}_on_curve")(p)
+    expected = not getattr(pure, f"{group}_mul")(p, ORDER)
+    # decoding runs the same check: the point back, or the same error
+    decoded = p if expected else (ValueError, "point not in the prime-order subgroup")
+    encoding = getattr(pure, f"{group}_compress")(p)
+    for name in BACKENDS:
+        b = load_backend(name)
+        assert getattr(b, f"{group}_in_subgroup")(p) is expected, (name, p)
+        assert outcome(getattr(b, f"{group}_decompress"), (encoding,), True) == decoded, (name, p)

@@ -1,5 +1,6 @@
 """Signature-scheme tests: oracles first, then behaviour and codecs."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -489,6 +490,15 @@ class TestCodecs:
         blob[40:48] = struct.pack(">Q", 2**62)
         with pytest.raises(DecodeError):
             scheme.decode_public_key(bytes(blob))
+
+    @pytest.mark.parametrize("base", ["g", "g2"])
+    def test_public_key_substituted_base_point_rejected(self, toy_params, toy_keys, base):
+        # g and g2 are fixed constants: a key carrying g^5 or g2^5 is refused
+        pk, _ = toy_keys
+        swapped = dataclasses.replace(pk, **{base: getattr(pk, base).exp(5)})
+        blob = scheme.encode_public_key(toy_params, swapped)
+        with pytest.raises(DecodeError, match=f"base point {base} is not"):
+            scheme.decode_public_key(blob)
 
     def test_session_store_roundtrip(self, toy_params, toy_keys):
         pk, master = toy_keys
