@@ -62,7 +62,6 @@ class BenchConfig:
     repetitions: int = 100
     warmup: int = 3
     seed: int | None = None
-    backend: str | None = None
     compare_backends: bool = True
 
     def __post_init__(self) -> None:
@@ -148,6 +147,15 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
+def _stats(samples: list[float]) -> OpStats:
+    return OpStats(
+        mean_ms=statistics.fmean(samples),
+        median_ms=statistics.median(samples),
+        stddev_ms=statistics.stdev(samples) if len(samples) > 1 else None,
+        samples=len(samples),
+    )
+
+
 def _measure(func, repetitions: int, warmup: int) -> OpStats:
     for _ in range(warmup):
         func()
@@ -162,12 +170,7 @@ def _measure(func, repetitions: int, warmup: int) -> OpStats:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return OpStats(
-        mean_ms=statistics.fmean(samples),
-        median_ms=statistics.median(samples),
-        stddev_ms=statistics.stdev(samples) if len(samples) > 1 else None,
-        samples=len(samples),
-    )
+    return _stats(samples)
 
 
 def _keygen_stats(pk, master, params, rng, repetitions: int, warmup: int) -> dict[str, OpStats]:
@@ -202,19 +205,11 @@ def _keygen_stats(pk, master, params, rng, repetitions: int, warmup: int) -> dic
         if gc_was_enabled:
             gc.enable()
 
-    def pack(samples: list[float]) -> OpStats:
-        return OpStats(
-            mean_ms=statistics.fmean(samples),
-            median_ms=statistics.median(samples),
-            stddev_ms=statistics.stdev(samples) if len(samples) > 1 else None,
-            samples=len(samples),
-        )
-
     return {
-        "otsske.keygen.v": pack(v_ms),
-        "otsske.keygen.aux": pack(aux_ms),
-        "otsske.keygen.sk": pack(sk_ms),
-        "otsske.keygen.total": pack(total_ms),
+        "otsske.keygen.v": _stats(v_ms),
+        "otsske.keygen.aux": _stats(aux_ms),
+        "otsske.keygen.sk": _stats(sk_ms),
+        "otsske.keygen.total": _stats(total_ms),
     }
 
 
@@ -259,7 +254,7 @@ def bench_run(config: BenchConfig) -> BenchReport:
     """Measure every operation class and assemble the report."""
     params = config.params
     rng = DeterministicRandomness(config.seed) if config.seed is not None else SystemRandomness()
-    group = setup(params.security_level, backend=config.backend)
+    group = setup(params.security_level)
     pk, master = scheme.keygen_setup(params, rng, group=group)
     message = rng.random_bytes(MESSAGE_BYTES)
     reps, warm = config.repetitions, config.warmup
@@ -273,7 +268,7 @@ def bench_run(config: BenchConfig) -> BenchReport:
     def do_sign():
         selection = scheme.prp_select(params, signing_key, message)
         subkeys = scheme.subkeys_at(material, selection)
-        return scheme.sign_compressed(pk, params, 0, subkeys, selection, material.aux, message)
+        return scheme.sign_compressed(pk, params, 0, subkeys, selection, material.aux)
 
     stats["otsske.sign"] = _measure(do_sign, reps, warm)
     signature = do_sign()

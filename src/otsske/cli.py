@@ -28,6 +28,10 @@ _params_options = [
 ]
 
 
+# DeterministicRandomness encodes an integer seed as a signed 64-bit value
+_SEED = click.IntRange(-2**63, 2**63 - 1)
+
+
 def params_options(func):
     for option in reversed(_params_options):
         func = option(func)
@@ -74,7 +78,7 @@ def setup_cmd(radix, symbols, sessions, security):
 
 @main.command()
 @params_options
-@click.option("--seed", type=int, default=None, help="deterministic mode")
+@click.option("--seed", type=_SEED, default=None, help="deterministic mode")
 @click.option("--out", "out_path", required=True, help="secret store path; public key goes to <out>.pub")
 def keygen(radix, symbols, sessions, security, seed, out_path):
     """Generate the public key and all N sessions of signing material."""
@@ -94,7 +98,7 @@ def keygen(radix, symbols, sessions, security, seed, out_path):
 @click.option("--key", "key_path", required=True, help="secret store written by keygen")
 @click.option("--session", type=int, default=0, show_default=True)
 @click.option("--variant", type=click.Choice(["compressed", "full"]), default="compressed", show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=_SEED, default=None)
 @click.option("--in", "in_path", required=True, help="message file")
 @click.option("--out", "out_path", required=True, help="signature output")
 def sign(key_path, session, variant, seed, in_path, out_path):
@@ -115,7 +119,7 @@ def sign(key_path, session, variant, seed, in_path, out_path):
     if variant == "full":
         sig = scheme.sign_full(pk, params, session, subkeys, selection, material.aux, message, rng)
     else:
-        sig = scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux, message)
+        sig = scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux)
     Path(out_path).write_bytes(scheme.encode_signature(sig))
     click.echo(f"signed {in_path} with session {session} ({variant})")
 
@@ -139,7 +143,7 @@ def verify(key_path, session, in_path, sig_path):
 
 @main.command()
 @params_options
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--sessions", "session_count", type=int, default=3, show_default=True)
 @click.option("--out", "out_path", default=None, help="transcript file (stdout otherwise)")
 def demo(radix, symbols, sessions, security, seed, session_count, out_path):
@@ -160,7 +164,7 @@ def demo(radix, symbols, sessions, security, seed, session_count, out_path):
 
 @main.command()
 @params_options
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", "out_path", default=None, help="report file (stdout otherwise)")
 def game(radix, symbols, sessions, security, seed, out_path):
     """Run the key-exposure forgery harness over a full honest run."""
@@ -186,7 +190,7 @@ def game(radix, symbols, sessions, security, seed, out_path):
 @main.command("bench")
 @params_options
 @click.option("--reps", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=_SEED, default=None)
 @click.option("--out", "out_path", default=None, help="key=value report file")
 @click.option("--no-backend-compare", is_flag=True, default=False, help="skip per-backend core timings")
 def bench_cmd(radix, symbols, sessions, security, reps, seed, out_path, no_backend_compare):

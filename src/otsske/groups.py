@@ -1,12 +1,13 @@
 """Pairing-group abstraction used by the signature scheme.
 
 The construction is written for a symmetric pairing; this layer realises
-it over an asymmetric (type-3) curve by giving selected elements a *dual*
-representation: one copy in each source group, raised to the same
-exponent.  A :class:`SourceElement` therefore carries an optional
-first-group point (usable as a left pairing argument) and an optional
-second-group point (usable as a right pairing argument).  Group law
-operations act on whichever sides both operands carry.
+it over an asymmetric (type-3) curve.  A :class:`SourceElement` carries an
+optional first-group point (usable as a left pairing argument) and an
+optional second-group point (usable as a right pairing argument), and
+holds only the sides its equations read: the generator ``g`` and the
+master public value ``g1`` are *dual* (one copy in each source group,
+raised to the same exponent), every other element has one side.  Group
+law operations act on whichever sides both operands carry.
 
 All hashing into the scalar field is domain-tagged and length-prefixed,
 and randomness is injected through a small generator interface so
@@ -177,10 +178,6 @@ class SourceElement:
         if self.first is None and self.second is None:
             raise RepresentationError("element carries no representation at all")
 
-    @property
-    def is_dual(self) -> bool:
-        return self.first is not None and self.second is not None
-
     def is_identity(self) -> bool:
         ok = True
         if self.first is not None:
@@ -206,12 +203,6 @@ class SourceElement:
         k %= self.params.order
         first = b.g1_mul(self.first, k) if self.first is not None else None
         second = b.g2_mul(self.second, k) if self.second is not None else None
-        return SourceElement(self.params, first, second)
-
-    def invert(self) -> "SourceElement":
-        b = self.params.backend
-        first = b.g1_neg(self.first) if self.first is not None else None
-        second = b.g2_neg(self.second) if self.second is not None else None
         return SourceElement(self.params, first, second)
 
     def first_only(self) -> "SourceElement":
@@ -264,18 +255,8 @@ class TargetElement:
     def mul(self, other: "TargetElement") -> "TargetElement":
         return TargetElement(self.params, self.params.backend.gt_mul(self.value, other.value))
 
-    def pow(self, k: Scalar) -> "TargetElement":
-        return TargetElement(self.params, self.params.backend.gt_pow(self.value, k))
-
-    def invert(self) -> "TargetElement":
-        return TargetElement(self.params, self.params.backend.gt_inv(self.value))
-
     def is_identity(self) -> bool:
         return self.value == self.params.backend.GT_ONE
-
-
-def target_identity(params: GroupParams) -> TargetElement:
-    return TargetElement(params, params.backend.GT_ONE)
 
 
 def pair(a: SourceElement, b: SourceElement) -> TargetElement:
@@ -299,10 +280,6 @@ def generator(params: GroupParams) -> SourceElement:
 def aux_generator(params: GroupParams) -> SourceElement:
     """Independent second-group base point with unknown discrete log."""
     return SourceElement(params, None, params.backend.G2_AUX_GENERATOR)
-
-
-def identity(params: GroupParams, first: bool = True, second: bool = True) -> SourceElement:
-    return SourceElement(params, () if first else None, () if second else None)
 
 
 # ------------------------------------------------------------- hashing

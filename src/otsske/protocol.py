@@ -271,7 +271,6 @@ class CoProcessor:
         session = label - 1  # scheme indices are 0-based
         material = scheme.gen_session(self.pk, self._master, self.params, session, rng)
         buffer = ObliviousBuffer(self.params, self.pk.group, session, material)
-        # material's transients were never retained; drop the matrix reference
         self.counter = label
         if self.log is not None:
             self.log.append(SessionKeyEvent(counter=label, session=session, aux=material.aux))
@@ -378,9 +377,7 @@ class RAEnclave:
         x = selector_input(request.nonce, message)
         counter, buffer, aux = coproc.fetch_session(timeout=timeout)
         subkeys, selection = buffer.read(x, self.measurement, log=log)
-        sig = scheme.sign_compressed(
-            self.pk, self.params, buffer.session, subkeys, selection, aux, message
-        )
+        sig = scheme.sign_compressed(self.pk, self.params, buffer.session, subkeys, selection, aux)
         quote = Quote(
             counter=counter,
             y=sig.y,
@@ -395,11 +392,6 @@ class RAEnclave:
 
 
 # --------------------------------------------------------------- verifier
-
-
-def user_request(rng, result: bytes, app_mr: Measurement) -> AttestationRequest:
-    """Build an attestation request around a fresh verifier nonce."""
-    return AttestationRequest(nonce=rng.random_bytes(NONCE_BYTES), result=result, app_mr=app_mr)
 
 
 def user_verify(pk: PublicKey, params: SchemeParams, quote: Quote, nonce: bytes) -> bool:

@@ -80,13 +80,23 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Universal verification key, shared by every session."""
+    """Universal verification key, shared by every session.
+
+    Only ``g1`` (dual) and ``h`` (second group only) are key material; the
+    base points ``g`` and ``g2`` are fixed constants of the group.
+    """
 
     group: GroupParams
-    g: SourceElement
     g1: SourceElement
-    g2: SourceElement
     h: SourceElement
+
+    @property
+    def g(self) -> SourceElement:
+        return generator(self.group)
+
+    @property
+    def g2(self) -> SourceElement:
+        return aux_generator(self.group)
 
 
 @dataclass(frozen=True)
@@ -96,21 +106,12 @@ class MasterSecret:
 
 
 @dataclass(frozen=True)
-class SessionSecrets:
-    """Generation transients, retained only when explicitly requested."""
-
-    r: Scalar
-    betas: tuple[Scalar, ...]
-
-
-@dataclass(frozen=True)
 class SessionKeyMaterial:
     """One session's n x t subkey matrix plus its published aux value."""
 
     session: int
     subkeys: tuple[tuple[SourceElement, ...], ...]  # [symbol][digit]
     aux: SourceElement
-    secrets: Optional[SessionSecrets] = None
 
 
 @dataclass(frozen=True)
@@ -149,23 +150,25 @@ def keygen_setup(
 ) -> tuple[PublicKey, MasterSecret]:
     """Generate the universal public key and the master secret.
 
-    ``g`` and ``g2`` are fixed base points; ``g1 = g^alpha`` for a random
-    nonzero alpha and ``h = g^rho`` for a random rho that is immediately
-    discarded, so neither discrete log is known to anyone.
+    ``g1 = g^alpha`` for a random nonzero alpha, on both sides because it
+    is a left pairing argument and a factor of the index point.  ``h =
+    g^rho`` for a random rho that is immediately discarded, so its discrete
+    log is known to no one; it only enters the index point, so it lives on
+    the second-group side alone.
     """
     group = group or setup(params.security_level)
     g = generator(group)
-    g2 = aux_generator(group)
     alpha = random_nonzero_scalar(rng)
     g1 = g.exp(alpha)
     rho = random_nonzero_scalar(rng)
-    h = g.exp(rho)
-    return PublicKey(group, g, g1, g2, h), MasterSecret(alpha, g2.exp(alpha))
+    h = g.second_only().exp(rho)
+    pk = PublicKey(group, g1, h)
+    return pk, MasterSecret(alpha, pk.g2.exp(alpha))
 
 
 def index_point(pk: PublicKey, k: Scalar) -> SourceElement:
-    """Map an index scalar into the source group: g1^k * h."""
-    return pk.g1.exp(k).mul(pk.h)
+    """Map an index scalar into the second source group: g1^k * h."""
+    return pk.g1.second_only().exp(k).mul(pk.h)
 
 
 def _session_randomness(params: SchemeParams, rng) -> tuple[Scalar, tuple[Scalar, ...]]:
@@ -226,14 +229,12 @@ def gen_session(
     params: SchemeParams,
     session: int,
     rng,
-    retain_secrets: bool = False,
     phase_sink: Callable[[str], None] | None = None,
 ) -> SessionKeyMaterial:
     """Generate one session's key material.
 
-    The generation transients (r and the blinding exponents) are dropped
-    unless ``retain_secrets`` is set; retaining them exists for tests that
-    check the subkey structure against the defining equation.
+    The generation transients (r and the blinding exponents) never leave
+    this call.
 
     ``phase_sink``, when given, is called with the name of each phase as it
     ends: ``"v"`` (blinding points), ``"aux"`` and ``"sk"`` (subkey matrix).
@@ -250,8 +251,7 @@ def gen_session(
     mark("aux")
     subkeys = _subkey_matrix(pk, params, master, session, r, blinding)
     mark("sk")
-    secrets = SessionSecrets(r, betas) if retain_secrets else None
-    return SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux, secrets=secrets)
+    return SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux)
 
 
 # ------------------------------------------------------------- index coding
@@ -364,12 +364,10 @@ def sign_compressed(
     subkeys: Sequence[SourceElement],
     selection: IndexSelection,
     aux: SourceElement,
-    message: bytes | None = None,
 ) -> CompressedSignature:
     """Deterministic signature: the released material itself.
 
-    The binding to the message lives entirely in the selection, so the
-    message parameter is accepted only for interface symmetry.  No
+    The binding to the message lives entirely in the selection.  No
     randomness and no pairings are consumed.
     """
     return CompressedSignature(y=aux, z=aggregate(params, subkeys), key=selection.key)
@@ -511,9 +509,10 @@ def decode_signature(group: GroupParams, data: bytes) -> Signature:
 
 
 def encode_public_key(params: SchemeParams, pk: PublicKey) -> bytes:
+    """The parameters, then g1 (144 bytes, dual) and h (96 bytes)."""
     ints = [params.security_level, params.sessions, params.symbols, params.radix]
     fields = [struct.pack(">Q", v) for v in ints]
-    fields += [pk.g.serialize(), pk.g1.serialize(), pk.g2.serialize(), pk.h.serialize()]
+    fields += [pk.g1.serialize(), pk.h.serialize()]
     return _pack_fields(fields)
 
 
@@ -525,17 +524,10 @@ def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemePa
         group = setup(security, backend=backend)
     except ParameterError as exc:
         raise DecodeError(str(exc)) from exc
-    # g and g2 are fixed base points that keygen_setup always emits; a key
-    # carrying any other point is refused, and the constants are used as is
-    g, g2 = generator(group), aux_generator(group)
-    if reader.take(144) != g.serialize():
-        raise DecodeError("public key base point g is not the fixed generator")
-    g1 = SourceElement.deserialize(group, reader.take(144))
-    if reader.take(96) != g2.serialize():
-        raise DecodeError("public key base point g2 is not the fixed auxiliary generator")
-    h = SourceElement.deserialize(group, reader.take(144))
+    g1, h = reader.take(144), reader.take(96)
     reader.finish()
-    return params, PublicKey(group, g, g1, g2, h)
+    pk = PublicKey(group, SourceElement.deserialize(group, g1), SourceElement.deserialize(group, h))
+    return params, pk
 
 
 def encode_session_store(

@@ -68,7 +68,7 @@ def test_criterion_1_correctness_suite(default_setup):
         selection = scheme.prp_select(params, key, message)
         subkeys = scheme.subkeys_at(material, selection)
         full = scheme.sign_full(pk, params, session, subkeys, selection, material.aux, message, rng)
-        comp = scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux, message)
+        comp = scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux)
         if not scheme.verify_full(pk, params, session, full, message):
             failures += 1
         if not scheme.verify_compressed(pk, params, session, comp, message):
@@ -85,10 +85,14 @@ def test_criterion_2_aggregation_identity_exhaustive():
     group = setup(256)
     rng = DeterministicRandomness(b"criterion-2")
     pk, master = scheme.keygen_setup(params, rng, group=group)
+    # r never leaves gen_session: replay its draws on an identically seeded
+    # stream kept in step with rng
+    replay = DeterministicRandomness(b"criterion-2")
+    assert scheme.keygen_setup(params, replay, group=group)[0] == pk
     checked = 0
     for session in range(params.sessions):
-        material = scheme.gen_session(pk, master, params, session, rng, retain_secrets=True)
-        r = material.secrets.r
+        r, _ = scheme._session_randomness(params, replay)
+        material = scheme.gen_session(pk, master, params, session, rng)
         for value in range(params.space):
             digits = scheme.decompose(params, value)
             aggregated = scheme.aggregate(
@@ -120,7 +124,7 @@ def test_criterion_3_rejection_suite(default_setup):
         if full_variant:
             sig = scheme.sign_full(pk, params, session, subkeys, selection, material.aux, message, rng)
         else:
-            sig = scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux, message)
+            sig = scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux)
         return message, sig
 
     def verify(session, sig, message):
@@ -212,7 +216,7 @@ def test_criterion_4_structural_pairing_counts(dims):
     selection = scheme.prp_select(params, b"count-key", message)
     subkeys = scheme.subkeys_at(material, selection)
     reset_pairing_counter()
-    sig = scheme.sign_compressed(pk, params, 0, subkeys, selection, material.aux, message)
+    sig = scheme.sign_compressed(pk, params, 0, subkeys, selection, material.aux)
     assert pairing_counter() == 0
     reset_pairing_counter()
     assert scheme.verify_compressed(pk, params, 0, sig, message)
@@ -281,7 +285,7 @@ def test_criterion_6_oblivious_memory_contract():
         assert reads[0].selection.indices == selection.indices
         assert reads[0].subkeys == subkeys
 
-        sig = scheme.sign_compressed(coproc.pk, params, label - 1, subkeys, selection, aux, message)
+        sig = scheme.sign_compressed(coproc.pk, params, label - 1, subkeys, selection, aux)
         quote = protocol.Quote(counter=label, y=sig.y, z=sig.z, raenc_mr=mr, app_mr=mr, result=result)
         assert verifier.verify(quote, nonce)
     report("PASS criterion 6: read-once, erasure and log containment held on 50/50 runs")

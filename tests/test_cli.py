@@ -168,6 +168,12 @@ class TestDemo:
         result = invoke(runner, ["demo", *self.DEMO, "--sessions", "5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+    def test_seed_bounds_run(self, runner, seed):
+        result = invoke(runner, ["demo", "--t", "2", "--n", "2", "--N", "2",
+                                 "--sessions", "1", "--seed", str(seed)])
+        assert result.exit_code == 0, result.output
+
     def test_env_forces_seeded_mode(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("OTSSKE_DETERMINISTIC", "1")
         outs = []
@@ -206,3 +212,18 @@ class TestBench:
     def test_zero_reps_exits_two(self, runner):
         result = invoke(runner, ["bench", "--reps", "0"])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+@pytest.mark.parametrize("command", [
+    ["keygen", "--out", "key.bin"],
+    ["sign", "--key", "key.bin", "--in", "msg", "--out", "sig"],
+    ["demo"],
+    ["game"],
+    ["bench"],
+])
+def test_seed_outside_signed_64_bits_exits_two(runner, command, seed):
+    # every seeded command takes the range the deterministic rng can encode
+    result = invoke(runner, [*command, "--seed", str(seed)])
+    assert result.exit_code == 2
+    assert "--seed" in result.output

@@ -1,0 +1,101 @@
+"""Decoder fuzzing: untrusted bytes give a decoded value or DecodeError.
+
+Public keys, session stores, signatures and quotes all arrive from
+outside.  Each decoder gets arbitrary bytes and valid toy encodings that
+are truncated, extended or have one byte changed, on every backend; any
+exception other than :class:`DecodeError` fails the test.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from otsske import protocol, scheme
+from otsske.backend import available_backends
+from otsske.errors import DecodeError
+from otsske.groups import DeterministicRandomness, setup
+
+BACKENDS = available_backends()
+PARAMS = scheme.SchemeParams(sessions=2, symbols=2, radix=2)
+
+DECODERS = {
+    "public_key": lambda group, data: scheme.decode_public_key(data, backend=group.backend_name),
+    "session_store": lambda group, data: scheme.decode_session_store(data, backend=group.backend_name),
+    "signature": scheme.decode_signature,
+    "quote": protocol.quote_decode,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def encodings(backend):
+    """Valid toy encodings of every decoded type, as (decoder, value, bytes)."""
+    group = setup(256, backend=backend)
+    rng = DeterministicRandomness(b"decoder-fuzz")
+    pk, master = scheme.keygen_setup(PARAMS, rng, group=group)
+    material = scheme.gen_session(pk, master, PARAMS, 1, rng)
+    message = b"fuzzed message"
+    selection = scheme.prp_select(PARAMS, b"key", message)
+    subkeys = scheme.subkeys_at(material, selection)
+    full = scheme.sign_full(pk, PARAMS, 1, subkeys, selection, material.aux, message, rng)
+    compressed = scheme.sign_compressed(pk, PARAMS, 1, subkeys, selection, material.aux)
+    quote = protocol.Quote(counter=2, y=compressed.y, z=compressed.z,
+                           raenc_mr=protocol.measure(b"signer"), app_mr=protocol.measure(b"app"),
+                           result=b"app result")
+    return group, {
+        "public_key": ("public_key", (PARAMS, pk), scheme.encode_public_key(PARAMS, pk)),
+        "session_store": ("session_store", (PARAMS, pk, master, [material]),
+                          scheme.encode_session_store(PARAMS, pk, master, [material])),
+        "full_signature": ("signature", full, scheme.encode_signature(full)),
+        "compressed_signature": ("signature", compressed, scheme.encode_signature(compressed)),
+        "quote": ("quote", quote, protocol.quote_encode(quote)),
+    }
+
+
+def decode_or_reject(decoder, group, data):
+    try:
+        DECODERS[decoder](group, data)
+    except DecodeError:
+        pass
+
+
+def mutations(valid):
+    """Truncations, extensions and single-byte changes of one encoding."""
+    changed = st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)).map(
+        lambda at: valid[: at[0]] + bytes([valid[at[0]] ^ at[1]]) + valid[at[0] + 1 :]
+    )
+    return st.one_of(
+        st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+        st.binary(min_size=1, max_size=64).map(lambda extra: valid + extra),
+        changed,
+    )
+
+
+KINDS = ["public_key", "session_store", "full_signature", "compressed_signature", "quote"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_valid_encodings_round_trip(backend, kind):
+    group, table = encodings(backend)
+    decoder, value, data = table[kind]
+    assert DECODERS[decoder](group, data) == value
+
+
+@pytest.mark.parametrize("decoder", sorted(DECODERS))
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.binary(max_size=800))
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_bytes_decode_or_reject(backend, decoder, data):
+    group, _ = encodings(backend)
+    decode_or_reject(decoder, group, data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_encodings_decode_or_reject(backend, kind, data):
+    group, table = encodings(backend)
+    decoder, _, valid = table[kind]
+    decode_or_reject(decoder, group, data.draw(mutations(valid)))

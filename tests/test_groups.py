@@ -14,7 +14,6 @@ from otsske.groups import (
     aux_generator,
     generator,
     hash_to_scalar,
-    identity,
     pair,
     pairing_counter,
     random_nonzero_scalar,
@@ -44,14 +43,14 @@ class TestSetup:
 class TestSourceElement:
     def test_generator_is_dual(self, group):
         g = generator(group)
-        assert g.is_dual
+        assert g.first is not None and g.second is not None
 
     def test_exp_zero_gives_identity(self, group):
         g = generator(group)
         assert g.exp(0).is_identity()
 
     def test_identity_serialization(self, group):
-        elem = identity(group)
+        elem = generator(group).exp(0)
         data = elem.serialize()
         assert len(data) == 144
         assert data[0] == 0xC0 and data[48] == 0xC0

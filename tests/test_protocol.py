@@ -355,7 +355,7 @@ class TestForgeryHarness:
         # re-signing with the leaked material reproduces the exact quote body
         view = completed_run.log.session_views()[0]
         sig = scheme.sign_compressed(
-            completed_run.pk, proto_params, 0, view.subkeys, view.selection, view.aux, view.message
+            completed_run.pk, proto_params, 0, view.subkeys, view.selection, view.aux
         )
         assert sig.y == view.quote.y
         assert sig.z == view.quote.z

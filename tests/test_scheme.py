@@ -17,10 +17,14 @@ from otsske.params import ORDER
 from otsske.scheme import CompressedSignature, FullSignature, SchemeParams
 
 
-def make_session(params, keys, session=0, seed=33, retain=True):
+def make_session(params, keys, session=0, seed=33):
     pk, master = keys
-    rng = DeterministicRandomness(seed)
-    return scheme.gen_session(pk, master, params, session, rng, retain_secrets=retain)
+    return scheme.gen_session(pk, master, params, session, DeterministicRandomness(seed))
+
+
+def session_randomness(params, seed=33):
+    """The r and betas that make_session(..., seed=seed) drew, replayed."""
+    return scheme._session_randomness(params, DeterministicRandomness(seed))
 
 
 class TestSchemeParams:
@@ -80,12 +84,21 @@ class TestKeygen:
             scheme.gen_session(pk, master, toy_params, toy_params.sessions, DeterministicRandomness(1))
 
     def test_secrets_dropped_by_default(self, toy_params, toy_keys):
+        # the session object holds its public aux and subkeys, never r or a beta
         pk, master = toy_keys
         material = scheme.gen_session(pk, master, toy_params, 0, DeterministicRandomness(3))
-        assert material.secrets is None
+        fields = [f.name for f in dataclasses.fields(material)]
+        assert fields == ["session", "subkeys", "aux"]
 
 
 class TestIndexPoint:
+    def test_second_group_only(self, toy_keys):
+        # h and the index point are only ever right pairing arguments
+        pk, _ = toy_keys
+        assert pk.h.first is None and pk.h.second is not None
+        assert scheme.index_point(pk, 5).first is None
+        assert pk.g1.first is not None and pk.g1.second is not None
+
     def test_zero_is_h(self, toy_keys):
         pk, _ = toy_keys
         assert scheme.index_point(pk, 0) == pk.h
@@ -104,31 +117,31 @@ class TestIndexPoint:
 
 class TestSessionStructure:
     def test_blinding_product_is_identity(self, toy_params, toy_keys):
-        material = make_session(toy_params, toy_keys)
-        assert sum(material.secrets.betas) % ORDER == 0
+        _, betas = session_randomness(toy_params)
+        assert sum(betas) % ORDER == 0
         pk, _ = toy_keys
-        acc = pk.g.second_only().exp(material.secrets.betas[0])
-        for beta in material.secrets.betas[1:]:
+        acc = pk.g.second_only().exp(betas[0])
+        for beta in betas[1:]:
             acc = acc.mul(pk.g.second_only().exp(beta))
         assert acc.is_identity()
 
     def test_aggregation_identity_exhaustive(self, toy_params, toy_keys):
         """Every digit vector's aggregate equals the closed form.
 
-        Oracle: (g2^a * (g1^k h)^r)^n computed directly from the retained
+        Oracle: (g2^a * (g1^k h)^r)^n computed directly from the replayed
         session transients, never through the subkey matrix.
         """
         pk, master = toy_keys
         for session in range(toy_params.sessions):
             material = make_session(toy_params, toy_keys, session=session, seed=40 + session)
-            r = material.secrets.r
+            r, _ = session_randomness(toy_params, seed=40 + session)
             for value in range(toy_params.space):
                 digits = scheme.decompose(toy_params, value)
                 picked = [material.subkeys[j][b] for j, b in enumerate(digits)]
                 agg = scheme.aggregate(toy_params, picked)
                 k = scheme.encode_index(toy_params, session, value)
                 oracle = (
-                    master.g2_alpha.mul(scheme.index_point(pk, k).second_only().exp(r))
+                    master.g2_alpha.mul(scheme.index_point(pk, k).exp(r))
                 ).exp(toy_params.symbols)
                 assert agg == oracle, f"session {session}, digit vector {digits}"
 
@@ -249,9 +262,7 @@ class TestSelection:
 @pytest.fixture(scope="module")
 def signed(medium_params, medium_keys):
     pk, master = medium_keys
-    material = scheme.gen_session(
-        pk, master, medium_params, 1, DeterministicRandomness(55), retain_secrets=False
-    )
+    material = scheme.gen_session(pk, master, medium_params, 1, DeterministicRandomness(55))
     message = b"quarterly attestation report"
     selection = scheme.prp_select(medium_params, b"\x01" * 16, message)
     subkeys = scheme.subkeys_at(material, selection)
@@ -267,7 +278,7 @@ def material_and_sigs(medium_params, medium_keys):
     selection = scheme.prp_select(medium_params, b"codec-key", message)
     subkeys = scheme.subkeys_at(material, selection)
     full = scheme.sign_full(pk, medium_params, 2, subkeys, selection, material.aux, message, rng)
-    comp = scheme.sign_compressed(pk, medium_params, 2, subkeys, selection, material.aux, message)
+    comp = scheme.sign_compressed(pk, medium_params, 2, subkeys, selection, material.aux)
     return material, message, full, comp
 
 
@@ -312,7 +323,7 @@ class TestSignatures:
         pk, _ = medium_keys
         material, message, selection, subkeys = signed
         reset_pairing_counter()
-        sig = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux, message)
+        sig = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux)
         assert pairing_counter() == 0, "compressed signing must not pair"
         reset_pairing_counter()
         assert scheme.verify_compressed(pk, medium_params, 1, sig, message)
@@ -321,14 +332,14 @@ class TestSignatures:
     def test_compressed_deterministic(self, medium_params, medium_keys, signed):
         pk, _ = medium_keys
         material, message, selection, subkeys = signed
-        a = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux, message)
-        b = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux, message)
+        a = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux)
+        b = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux)
         assert a == b
 
     def test_compressed_rejects_tampered_y(self, medium_params, medium_keys, signed):
         pk, _ = medium_keys
         material, message, selection, subkeys = signed
-        sig = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux, message)
+        sig = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux)
         tampered = CompressedSignature(y=sig.y.mul(pk.g.first_only()), z=sig.z, key=sig.key)
         assert not scheme.verify_compressed(pk, medium_params, 1, tampered, message)
 
@@ -337,7 +348,7 @@ class TestSignatures:
         material, message, selection, subkeys = signed
         full = scheme.sign_full(pk, medium_params, 1, subkeys, selection, material.aux,
                                 message, DeterministicRandomness(65))
-        comp = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux, message)
+        comp = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux)
         assert scheme.verify_full(pk, medium_params, 1, full, message)
         assert scheme.verify_compressed(pk, medium_params, 1, comp, message)
 
@@ -414,7 +425,7 @@ class TestRoundTripProperty:
             selection = scheme.prp_select(medium_params, key, message)
             subkeys = scheme.subkeys_at(material, selection)
             full = scheme.sign_full(pk, medium_params, 0, subkeys, selection, material.aux, message, rng)
-            comp = scheme.sign_compressed(pk, medium_params, 0, subkeys, selection, material.aux, message)
+            comp = scheme.sign_compressed(pk, medium_params, 0, subkeys, selection, material.aux)
             assert scheme.verify_full(pk, medium_params, 0, full, message)
             assert scheme.verify_compressed(pk, medium_params, 0, comp, message)
 
@@ -428,7 +439,7 @@ class TestRoundTripProperty:
         message = b"pure backend message"
         selection = scheme.prp_select(toy_params, b"key", message)
         subkeys = scheme.subkeys_at(material, selection)
-        comp = scheme.sign_compressed(pk, toy_params, 0, subkeys, selection, material.aux, message)
+        comp = scheme.sign_compressed(pk, toy_params, 0, subkeys, selection, material.aux)
         assert scheme.verify_compressed(pk, toy_params, 0, comp, message)
 
 
@@ -491,14 +502,35 @@ class TestCodecs:
         with pytest.raises(DecodeError):
             scheme.decode_public_key(bytes(blob))
 
-    @pytest.mark.parametrize("base", ["g", "g2"])
-    def test_public_key_substituted_base_point_rejected(self, toy_params, toy_keys, base):
-        # g and g2 are fixed constants: a key carrying g^5 or g2^5 is refused
+    def test_public_key_layout(self, toy_params, toy_keys):
+        # four 8-byte integers, then g1 (dual, 144 bytes) and h (G2, 96 bytes)
         pk, _ = toy_keys
-        swapped = dataclasses.replace(pk, **{base: getattr(pk, base).exp(5)})
-        blob = scheme.encode_public_key(toy_params, swapped)
-        with pytest.raises(DecodeError, match=f"base point {base} is not"):
-            scheme.decode_public_key(blob)
+        blob = scheme.encode_public_key(toy_params, pk)
+        assert len(blob) == 4 * 16 + 8 + 144 + 8 + 96 == 320
+        assert blob[64 + 8 : 64 + 8 + 144] == pk.g1.serialize()
+        assert blob[-96:] == pk.h.serialize()
+
+    @pytest.mark.parametrize("container", ["key", "store"])
+    def test_old_key_layout_rejected(self, toy_params, toy_keys, container):
+        # the former layout also carried g and g2, and h on both sides
+        pk, master = toy_keys
+        ints = [toy_params.security_level, toy_params.sessions, toy_params.symbols, toy_params.radix]
+        h_dual = pk.g.exp(5)
+        old_key = scheme._pack_fields(
+            [struct.pack(">Q", v) for v in ints]
+            + [pk.g.serialize(), pk.g1.serialize(), pk.g2.serialize(), h_dual.serialize()]
+        )
+        assert len(old_key) == 624
+        if container == "key":
+            with pytest.raises(DecodeError, match="96 expected"):
+                scheme.decode_public_key(old_key)
+            return
+        store = scheme.encode_session_store(toy_params, pk, master, [])
+        new_key = scheme._pack_fields([scheme.encode_public_key(toy_params, pk)])
+        assert store.startswith(new_key)
+        old_store = scheme._pack_fields([old_key]) + store[len(new_key) :]
+        with pytest.raises(DecodeError, match="96 expected"):
+            scheme.decode_session_store(old_store)
 
     def test_session_store_roundtrip(self, toy_params, toy_keys):
         pk, master = toy_keys
