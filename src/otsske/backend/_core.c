@@ -658,56 +658,86 @@ INLINE int jac_in_subgroup(const field *F, const u64 *p)
 /* ----------------------------------------------------------------- pairing */
 /* Ate pairing with the Miller variable T kept affine on the twist, as in
  * pure._miller; lines are premultiplied by w^3, which the final
- * exponentiation erases. */
+ * exponentiation erases.  Several terms share one loop: one squaring of f
+ * per bit, and at each step one inversion for all the terms' slopes. */
 
-static void miller_step(u64 *f, u64 *tx, u64 *ty, const u64 *num, const u64 *den, const u64 *sx,
-                        const u64 *xp, const u64 *yp)
+typedef struct {
+    u64 p[12];   /* P = (xp, yp) on G1 */
+    u64 q[24];   /* Q = (qx, qy) on the twist */
+    u64 t[24];   /* T = (tx, ty), the running multiple of Q */
+    u64 num[12]; /* slope of the step's line: num / den */
+    u64 den[12];
+    u64 prod[12]; /* den of this term times the den of every earlier one */
+} term;
+
+static int line_steps(u64 *f, term *terms, Py_ssize_t n, int chord)
 {
-    /* f *= w^3 * l(P) for the line of slope lam = num/den through T, then
-     * T += S, where S has x coordinate sx (S = T when doubling).  The sparse
-     * line is (lam*xT - yT) at (k=0,j=0), (-lam*xP) at (k=0,j=1) and yP at
-     * (k=1,j=1); the remaining coefficients are zero. */
-    u64 l[72] = {0}, lam[12], x3[12], t[12];
-    f2_inv(t, den);
-    f2_mul(lam, num, t);
-    f2_mul(t, lam, tx);
-    f2_sub(l, t, ty);
-    f2_neg(t, lam);
-    fp_mul(l + 12, t, xp);
-    fp_mul(l + 18, t + 6, xp);
-    memcpy(l + 48, yp, 48);
-    f12_mul(f, f, l);
-    f2_sqr(x3, lam);
-    f2_sub(x3, x3, tx);
-    f2_sub(x3, x3, sx);
-    f2_sub(t, tx, x3);
-    f2_mul(t, lam, t);
-    f2_sub(ty, t, ty);
-    memcpy(tx, x3, 96);
+    /* f *= w^3 * l(P) for every term's line through T: the tangent
+     * (chord = 0) or the chord through Q (chord = 1); then T += T or Q.
+     * The denominators share one inversion (Montgomery's trick); -1 when
+     * one of them is zero.  The sparse line is (lam*xT - yT) at
+     * (k=0,j=0), (-lam*xP) at (k=0,j=1) and yP at (k=1,j=1). */
+    u64 l[72] = {0}, inv[12], s[12], lam[12], x3[12];
+    for (Py_ssize_t i = 0; i < n; i++) {
+        term *e = terms + i;
+        if (chord) {
+            f2_sub(e->num, e->t + 12, e->q + 12);
+            f2_sub(e->den, e->t, e->q);
+        } else {
+            f2_sqr(e->den, e->t);
+            f2_add(e->num, e->den, e->den);
+            f2_add(e->num, e->num, e->den);
+            f2_add(e->den, e->t + 12, e->t + 12);
+        }
+        if (i)
+            f2_mul(e->prod, terms[i - 1].prod, e->den);
+        else
+            memcpy(e->prod, e->den, 96);
+    }
+    if (f2_is_zero(terms[n - 1].prod))
+        return -1;
+    f2_inv(inv, terms[n - 1].prod);
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+        term *e = terms + i;
+        u64 *tx = e->t, *ty = e->t + 12;
+        if (i) {
+            /* inv = 1 / prod[i]: peel off den[i] */
+            f2_mul(s, inv, terms[i - 1].prod);
+            f2_mul(inv, inv, e->den);
+        } else
+            memcpy(s, inv, 96);
+        f2_mul(lam, e->num, s);
+        f2_mul(s, lam, tx);
+        f2_sub(l, s, ty);
+        f2_neg(s, lam);
+        fp_mul(l + 12, s, e->p);
+        fp_mul(l + 18, s + 6, e->p);
+        memcpy(l + 48, e->p + 6, 48);
+        f12_mul(f, f, l);
+        f2_sqr(x3, lam);
+        f2_sub(x3, x3, tx);
+        f2_sub(x3, x3, chord ? e->q : tx);
+        f2_sub(s, tx, x3);
+        f2_mul(s, lam, s);
+        f2_sub(ty, s, ty);
+        memcpy(tx, x3, 96);
+    }
+    return 0;
 }
 
-static void miller(u64 *out, const u64 *xp, const u64 *yp, const u64 *qx, const u64 *qy)
+static int miller(u64 *f, term *terms, Py_ssize_t n)
 {
-    u64 f[72], tx[12], ty[12], num[12], den[12];
+    /* the product of the n >= 1 terms' Miller values; -1 on a zero slope denominator */
     set_one(f, 72);
-    memcpy(tx, qx, 96);
-    memcpy(ty, qy, 96);
+    for (Py_ssize_t i = 0; i < n; i++)
+        memcpy(terms[i].t, terms[i].q, 192);
     for (int i = 0; i < X_BIT_COUNT; i++) {
-        /* tangent: lam = 3*tx^2 / (2*ty) */
-        f2_sqr(den, tx);
-        f2_add(num, den, den);
-        f2_add(num, num, den);
-        f2_add(den, ty, ty);
         f12_sqr(f, f);
-        miller_step(f, tx, ty, num, den, tx, xp, yp);
-        if (X_BITS[i]) {
-            /* chord through Q: lam = (ty - qy) / (tx - qx) */
-            f2_sub(num, ty, qy);
-            f2_sub(den, tx, qx);
-            miller_step(f, tx, ty, num, den, qx, xp, yp);
-        }
+        if (line_steps(f, terms, n, 0) || (X_BITS[i] && line_steps(f, terms, n, 1)))
+            return -1;
     }
-    f12_conj(out, f); /* negative curve parameter */
+    f12_conj(f, f); /* negative curve parameter */
+    return 0;
 }
 
 /* Granger-Scott squaring in the cyclotomic subgroup, as pure._cyc_sqr: with
@@ -1184,24 +1214,69 @@ UNARY(g2_compress, group_compress, &G2)
 UNARY(g1_decompress, group_decompress, &G1)
 UNARY(g2_decompress, group_decompress, &G2)
 
-static PyObject *miller_or_pairing(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                                   int with_final)
+static int coords_from_py(u64 *r, PyObject *v, int n)
 {
-    /* miller_loop (with_final = 0) or pairing (1); either is 1 on infinity */
-    u64 p[18], q[36], f[72];
-    int tp, tq;
-    if (!nargs_ok(name, nargs))
-        return NULL;
-    if ((tp = PyObject_IsTrue(args[0])) < 0 || (tq = PyObject_IsTrue(args[1])) < 0)
-        return NULL;
-    if (!tp || !tq)
+    /* Plain limbs of a pairing input, like pure._coords: a G1 point
+     * (n = 12) or a G2 point (n = 24) is exactly two items, so is each Fp2
+     * coordinate, and every Fp value lies in [0, q).  Stricter than
+     * limbs_from_py, which the group operations keep. */
+    if (n == 6) {
+        if (!limbs_from_py(r, v, 6) && fp_cmp(r, Q) < 0)
+            return 0;
+        /* int.to_bytes refuses negative and wider-than-384-bit values */
+        if (PyErr_Occurred() && !PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, "coordinate out of range");
+        return -1;
+    }
+    PyObject *items = PySequence_Tuple(v);
+    int rc = -1;
+    if (items && PyTuple_GET_SIZE(items) != 2)
+        PyErr_SetString(PyExc_ValueError, "expected a pair of coordinates");
+    else if (items)
+        rc = coords_from_py(r, PyTuple_GET_ITEM(items, 0), n / 2)
+             || coords_from_py(r + n / 2, PyTuple_GET_ITEM(items, 1), n / 2) ? -1 : 0;
+    Py_XDECREF(items);
+    return rc;
+}
+
+static int term_from_py(term *t, PyObject *p, PyObject *q)
+{
+    /* 1 for a term that enters the loop, 0 when a point is at infinity
+     * (any false value, as in pure), -1 on error */
+    int tp = PyObject_IsTrue(p), tq = tp <= 0 ? tp : PyObject_IsTrue(q);
+    if (tq <= 0)
+        return tq;
+    if (coords_from_py(t->p, p, 12) || coords_from_py(t->q, q, 24))
+        return -1;
+    to_mont(t->p, 12);
+    to_mont(t->q, 24);
+    return 1;
+}
+
+static PyObject *miller_product(term *terms, Py_ssize_t n, int with_final)
+{
+    /* the Miller value of n terms, finalized when with_final; 1 for n = 0 */
+    u64 f[72];
+    if (!n)
         return Py_NewRef(GT_ONE);
-    if (point_from_py(&G1, p, args[0]) || point_from_py(&G2, q, args[1]))
-        return NULL;
-    miller(f, p, p + 6, q, q + 12);
+    if (miller(f, terms, n))
+        return PyErr_Format(PyExc_ValueError, "a line slope has a zero denominator");
     if (with_final)
         final_exp(f, f);
     return gt_to_py(f);
+}
+
+static PyObject *miller_or_pairing(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                                   int with_final)
+{
+    /* miller_loop (with_final = 0) or pairing (1) of one term */
+    term t;
+    int rc;
+    if (!nargs_ok(name, nargs) || (rc = term_from_py(&t, args[0], args[1])) < 0)
+        return NULL;
+    return miller_product(&t, rc, with_final);
 }
 
 static PyObject *miller_loop(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
@@ -1212,6 +1287,38 @@ static PyObject *miller_loop(PyObject *Py_UNUSED(m), PyObject *const *args, Py_s
 static PyObject *pairing(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
     return miller_or_pairing("pairing", args, nargs, 1);
+}
+
+static PyObject *multi_miller_loop(PyObject *Py_UNUSED(m), PyObject *pairs)
+{
+    /* The sequence is copied to a tuple, and so is each term, so that the
+     * Python code a conversion may run cannot resize what is read. */
+    PyObject *seq = PySequence_Tuple(pairs), *out = NULL;
+    if (!seq)
+        return NULL;
+    Py_ssize_t len = PyTuple_GET_SIZE(seq), n = 0;
+    term *terms = PyMem_New(term, len ? len : 1);
+    if (!terms) {
+        Py_DECREF(seq);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *pq = PySequence_Tuple(PyTuple_GET_ITEM(seq, i));
+        int rc = -1;
+        if (pq && PyTuple_GET_SIZE(pq) != 2)
+            PyErr_SetString(PyExc_ValueError, "a pairing term must be a (P, Q) pair");
+        else if (pq)
+            rc = term_from_py(terms + n, PyTuple_GET_ITEM(pq, 0), PyTuple_GET_ITEM(pq, 1));
+        Py_XDECREF(pq);
+        if (rc < 0)
+            goto done;
+        n += rc;
+    }
+    out = miller_product(terms, n, 0);
+done:
+    PyMem_Free(terms);
+    Py_DECREF(seq);
+    return out;
 }
 
 static PyObject *gt_mul(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
@@ -1299,6 +1406,8 @@ static PyMethodDef methods[] = {
     {"g2_decompress", g2_decompress, METH_O, "Decode and validate a G2 point (ValueError)."},
     {"pairing", FASTCALL(pairing), "Ate pairing e(P, Q) as a flat 12-tuple."},
     {"miller_loop", FASTCALL(miller_loop), "Miller loop of e(P, Q), before final_exp."},
+    {"multi_miller_loop", multi_miller_loop, METH_O,
+     "Product of the Miller loops of a sequence of (P, Q) pairs, with one shared loop."},
     {"final_exp", py_final_exp, METH_O, "f^((q^12 - 1) / r) for a nonzero Fp12 element f."},
     {"gt_mul", FASTCALL(gt_mul), "Product in GT."},
     {"gt_inv", gt_inv, METH_O, "Inverse in GT."},

@@ -400,28 +400,30 @@ def g2_in_subgroup(p):
 # therefore erased by the final exponentiation.
 
 
-def _line(lam, t, xp, yp):
-    # w^3 * l(P) = (lam*xT - yT) + (-lam*xP) w^2 + yP w^3
+def _line_step(f, t, lam, sx, p):
+    # f * w^3 l(P) for the line of slope lam through T, and T + S for the
+    # S with x coordinate sx.  w^3 l(P) = (lam*xT - yT) + (-lam*xP) w^2 + yP w^3
     a = _f2_sub(_f2_mul(lam, t[0]), t[1])
-    b = _f2_muls(_f2_neg(lam), xp)
-    c = (yp % Q, 0)
-    return ((a, b, _F2_ZERO), (_F2_ZERO, c, _F2_ZERO))
+    b = _f2_muls(_f2_neg(lam), p[0])
+    f = _f12_mul(f, ((a, b, _F2_ZERO), (_F2_ZERO, (p[1], 0), _F2_ZERO)))
+    x3 = _f2_sub(_f2_sub(_f2_sqr(lam), t[0]), sx)
+    return f, (x3, _f2_sub(_f2_mul(lam, _f2_sub(t[0], x3)), t[1]))
 
 
-def _miller(p, q2):
-    xp, yp = p
+def _miller(terms):
+    # all (P, Q) terms in one loop, with one squaring of f per bit
     f = _F12_ONE
-    t = q2
+    ts = [q2 for _, q2 in terms]
     for bit in _X_BITS:
-        lam = _f2_mul(_f2_muls(_f2_sqr(t[0]), 3), _f2_inv(_f2_muls(t[1], 2)))
-        f = _f12_mul(_f12_sqr(f), _line(lam, t, xp, yp))
-        x3 = _f2_sub(_f2_sub(_f2_sqr(lam), t[0]), t[0])
-        t = (x3, _f2_sub(_f2_mul(lam, _f2_sub(t[0], x3)), t[1]))
-        if bit == "1":
-            lam = _f2_mul(_f2_sub(t[1], q2[1]), _f2_inv(_f2_sub(t[0], q2[0])))
-            f = _f12_mul(f, _line(lam, t, xp, yp))
-            x3 = _f2_sub(_f2_sub(_f2_sqr(lam), t[0]), q2[0])
-            t = (x3, _f2_sub(_f2_mul(lam, _f2_sub(t[0], x3)), t[1]))
+        f = _f12_sqr(f)
+        for i, (p, q2) in enumerate(terms):
+            t = ts[i]
+            lam = _f2_mul(_f2_muls(_f2_sqr(t[0]), 3), _f2_inv(_f2_muls(t[1], 2)))
+            f, t = _line_step(f, t, lam, t[0], p)
+            if bit == "1":
+                lam = _f2_mul(_f2_sub(t[1], q2[1]), _f2_inv(_f2_sub(t[0], q2[0])))
+                f, t = _line_step(f, t, lam, q2[0], p)
+            ts[i] = t
     # parameter is negative: invert via conjugation (unitary after final exp)
     return _f12_conj(f)
 
@@ -484,10 +486,35 @@ def _final_exp(f):
     return _f12_mul(t0, _f12_frob(_f12_mul(t1, _f12_frob(_f12_mul(t2, _f12_frob(t3))))))
 
 
+def _fp(c):
+    if not isinstance(c, int):
+        raise TypeError(f"coordinate must be an integer, not {type(c).__name__}")
+    if not 0 <= c < Q:
+        raise ValueError("coordinate out of range")
+    return c
+
+
+def _fp2(c):
+    return _coords(c, _fp)
+
+
+def _coords(v, inner):
+    # exactly two items, each checked by inner; as _core.c's coords_from_py
+    a, b = v
+    return inner(a), inner(b)
+
+
+def multi_miller_loop(pairs):
+    """Product of the Miller values of a sequence of (P, Q) pairs, in one loop.
+
+    A term with a point at infinity contributes 1 and is skipped.
+    """
+    terms = [(_coords(p, _fp), _coords(q2, _fp2)) for p, q2 in pairs if p and q2]
+    return _gt_flatten(_miller(terms)) if terms else GT_ONE
+
+
 def miller_loop(p, q2):
-    if not p or not q2:
-        return GT_ONE
-    return _gt_flatten(_miller(p, q2))
+    return multi_miller_loop(((p, q2),))
 
 
 def final_exp(f):

@@ -33,7 +33,6 @@ from .groups import (
     SystemRandomness,
     aux_generator,
     generator,
-    pair,
     pairing_counter,
     reset_pairing_counter,
     setup,
@@ -227,7 +226,7 @@ def _ecdsa_stats(config: BenchConfig, message: bytes) -> dict[str, OpStats]:
 
 
 def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
-    """Pairing (with its two halves), exponentiation and decoding costs on every available backend."""
+    """Pairing (its halves and a verify's 3-term loop), exponentiation and decoding costs on every backend."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
@@ -237,10 +236,13 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
         exponent = group.order - 3
         b = group.backend
         f = b.miller_loop(g.first, g2.second)
+        # a verify's equation: three terms, one of them with a negated G1 side
+        terms = [(b.g1_neg(g.first), g2.second), (g.first, g2.second), (g.first, g2.second)]
         g1_bytes, g2_bytes = b.g1_compress(g.first), b.g2_compress(g2.second)
         out[name] = {
-            "pairing": _measure(lambda: pair(g, g2), reps, 1),
+            "pairing": _measure(lambda: b.pairing(g.first, g2.second), reps, 1),
             "miller_loop": _measure(lambda: b.miller_loop(g.first, g2.second), reps, 1),
+            "multi_miller_loop": _measure(lambda: b.multi_miller_loop(terms), reps, 1),
             "final_exp": _measure(lambda: b.final_exp(f), reps, 1),
             "g2_exp": _measure(lambda: g2.exp(exponent), reps, 1),
             "g1_exp": _measure(lambda: g.first_only().exp(exponent), reps, 1),

@@ -245,28 +245,49 @@ class SourceElement:
         raise DecodeError(f"source element must be 48, 96 or 144 bytes, got {len(data)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetElement:
-    """Element of the pairing target group."""
+    """Element of the pairing target group, kept as a product of pairing terms.
 
-    params: GroupParams = field(compare=False)
-    value: tuple
+    ``terms`` holds one ``(first-group point, second-group point)`` pair per
+    factor ``e(P, Q)``, and nothing is computed until the element is read:
+    ``==`` evaluates ``lhs / rhs`` as one Miller loop over the terms of both
+    sides with one final exponentiation.  Equality costs pairing work, so
+    elements are unhashable.
+    """
+
+    params: GroupParams
+    terms: tuple
+
+    __hash__ = None
 
     def mul(self, other: "TargetElement") -> "TargetElement":
-        return TargetElement(self.params, self.params.backend.gt_mul(self.value, other.value))
+        return TargetElement(self.params, self.terms + other.terms)
 
-    def is_identity(self) -> bool:
-        return self.value == self.params.backend.GT_ONE
+    @property
+    def value(self) -> tuple:
+        """The finalized product, a flat 12-tuple of the backend's GT."""
+        b = self.params.backend
+        return b.final_exp(b.multi_miller_loop(self.terms))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TargetElement):
+            return NotImplemented
+        # e(-P, Q) = e(P, Q)^-1, so lhs == rhs iff the product of rhs and
+        # the negated lhs terms finalizes to 1
+        b = self.params.backend
+        quotient = TargetElement(self.params, tuple((b.g1_neg(p), q) for p, q in self.terms) + other.terms)
+        return quotient.value == b.GT_ONE
 
 
 def pair(a: SourceElement, b: SourceElement) -> TargetElement:
-    """Bilinear map; ``a`` must carry a first-group side, ``b`` a second."""
+    """Bilinear map, as a one-term product; ``a`` must carry a first-group side, ``b`` a second."""
     if a.first is None:
         raise RepresentationError("left pairing argument lacks a first-group representation")
     if b.second is None:
         raise RepresentationError("right pairing argument lacks a second-group representation")
     _COUNTER.increment()
-    return TargetElement(a.params, a.params.backend.pairing(a.first, b.second))
+    return TargetElement(a.params, ((a.first, b.second),))
 
 
 # fixed base points -----------------------------------------------------

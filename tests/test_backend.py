@@ -166,6 +166,7 @@ def test_pairing_is_final_exp_of_miller_loop(backend):
     q = backend.g2_mul(G2_GENERATOR, 42424242)
     assert backend.pairing(p, q) == backend.final_exp(backend.miller_loop(p, q))
     assert backend.miller_loop((), q) == backend.miller_loop(p, ()) == backend.GT_ONE
+    assert backend.multi_miller_loop([]) == backend.multi_miller_loop([((), q), (p, ())]) == backend.GT_ONE
 
 
 def test_backends_agree_on_random_operations():
@@ -388,6 +389,91 @@ def test_differential_miller_loop(a, b, infinity):
     p = () if infinity == "g1" else point("g1", a)
     q = () if infinity == "g2" else point("g2", b)
     assert_agree("miller_loop", p, q)
+
+
+def miller_terms(data):
+    """0-4 (P, Q) terms, with points at infinity and a repeated term drawn in."""
+    terms = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        infinity = data.draw(st.sampled_from(["none", "none", "g1", "g2"]))
+        p = () if infinity == "g1" else point("g1", data.draw(EXPONENTS))
+        q = () if infinity == "g2" else point("g2", data.draw(EXPONENTS))
+        terms.append((p, q))
+    if terms and data.draw(st.booleans()):
+        terms.append(data.draw(st.sampled_from(terms)))
+    return terms
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_differential_multi_miller_loop(data):
+    # both run the same affine loop, so even the Miller values are equal
+    assert_agree("multi_miller_loop", miller_terms(data))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_multi_miller_loop_against_definition(name, data):
+    b = load_backend(name)
+    terms = miller_terms(data)
+    product = b.GT_ONE
+    for p, q in terms:
+        assert b.miller_loop(p, q) == b.multi_miller_loop([(p, q)])
+        product = b.gt_mul(product, b.pairing(p, q))
+    assert b.final_exp(b.multi_miller_loop(terms)) == product
+    if terms:
+        # e(-P, Q) e(P, Q) = 1, the form in which target elements are compared
+        p, q = terms[0]
+        assert b.final_exp(b.multi_miller_loop([(b.g1_neg(p), q), (p, q)])) == b.GT_ONE
+
+
+def replaced(item, path, value):
+    """``item`` with the part at ``path`` (a tuple of indices) replaced by ``value``."""
+    if not path:
+        return value
+    parts = list(item)
+    parts[path[0]] = replaced(item[path[0]], path[1:], value)
+    return tuple(parts)
+
+
+# a term, a point, an Fp2 coordinate of Q, or an Fp coordinate
+TERM_PATHS = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1), (1, 0, 0), (1, 1, 1)]
+BAD_PARTS = st.one_of(
+    st.integers(FIELD_MODULUS, 2**400),
+    st.integers(-(2**400), -1),
+    st.sampled_from([None, 5, 1.5, "1", "ab", b"\x01", (1,), (1, 2, 3)]),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_differential_multi_miller_loop_rejects_malformed(data):
+    nonzero = st.integers(1, ORDER - 1)
+    good = (point("g1", data.draw(nonzero)), point("g2", data.draw(nonzero)))
+    path = data.draw(st.sampled_from(TERM_PATHS))
+    bad = replaced(good, path, data.draw(BAD_PARTS))
+    pure = load_backend("pure")
+    for pairs in ([bad], [good, bad]):
+        assert_agree("multi_miller_loop", pairs)
+        # a value that is not a coordinate is refused, never a crash; some
+        # replacements (None as a point, 5 as a coordinate) stay valid input
+        result = outcome(pure.multi_miller_loop, (pairs,), False)
+        assert result in (ValueError, TypeError) or (isinstance(result, tuple) and len(result) == 12)
+    if path:
+        for name in BACKENDS:
+            b = load_backend(name)
+            assert outcome(b.miller_loop, bad, False) == outcome(b.multi_miller_loop, ([bad],), False)
+
+
+def test_multi_miller_loop_rejects_non_sequences_and_zero_slopes(backend):
+    for pairs in (5, None, [5], [None]):
+        with pytest.raises(TypeError):
+            backend.multi_miller_loop(pairs)
+    # y = 0 makes the first tangent vertical; pure's inversion refuses it
+    flat = (G2_GENERATOR[0], (0, 0))
+    with pytest.raises(ValueError):
+        backend.multi_miller_loop([(G1_GENERATOR, G2_GENERATOR), (G1_GENERATOR, flat)])
 
 
 @pytest.mark.parametrize("group", GROUPS)

@@ -64,7 +64,8 @@ class TestReportSchema:
         backends = {k.split(".")[1] for k in kv if k.startswith("backend.")}
         assert "pure" in backends
         for name in backends:
-            for op in ("pairing", "miller_loop", "final_exp", "g1_exp", "g2_exp", "g1_decompress", "g2_decompress"):
+            for op in ("pairing", "miller_loop", "multi_miller_loop", "final_exp", "g1_exp", "g2_exp",
+                       "g1_decompress", "g2_decompress"):
                 assert f"backend.{name}.{op}_ms" in kv
 
     def test_table_renders(self, small_report):

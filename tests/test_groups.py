@@ -1,6 +1,7 @@
 """Element wrapper, hashing, randomness and instrumentation tests."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from otsske.groups import (
     SourceElement,
     SystemRandomness,
     TAG_MESSAGE_HASH,
+    TargetElement,
     TAG_PRP,
     aux_generator,
     generator,
@@ -109,6 +111,44 @@ class TestPairingCounter:
         assert pairing_counter() == 2
         reset_pairing_counter()
         assert pairing_counter() == 0
+
+
+class TestTargetElement:
+    def test_pair_records_one_term(self, group):
+        g, h = generator(group), aux_generator(group)
+        e = pair(g, h).mul(pair(g.exp(2), h))
+        assert e.terms == ((g.first, h.second), (g.exp(2).first, h.second))
+
+    def test_equality_matches_finalized_values(self, group):
+        # e(g, h)^(ab) against a product with exponents c and ab - c, and
+        # against the same product off by one in either factor
+        rnd = random.Random(13)
+        g, h = generator(group), aux_generator(group)
+        for _ in range(3):
+            a, b, c = (rnd.randrange(1, ORDER) for _ in range(3))
+            lhs = pair(g.exp(a), h.exp(b))
+            for da, db in ((0, 0), (1, 0), (0, -1)):
+                rhs = pair(g.exp(c + da), h).mul(pair(g, h.exp(a * b - c + db)))
+                expected = da == db == 0
+                assert (lhs == rhs) is (rhs == lhs) is (lhs.value == rhs.value) is expected
+                assert (lhs != rhs) is not expected
+
+    def test_value_is_the_pairing(self, group):
+        g, h = generator(group), aux_generator(group)
+        b = group.backend
+        assert pair(g, h).value == b.pairing(g.first, h.second)
+        assert pair(g.exp(0), h).value == b.GT_ONE
+
+    def test_unhashable(self, group):
+        # equality costs a pairing, so elements never key a dict or set
+        g, h = generator(group), aux_generator(group)
+        assert TargetElement.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(pair(g, h))
+
+    def test_not_equal_to_other_types(self, group):
+        e = pair(generator(group), aux_generator(group))
+        assert e != e.value and e != "e"
 
 
 class TestHashing:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otsske import scheme
+from otsske.backend import available_backends, load_backend
 from otsske.errors import DecodeError, ParameterError
 from otsske.groups import (
     DeterministicRandomness,
@@ -25,6 +26,27 @@ def make_session(params, keys, session=0, seed=33):
 def session_randomness(params, seed=33):
     """The r and betas that make_session(..., seed=seed) drew, replayed."""
     return scheme._session_randomness(params, DeterministicRandomness(seed))
+
+
+@pytest.fixture()
+def pairing_work(monkeypatch):
+    """Spies on every backend: the term count of each multi-Miller loop, and the final exps."""
+    work = {"terms": [], "final_exps": 0}
+    for name in available_backends():
+        backend = load_backend(name)
+
+        def multi_miller_loop(pairs, real=backend.multi_miller_loop):
+            pairs = tuple(pairs)
+            work["terms"].append(len(pairs))
+            return real(pairs)
+
+        def final_exp(f, real=backend.final_exp):
+            work["final_exps"] += 1
+            return real(f)
+
+        monkeypatch.setattr(backend, "multi_miller_loop", multi_miller_loop)
+        monkeypatch.setattr(backend, "final_exp", final_exp)
+    return work
 
 
 class TestSchemeParams:
@@ -284,12 +306,17 @@ def material_and_sigs(medium_params, medium_keys):
 
 class TestSignatures:
 
-    def test_full_roundtrip(self, medium_params, medium_keys, signed):
+    def test_full_roundtrip(self, medium_params, medium_keys, signed, pairing_work):
         pk, _ = medium_keys
         material, message, selection, subkeys = signed
         sig = scheme.sign_full(pk, medium_params, 1, subkeys, selection, material.aux,
                                message, DeterministicRandomness(60))
+        assert pairing_work == {"terms": [], "final_exps": 0}, "full signing must not pair"
+        reset_pairing_counter()
         assert scheme.verify_full(pk, medium_params, 1, sig, message)
+        assert pairing_counter() == 3
+        # the three terms share one Miller loop and one final exponentiation
+        assert pairing_work == {"terms": [3], "final_exps": 1}
 
     def test_full_randomized_but_both_verify(self, medium_params, medium_keys, signed):
         pk, _ = medium_keys
@@ -319,15 +346,17 @@ class TestSignatures:
         # shifting past the session budget must reject, not raise
         assert not scheme.verify_full(pk, medium_params, medium_params.sessions, sig, message)
 
-    def test_compressed_roundtrip_and_pairings(self, medium_params, medium_keys, signed):
+    def test_compressed_roundtrip_and_pairings(self, medium_params, medium_keys, signed, pairing_work):
         pk, _ = medium_keys
         material, message, selection, subkeys = signed
         reset_pairing_counter()
         sig = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux)
         assert pairing_counter() == 0, "compressed signing must not pair"
+        assert pairing_work == {"terms": [], "final_exps": 0}
         reset_pairing_counter()
         assert scheme.verify_compressed(pk, medium_params, 1, sig, message)
         assert pairing_counter() == 3, "compressed verification is exactly three pairings"
+        assert pairing_work == {"terms": [3], "final_exps": 1}
 
     def test_compressed_deterministic(self, medium_params, medium_keys, signed):
         pk, _ = medium_keys
@@ -381,7 +410,7 @@ class TestSignatures:
         assert not sig.y.is_identity() and not sig.z.is_identity()
         assert scheme.verify_full(pk, medium_params, 1, sig, message)
 
-    def test_degenerate_signature_rejected(self, medium_params, medium_keys, signed, monkeypatch):
+    def test_degenerate_signature_rejected(self, medium_params, medium_keys, signed, monkeypatch, pairing_work):
         """The g2^(n u) * x != identity guard is load-bearing.
 
         With y = z = identity and g2^(n u) * x = identity, the pairing
@@ -412,6 +441,7 @@ class TestSignatures:
         reset_pairing_counter()
         assert not scheme.verify_full(pk, medium_params, 1, sig, message)
         assert pairing_counter() == 0, "degenerate case must be rejected before pairing"
+        assert pairing_work == {"terms": [], "final_exps": 0}
 
 
 class TestRoundTripProperty:
@@ -429,7 +459,7 @@ class TestRoundTripProperty:
             assert scheme.verify_full(pk, medium_params, 0, full, message)
             assert scheme.verify_compressed(pk, medium_params, 0, comp, message)
 
-    def test_pure_backend_roundtrip(self, toy_params):
+    def test_pure_backend_roundtrip(self, toy_params, pairing_work):
         from otsske.groups import setup
 
         group = setup(256, backend="pure")
@@ -440,7 +470,11 @@ class TestRoundTripProperty:
         selection = scheme.prp_select(toy_params, b"key", message)
         subkeys = scheme.subkeys_at(material, selection)
         comp = scheme.sign_compressed(pk, toy_params, 0, subkeys, selection, material.aux)
+        full = scheme.sign_full(pk, toy_params, 0, subkeys, selection, material.aux, message, rng)
+        assert pairing_work == {"terms": [], "final_exps": 0}
         assert scheme.verify_compressed(pk, toy_params, 0, comp, message)
+        assert scheme.verify_full(pk, toy_params, 0, full, message)
+        assert pairing_work == {"terms": [3, 3], "final_exps": 2}
 
 
 class TestCodecs:
