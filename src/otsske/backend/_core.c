@@ -974,20 +974,71 @@ static int y_is_larger(const u64 *y, int n)
 #define FLAG_INFINITY 0x40
 #define FLAG_SIGN 0x20
 
+static PyObject *pair_from_py(PyObject *v)
+{
+    /* v as a 2-tuple, or NULL with an exception set */
+    PyObject *items = PySequence_Tuple(v);
+    if (items && PyTuple_GET_SIZE(items) != 2) {
+        Py_DECREF(items);
+        PyErr_SetString(PyExc_ValueError, "expected a pair of coordinates");
+        return NULL;
+    }
+    return items;
+}
+
+static int coords_from_py(u64 *r, PyObject *v, int n)
+{
+    /* Plain limbs of a point, like pure's _g1_point and _g2_point: a G1
+     * point (n = 12) or a G2 point (n = 24) is exactly two items, so is
+     * each Fp2 coordinate, and every Fp value is an integer in [0, q).
+     * Every point that enters a group operation or the Miller loop passes
+     * through here. */
+    if (n == 6) {
+        if (!PyLong_Check(v)) {
+            PyErr_Format(PyExc_TypeError, "coordinate must be an integer, not %.200s", Py_TYPE(v)->tp_name);
+            return -1;
+        }
+        if (!limbs_from_py(r, v, 6) && fp_cmp(r, Q) < 0)
+            return 0;
+        /* int.to_bytes refuses negative and wider-than-384-bit values */
+        if (PyErr_Occurred() && !PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, "coordinate out of range");
+        return -1;
+    }
+    PyObject *items = pair_from_py(v);
+    int rc = items && !coords_from_py(r, PyTuple_GET_ITEM(items, 0), n / 2)
+                     && !coords_from_py(r + n / 2, PyTuple_GET_ITEM(items, 1), n / 2) ? 0 : -1;
+    Py_XDECREF(items);
+    return rc;
+}
+
 INLINE int point_from_py(const field *F, u64 *r, PyObject *p)
 {
-    /* affine (x, y) -> Montgomery Jacobian with Z = 1 */
-    if (limbs_from_py(r, p, 2 * F->n))
+    /* affine (x, y) -> Montgomery Jacobian with Z = 1, and any false value
+     * -> infinity; 1 for a finite point, 0 for infinity, -1 on error */
+    int tp = PyObject_IsTrue(p);
+    if (tp <= 0) {
+        if (!tp)
+            jac_set_infinity(F, r);
+        return tp;
+    }
+    if (coords_from_py(r, p, 2 * F->n))
         return -1;
     to_mont(r, 2 * F->n);
     set_one(r + 2 * F->n, F->n);
-    return 0;
+    return 1;
 }
 
 INLINE PyObject *point_to_py(const field *F, const u64 *p)
 {
-    u64 a[24];
-    if (!jac_to_affine(F, a, p))
+    /* Z = 1 (P + O, say) needs no inversion */
+    u64 a[24], one[12];
+    set_one(one, F->n);
+    if (!memcmp(p + 2 * F->n, one, 8 * F->n))
+        memcpy(a, p, 16 * F->n);
+    else if (!jac_to_affine(F, a, p))
         return Py_NewRef(INF);
     from_mont(a, a, 2 * F->n);
     return py_from_limbs(a, 2 * F->n);
@@ -996,12 +1047,7 @@ INLINE PyObject *point_to_py(const field *F, const u64 *p)
 INLINE PyObject *group_add(const field *F, PyObject *p, PyObject *s)
 {
     u64 a[36], b[36];
-    int tp = PyObject_IsTrue(p), ts = tp < 0 ? -1 : PyObject_IsTrue(s);
-    if (ts < 0)
-        return NULL;
-    if (!tp || !ts)
-        return Py_NewRef(tp ? p : s);
-    if (point_from_py(F, a, p) || point_from_py(F, b, s))
+    if (point_from_py(F, a, p) < 0 || point_from_py(F, b, s) < 0)
         return NULL;
     jac_add(F, a, a, b);
     return point_to_py(F, a);
@@ -1009,35 +1055,31 @@ INLINE PyObject *group_add(const field *F, PyObject *p, PyObject *s)
 
 INLINE PyObject *group_neg(const field *F, PyObject *p)
 {
-    /* (x, -y), keeping the x object */
-    u64 y[12];
+    /* (x, -y), checked as coords_from_py checks and keeping the x object;
+     * negation mod q needs no Montgomery form */
+    const int n = F->n;
+    u64 a[24];
     int tp = PyObject_IsTrue(p);
     if (tp <= 0)
         return tp ? NULL : Py_NewRef(INF);
-    PyObject *x = PySequence_GetItem(p, 0), *yv = x ? PySequence_GetItem(p, 1) : NULL;
-    int rc = yv ? limbs_from_py(y, yv, F->n) : -1;
-    Py_XDECREF(yv);
-    if (rc) {
-        Py_XDECREF(x);
-        return NULL;
+    PyObject *items = pair_from_py(p), *out = NULL;
+    if (items && !coords_from_py(a, PyTuple_GET_ITEM(items, 0), n)
+        && !coords_from_py(a + n, PyTuple_GET_ITEM(items, 1), n)) {
+        F->neg(a + n, a + n);
+        out = pair(Py_NewRef(PyTuple_GET_ITEM(items, 0)), py_from_limbs(a + n, n));
     }
-    to_mont(y, F->n);
-    F->neg(y, y);
-    from_mont(y, y, F->n);
-    return pair(x, py_from_limbs(y, F->n));
+    Py_XDECREF(items);
+    return out;
 }
 
 INLINE PyObject *group_mul(const field *F, PyObject *p, PyObject *k)
 {
     u64 a[36];
-    int neg, tp;
+    int neg;
     PyObject *kb = scalar_bytes(k, &neg), *out = NULL;
     if (!kb)
         return NULL;
-    tp = PyObject_IsTrue(p);
-    if (tp == 0 || (tp > 0 && PyBytes_GET_SIZE(kb) == 0)) {
-        out = Py_NewRef(INF);
-    } else if (tp > 0 && !point_from_py(F, a, p)) {
+    if (point_from_py(F, a, p) >= 0) {
         if (neg)
             F->neg(a + F->n, a + F->n);
         jac_mul(F, a, a, (const unsigned char *)PyBytes_AS_STRING(kb), PyBytes_GET_SIZE(kb));
@@ -1051,11 +1093,9 @@ INLINE PyObject *group_on_curve(const field *F, PyObject *p)
 {
     const int n = F->n;
     u64 a[36], t[12];
-    int tp = PyObject_IsTrue(p);
+    int tp = point_from_py(F, a, p);
     if (tp <= 0)
         return tp ? NULL : Py_NewRef(Py_True);
-    if (point_from_py(F, a, p))
-        return NULL;
     curve_rhs(F, t, a);
     F->mul(a + n, a + n, a + n);
     return PyBool_FromLong(!memcmp(t, a + n, 8 * n));
@@ -1064,11 +1104,9 @@ INLINE PyObject *group_on_curve(const field *F, PyObject *p)
 INLINE PyObject *group_in_subgroup(const field *F, PyObject *p)
 {
     u64 a[36];
-    int tp = PyObject_IsTrue(p);
+    int tp = point_from_py(F, a, p);
     if (tp <= 0)
         return tp ? NULL : Py_NewRef(Py_True);
-    if (point_from_py(F, a, p))
-        return NULL;
     return PyBool_FromLong(jac_in_subgroup(F, a));
 }
 
@@ -1083,7 +1121,7 @@ INLINE PyObject *group_compress(const field *F, PyObject *p)
     if (!tp) {
         out[0] = FLAG_COMPRESSED | FLAG_INFINITY;
     } else {
-        if (limbs_from_py(a, p, 2 * n))
+        if (coords_from_py(a, p, 2 * n))
             return NULL;
         for (int i = 0; i < n; i += 6)
             limbs_to_be(out + 8 * n - 48 - 8 * i, a + i);
@@ -1213,33 +1251,6 @@ UNARY(g1_compress, group_compress, &G1)
 UNARY(g2_compress, group_compress, &G2)
 UNARY(g1_decompress, group_decompress, &G1)
 UNARY(g2_decompress, group_decompress, &G2)
-
-static int coords_from_py(u64 *r, PyObject *v, int n)
-{
-    /* Plain limbs of a pairing input, like pure._coords: a G1 point
-     * (n = 12) or a G2 point (n = 24) is exactly two items, so is each Fp2
-     * coordinate, and every Fp value lies in [0, q).  Stricter than
-     * limbs_from_py, which the group operations keep. */
-    if (n == 6) {
-        if (!limbs_from_py(r, v, 6) && fp_cmp(r, Q) < 0)
-            return 0;
-        /* int.to_bytes refuses negative and wider-than-384-bit values */
-        if (PyErr_Occurred() && !PyErr_ExceptionMatches(PyExc_OverflowError))
-            return -1;
-        PyErr_Clear();
-        PyErr_SetString(PyExc_ValueError, "coordinate out of range");
-        return -1;
-    }
-    PyObject *items = PySequence_Tuple(v);
-    int rc = -1;
-    if (items && PyTuple_GET_SIZE(items) != 2)
-        PyErr_SetString(PyExc_ValueError, "expected a pair of coordinates");
-    else if (items)
-        rc = coords_from_py(r, PyTuple_GET_ITEM(items, 0), n / 2)
-             || coords_from_py(r + n / 2, PyTuple_GET_ITEM(items, 1), n / 2) ? -1 : 0;
-    Py_XDECREF(items);
-    return rc;
-}
 
 static int term_from_py(term *t, PyObject *p, PyObject *q)
 {

@@ -13,6 +13,9 @@ responsible for any modular reduction they want.
 
 from __future__ import annotations
 
+from operator import index
+from typing import Callable, NamedTuple
+
 from ..params import (
     B_COEFF,
     B_TWIST,
@@ -257,9 +260,50 @@ def gt_pow(a, e):
 
 
 # ---------------------------------------------------------------- curves
+# Every point that enters an operation is checked as _core.c's
+# coords_from_py checks it: any false value is the point at infinity, and
+# otherwise a point is exactly two coordinates, an Fp2 coordinate exactly two
+# integers, and every integer lies in [0, q).  Both backends raise the same
+# exception with the same message.
 
 
-def _e1_add(p, s):
+def _fp(c):
+    if not isinstance(c, int):
+        raise TypeError(f"coordinate must be an integer, not {type(c).__name__}")
+    if not 0 <= c < Q:
+        raise ValueError("coordinate out of range")
+    return c
+
+
+def _pair(v):
+    items = tuple(v)
+    if len(items) != 2:
+        raise ValueError("expected a pair of coordinates")
+    return items
+
+
+def _fp_pair(v):
+    # a G1 point or an Fp2 coordinate; plain ints in range pass without a
+    # call each, because every group operation parses its points
+    a, b = v = _pair(v)
+    if type(a) is int and type(b) is int and 0 <= a < Q and 0 <= b < Q:
+        return v
+    return _fp(a), _fp(b)
+
+
+def _g1_point(p):
+    return _fp_pair(p) if p else INFINITY
+
+
+def _g2_point(p):
+    if not p:
+        return INFINITY
+    x, y = _pair(p)
+    return _fp_pair(x), _fp_pair(y)
+
+
+def g1_add(p, s):
+    p, s = _g1_point(p), _g1_point(s)
     if not p:
         return s
     if not s:
@@ -276,7 +320,18 @@ def _e1_add(p, s):
     return (x3, (lam * (x1 - x3) - y1) % Q)
 
 
-def _e2_add(p, s):
+def g1_neg(p):
+    p = _g1_point(p)
+    return (p[0], -p[1] % Q) if p else INFINITY
+
+
+def g1_mul(p, k):
+    k = index(k)
+    return _jac_mul(_G1, _g1_point(p), k)
+
+
+def g2_add(p, s):
+    p, s = _g2_point(p), _g2_point(s)
     if not p:
         return s
     if not s:
@@ -293,52 +348,18 @@ def _e2_add(p, s):
     return (x3, _f2_sub(_f2_mul(lam, _f2_sub(x1, x3)), y1))
 
 
-def _window_mul(p, k, add, neg):
-    if k < 0:
-        return _window_mul(neg(p), -k, add, neg)
-    if k == 0 or not p:
-        return INFINITY
-    table = [INFINITY, p]
-    for _ in range(14):
-        table.append(add(table[-1], p))
-    acc = INFINITY
-    for shift in range(((k.bit_length() + 3) // 4) * 4 - 4, -1, -4):
-        if acc:
-            acc = add(acc, acc)
-            acc = add(acc, acc)
-            acc = add(acc, acc)
-            acc = add(acc, acc)
-        nib = (k >> shift) & 0xF
-        if nib:
-            acc = add(acc, table[nib])
-    return acc
-
-
-def g1_add(p, s):
-    return _e1_add(p, s)
-
-
-def g1_neg(p):
-    return (p[0], (-p[1]) % Q) if p else INFINITY
-
-
-def g1_mul(p, k):
-    return _window_mul(p, k, _e1_add, g1_neg)
-
-
-def g2_add(p, s):
-    return _e2_add(p, s)
-
-
 def g2_neg(p):
+    p = _g2_point(p)
     return (p[0], _f2_neg(p[1])) if p else INFINITY
 
 
 def g2_mul(p, k):
-    return _window_mul(p, k, _e2_add, g2_neg)
+    k = index(k)
+    return _jac_mul(_G2, _g2_point(p), k)
 
 
 def g1_on_curve(p):
+    p = _g1_point(p)
     if not p:
         return True
     x, y = p
@@ -346,10 +367,124 @@ def g1_on_curve(p):
 
 
 def g2_on_curve(p):
+    p = _g2_point(p)
     if not p:
         return True
     x, y = p
     return _f2_sqr(y) == _f2_add(_f2_mul(_f2_sqr(x), x), (B_TWIST[0] % Q, B_TWIST[1] % Q))
+
+
+# ---------------------------------------------------------------- Jacobian
+# Scalar-multiplication chains in Jacobian coordinates (X, Y, Z) for the
+# affine point (X/Z^2, Y/Z^3), so a chain pays no inversion until its result
+# is made affine.  The kernels are written once over a field descriptor and
+# mirror _core.c's jac_* kernels; Z = 0 is the point at infinity, whatever
+# X and Y are.
+
+
+class _Field(NamedTuple):
+    add: Callable
+    sub: Callable
+    mul: Callable
+    sqr: Callable
+    muls: Callable  # times a small integer
+    neg: Callable
+    inv: Callable
+    zero: object
+    one: object
+    endo: Callable  # the subgroup check's endomorphism, on affine points
+    chains: int  # its eigenvalue on the subgroup is -|X|^chains
+
+
+def _jac_double(F, p):
+    # dbl-2009-l (a = 0)
+    x, y, z = p
+    if z == F.zero:
+        return p
+    sub, mul, sqr, muls = F.sub, F.mul, F.sqr, F.muls
+    a = sqr(x)
+    b = sqr(y)
+    c = sqr(b)
+    d = muls(sub(sub(sqr(F.add(x, b)), a), c), 2)
+    e = muls(a, 3)
+    x3 = sub(sqr(e), muls(d, 2))
+    return (x3, sub(mul(e, sub(d, x3)), muls(c, 8)), muls(mul(y, z), 2))
+
+
+def _jac_add(F, p, s):
+    # add-2007-bl with the doubling fallback
+    x1, y1, z1 = p
+    x2, y2, z2 = s
+    if z1 == F.zero:
+        return s
+    if z2 == F.zero:
+        return p
+    sub, mul, sqr, muls = F.sub, F.mul, F.sqr, F.muls
+    z1z1 = sqr(z1)
+    z2z2 = sqr(z2)
+    u1 = mul(x1, z2z2)
+    s1 = mul(mul(y1, z2), z2z2)
+    h = sub(mul(x2, z1z1), u1)
+    r = sub(mul(mul(y2, z1), z1z1), s1)
+    if h == F.zero and r == F.zero:
+        return _jac_double(F, p)
+    r = muls(r, 2)
+    i = sqr(muls(h, 2))
+    j = mul(h, i)
+    v = mul(u1, i)
+    x3 = sub(sub(sqr(r), j), muls(v, 2))
+    y3 = sub(mul(r, sub(v, x3)), muls(mul(s1, j), 2))
+    return (x3, y3, mul(sub(sub(sqr(F.add(z1, z2)), z1z1), z2z2), h))
+
+
+def _jac_mul(F, p, k):
+    """[k]P for an affine point P and any integer k, as an affine point."""
+    if not p or not k:
+        return INFINITY
+    x, y = p
+    if k < 0:
+        k, y = -k, F.neg(y)
+    base = (x, y, F.one)
+    # fixed 4-bit window, high nibble first
+    table = [None, base]
+    for _ in range(14):
+        table.append(_jac_add(F, table[-1], base))
+    acc = (F.one, F.one, F.zero)
+    for shift in range(((k.bit_length() + 3) // 4) * 4 - 4, -1, -4):
+        for _ in range(4):
+            acc = _jac_double(F, acc)
+        nib = (k >> shift) & 0xF
+        if nib:
+            acc = _jac_add(F, acc, table[nib])
+    return _jac_to_affine(F, acc)
+
+
+def _jac_to_affine(F, p):
+    x, y, z = p
+    if z == F.zero:
+        return INFINITY
+    zi = F.inv(z)
+    zi2 = F.sqr(zi)
+    return (F.mul(x, zi2), F.mul(y, F.mul(zi2, zi)))
+
+
+def _jac_in_subgroup(F, p):
+    # For P on the curve: -endo(P) == [|X|^chains]P, by double-and-add over
+    # |X| (63 doublings and 5 additions per chain) and one comparison with
+    # the affine -endo(P) scaled by Z^2 and Z^3.
+    t = (p[0], p[1], F.one)
+    for _ in range(F.chains):
+        base = t
+        for bit in _X_BITS:
+            t = _jac_double(F, t)
+            if bit == "1":
+                t = _jac_add(F, t, base)
+    x, y, z = t
+    if z == F.zero:
+        return False
+    ex, ey = F.endo(p)
+    z2 = F.sqr(z)
+    return F.mul(ex, z2) == x and F.mul(F.neg(ey), F.mul(z2, z)) == y
 
 
 # ---------------------------------------------------------------- subgroups
@@ -366,31 +501,38 @@ _X_BITS = bin(abs(X_PARAM))[3:]
 _PSI_X = _f2_inv(_FROB_V[1])
 _PSI_Y = _f2_inv(_f2_pow(XI, (Q - 1) // 2))
 
-
-def _mul_abs_x(p, add):
-    # [|X|]P by double-and-add: 63 doublings and 5 additions
-    acc = p
-    for bit in _X_BITS:
-        acc = add(acc, acc)
-        if bit == "1":
-            acc = add(acc, p)
-    return acc
+# G1: phi(P) == -[X^2]P with phi(x, y) = (beta x, y); G2: psi(P) == [X]P,
+# and X < 0, so [X]P = -[|X|]P
+_G1 = _Field(
+    add=lambda a, b: (a + b) % Q,
+    sub=lambda a, b: (a - b) % Q,
+    mul=lambda a, b: a * b % Q,
+    sqr=lambda a: a * a % Q,
+    muls=lambda a, s: a * s % Q,
+    neg=lambda a: -a % Q,
+    inv=lambda a: pow(a, -1, Q),
+    zero=0,
+    one=1,
+    endo=lambda p: (BETA * p[0] % Q, p[1]),
+    chains=2,
+)
+_G2 = _Field(
+    _f2_add, _f2_sub, _f2_mul, _f2_sqr, _f2_muls, _f2_neg, _f2_inv, _F2_ZERO, _F2_ONE,
+    endo=lambda p: (_f2_mul(_f2_conj(p[0]), _PSI_X), _f2_mul(_f2_conj(p[1]), _PSI_Y)),
+    chains=1,
+)
 
 
 def g1_in_subgroup(p):
     """Whether an on-curve G1 point is in the order-r subgroup: phi(P) == -[X^2]P."""
-    if not p:
-        return True
-    return g1_neg(_mul_abs_x(_mul_abs_x(p, _e1_add), _e1_add)) == (BETA * p[0] % Q, p[1])
+    p = _g1_point(p)
+    return not p or _jac_in_subgroup(_G1, p)
 
 
 def g2_in_subgroup(p):
     """Whether an on-curve G2 point is in the order-r subgroup: psi(P) == [X]P."""
-    if not p:
-        return True
-    x, y = p
-    # X < 0, so [X]P = -[|X|]P
-    return g2_neg(_mul_abs_x(p, _e2_add)) == (_f2_mul(_f2_conj(x), _PSI_X), _f2_mul(_f2_conj(y), _PSI_Y))
+    p = _g2_point(p)
+    return not p or _jac_in_subgroup(_G2, p)
 
 
 # ---------------------------------------------------------------- pairing
@@ -486,30 +628,12 @@ def _final_exp(f):
     return _f12_mul(t0, _f12_frob(_f12_mul(t1, _f12_frob(_f12_mul(t2, _f12_frob(t3))))))
 
 
-def _fp(c):
-    if not isinstance(c, int):
-        raise TypeError(f"coordinate must be an integer, not {type(c).__name__}")
-    if not 0 <= c < Q:
-        raise ValueError("coordinate out of range")
-    return c
-
-
-def _fp2(c):
-    return _coords(c, _fp)
-
-
-def _coords(v, inner):
-    # exactly two items, each checked by inner; as _core.c's coords_from_py
-    a, b = v
-    return inner(a), inner(b)
-
-
 def multi_miller_loop(pairs):
     """Product of the Miller values of a sequence of (P, Q) pairs, in one loop.
 
     A term with a point at infinity contributes 1 and is skipped.
     """
-    terms = [(_coords(p, _fp), _coords(q2, _fp2)) for p, q2 in pairs if p and q2]
+    terms = [(_g1_point(p), _g2_point(q2)) for p, q2 in pairs if p and q2]
     return _gt_flatten(_miller(terms)) if terms else GT_ONE
 
 
@@ -547,7 +671,7 @@ def _y_is_larger_fp2(y):
 def g1_compress(p):
     if not p:
         return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(47)
-    x, y = p
+    x, y = _fp_pair(p)
     data = bytearray(x.to_bytes(48, "big"))
     data[0] |= _FLAG_COMPRESSED | (_FLAG_SIGN if _y_is_larger_fp(y) else 0)
     return bytes(data)
@@ -556,7 +680,7 @@ def g1_compress(p):
 def g2_compress(p):
     if not p:
         return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(95)
-    (x0, x1), y = p
+    (x0, x1), y = _g2_point(p)
     data = bytearray(x1.to_bytes(48, "big") + x0.to_bytes(48, "big"))
     data[0] |= _FLAG_COMPRESSED | (_FLAG_SIGN if _y_is_larger_fp2(y) else 0)
     return bytes(data)

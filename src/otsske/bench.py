@@ -226,7 +226,8 @@ def _ecdsa_stats(config: BenchConfig, message: bytes) -> dict[str, OpStats]:
 
 
 def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
-    """Pairing (its halves and a verify's 3-term loop), exponentiation and decoding costs on every backend."""
+    """Per-backend costs: pairing (its halves and a verify's 3-term loop),
+    exponentiation, decoding and the subgroup check alone."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
@@ -248,6 +249,8 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
             "g1_exp": _measure(lambda: g.first_only().exp(exponent), reps, 1),
             "g1_decompress": _measure(lambda: b.g1_decompress(g1_bytes), reps, 1),
             "g2_decompress": _measure(lambda: b.g2_decompress(g2_bytes), reps, 1),
+            "g1_in_subgroup": _measure(lambda: b.g1_in_subgroup(g.first), reps, 1),
+            "g2_in_subgroup": _measure(lambda: b.g2_in_subgroup(g2.second), reps, 1),
         }
     return out
 

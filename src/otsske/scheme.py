@@ -566,6 +566,9 @@ def decode_session_store(
     alpha = int.from_bytes(reader.take(32), "big")
     if not 0 < alpha < ORDER:
         raise DecodeError("master exponent out of range")
+    # g1 = g^alpha on both sides, or the stored key and exponent disagree
+    if pk.g.exp(alpha) != pk.g1:
+        raise DecodeError("master exponent does not match the public key")
     master = MasterSecret(alpha, pk.g2.exp(alpha))
     materials = []
     for _ in range(reader.take_int()):

@@ -299,6 +299,7 @@ SCALARS = st.one_of(
     st.integers(-ORDER, 2 * ORDER),
 )
 EXPONENTS = st.integers(0, ORDER - 1)
+NONZERO = st.integers(1, ORDER - 1)
 FP = st.integers(0, FIELD_MODULUS - 1)
 GROUPS = {"g1": (48, G1_GENERATOR, FP), "g2": (96, G2_GENERATOR, st.tuples(FP, FP))}
 # one 48-byte x component of an encoding, in range or just above q
@@ -344,11 +345,49 @@ BAD_GT_ELEMENTS = st.one_of(
 )
 
 
+def replaced(item, path, value):
+    """``item`` with the part at ``path`` (a tuple of indices) replaced by ``value``."""
+    if not path:
+        return value
+    parts = list(item)
+    parts[path[0]] = replaced(item[path[0]], path[1:], value)
+    return tuple(parts)
+
+
+def part(item, path):
+    return part(item[path[0]], path[1:]) if path else item
+
+
+BAD_PARTS = st.one_of(
+    st.integers(FIELD_MODULUS, 2**400),
+    st.integers(-(2**400), -1),
+    st.sampled_from([None, 5, 1.5, "1", "ab", b"\x01", (1,), (1, 2, 3)]),
+)
+# the Fp coordinates of a point, and every part above them
+COORDINATE_PATHS = {"g1": [(0,), (1,)], "g2": [(0, 0), (0, 1), (1, 0), (1, 1)]}
+PART_PATHS = {"g1": [(), (0,), (1,)], "g2": [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]}
+
+
+def malformed(group, p, data):
+    """Copies of the point p that the point boundary must refuse, or read as it stands.
+
+    One item, three items, a coordinate plus q, a negative coordinate, and
+    one part replaced by a bad value (which may leave a valid point, such as
+    a coordinate 5 or None for the point at infinity).
+    """
+    path = data.draw(st.sampled_from(COORDINATE_PATHS[group]))
+    c = part(p, path)
+    return [p[:1], p + (p[0],), replaced(p, path, c + FIELD_MODULUS), replaced(p, path, -1 - c),
+            replaced(p, data.draw(st.sampled_from(PART_PATHS[group])), data.draw(BAD_PARTS))]
+
+
 @pytest.mark.parametrize("group", GROUPS)
-@given(a=EXPONENTS, k=SCALARS)
+@given(a=EXPONENTS, k=SCALARS, data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_differential_mul(group, a, k):
+def test_differential_mul(group, a, k, data):
     assert_agree(f"{group}_mul", point(group, a), k)
+    for bad in malformed(group, point(group, data.draw(NONZERO)), data):
+        assert_agree(f"{group}_mul", bad, k, message=True)
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -356,7 +395,7 @@ def test_differential_mul(group, a, k):
 @settings(max_examples=30, deadline=None)
 def test_differential_point_ops(group, data):
     pure = load_backend("pure")
-    p = point(group, data.draw(EXPONENTS))
+    p = point(group, data.draw(NONZERO))
     s = point(group, data.draw(EXPONENTS))
     for args in ((p, s), (p, p), (p, getattr(pure, f"{group}_neg")(p)), (p, ()), ((), s)):
         assert_agree(f"{group}_add", *args)
@@ -364,6 +403,12 @@ def test_differential_point_ops(group, data):
     for q in (p, (), (data.draw(coordinate), data.draw(coordinate))):
         for op in ("neg", "on_curve", "compress"):
             assert_agree(f"{group}_{op}", q)
+    # one point boundary: the same result, or the same exception and message
+    for bad in malformed(group, p, data):
+        for args in ((bad, s), (s, bad), ((), bad)):
+            assert_agree(f"{group}_add", *args, message=True)
+        for op in ("neg", "on_curve", "in_subgroup", "compress"):
+            assert_agree(f"{group}_{op}", bad, message=True)
 
 
 @given(a=GT_ELEMENTS, b=GT_ELEMENTS, e=SCALARS)
@@ -428,29 +473,14 @@ def test_multi_miller_loop_against_definition(name, data):
         assert b.final_exp(b.multi_miller_loop([(b.g1_neg(p), q), (p, q)])) == b.GT_ONE
 
 
-def replaced(item, path, value):
-    """``item`` with the part at ``path`` (a tuple of indices) replaced by ``value``."""
-    if not path:
-        return value
-    parts = list(item)
-    parts[path[0]] = replaced(item[path[0]], path[1:], value)
-    return tuple(parts)
-
-
 # a term, a point, an Fp2 coordinate of Q, or an Fp coordinate
 TERM_PATHS = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1), (1, 0, 0), (1, 1, 1)]
-BAD_PARTS = st.one_of(
-    st.integers(FIELD_MODULUS, 2**400),
-    st.integers(-(2**400), -1),
-    st.sampled_from([None, 5, 1.5, "1", "ab", b"\x01", (1,), (1, 2, 3)]),
-)
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_differential_multi_miller_loop_rejects_malformed(data):
-    nonzero = st.integers(1, ORDER - 1)
-    good = (point("g1", data.draw(nonzero)), point("g2", data.draw(nonzero)))
+    good = (point("g1", data.draw(NONZERO)), point("g2", data.draw(NONZERO)))
     path = data.draw(st.sampled_from(TERM_PATHS))
     bad = replaced(good, path, data.draw(BAD_PARTS))
     pure = load_backend("pure")
@@ -497,12 +527,29 @@ def test_differential_decompress(group, data):
 
 
 # --------------------------------------------------------- subgroup checks
-# The endomorphism checks against the definitional [r]P == O of the pure
-# backend, on points in the subgroup, on raw curve points (cofactor not
-# cleared) and on points whose cofactor is cleared but for one small prime,
-# so that they sit in a subgroup of order prime * r.
+# Scalar multiplication and the endomorphism checks against definitions
+# that share no code with the backends' Jacobian chains: [k]P by affine
+# double-and-add over pure's g1_add/g2_add, and [r]P == O through it.  The
+# points are in the subgroup, raw curve points (cofactor not cleared), or
+# points whose cofactor is cleared but for one small prime, so that they sit
+# in a subgroup of order prime * r.
 
 COFACTORS = {"g1": (G1_COFACTOR, (3, 11, 10177, 859267)), "g2": (G2_COFACTOR, (13, 23, 2713, 11953, 262069))}
+KINDS = ["subgroup", "raw", "partly_cleared"]
+
+
+def affine_mul(group, p, k):
+    """[k]P by affine double-and-add, high bit first, one g*_add per step."""
+    pure = load_backend("pure")
+    add = getattr(pure, f"{group}_add")
+    if k < 0:
+        p, k = getattr(pure, f"{group}_neg")(p), -k
+    acc = ()
+    for bit in bin(k)[2:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, p)
+    return acc
 
 
 def curve_point(group, x):
@@ -518,31 +565,68 @@ def curve_point(group, x):
         x = (x + 1) % FIELD_MODULUS if group == "g1" else ((x[0] + 1) % FIELD_MODULUS, x[1])
 
 
+def sample_point(group, kind, data):
+    if kind == "subgroup":
+        return point(group, data.draw(EXPONENTS))
+    p = curve_point(group, data.draw(GROUPS[group][2]))
+    if kind == "partly_cleared":
+        cofactor, primes = COFACTORS[group]
+        prime = data.draw(st.sampled_from(primes))
+        assert cofactor % prime == 0
+        p = affine_mul(group, p, cofactor // prime)
+    assert getattr(load_backend("pure"), f"{group}_on_curve")(p)
+    return p
+
+
+# the chains' edge scalars: 0, +-1, around r, and the 507-bit G2 cofactor
+MUL_SCALARS = st.one_of(
+    st.sampled_from([0, 1, -1, 2, ORDER - 1, ORDER, ORDER + 1, -ORDER, G2_COFACTOR, -G2_COFACTOR]),
+    st.integers(-(2**256), 2**256),
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("group", GROUPS)
+@given(data=st.data(), k=MUL_SCALARS)
+@settings(max_examples=8, deadline=None)
+def test_mul_against_definition(group, kind, data, k):
+    p = sample_point(group, kind, data)
+    expected = affine_mul(group, p, k)
+    for name in BACKENDS:
+        mul = getattr(load_backend(name), f"{group}_mul")
+        assert mul(p, k) == expected, (name, p, k)
+        assert mul((), k) == ()
+
+
+@pytest.mark.parametrize("y", [2, FIELD_MODULUS - 2], ids=["y=2", "y=-2"])
+def test_g1_order_three_points(backend, y):
+    # (0, +-2) has order 3, so every chain from it passes through infinity
+    p = (0, y)
+    assert backend.g1_on_curve(p)
+    assert backend.g1_in_subgroup(p) is False
+    with pytest.raises(ValueError, match="^point not in the prime-order subgroup$"):
+        backend.g1_decompress(load_backend("pure").g1_compress(p))
+    assert backend.g1_mul(p, 3) == ()
+    assert backend.g1_mul(p, 2) == backend.g1_neg(p)
+    for k in (4, ORDER, -ORDER, 2**255 + 1):
+        assert backend.g1_mul(p, k) == affine_mul("g1", p, k)
+
+
 def test_subgroup_check_infinity(backend):
     assert backend.g1_in_subgroup(()) is True
     assert backend.g2_in_subgroup(()) is True
 
 
-@pytest.mark.parametrize("kind", ["subgroup", "raw", "partly_cleared"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("group", GROUPS)
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_subgroup_check_against_definition(group, kind, data):
-    pure = load_backend("pure")
-    if kind == "subgroup":
-        p = point(group, data.draw(EXPONENTS))
-    else:
-        p = curve_point(group, data.draw(GROUPS[group][2]))
-        if kind == "partly_cleared":
-            cofactor, primes = COFACTORS[group]
-            prime = data.draw(st.sampled_from(primes))
-            assert cofactor % prime == 0
-            p = getattr(load_backend("native"), f"{group}_mul")(p, cofactor // prime)
-    assert getattr(pure, f"{group}_on_curve")(p)
-    expected = not getattr(pure, f"{group}_mul")(p, ORDER)
+    p = sample_point(group, kind, data)
+    expected = not affine_mul(group, p, ORDER)
     # decoding runs the same check: the point back, or the same error
     decoded = p if expected else (ValueError, "point not in the prime-order subgroup")
-    encoding = getattr(pure, f"{group}_compress")(p)
+    encoding = getattr(load_backend("pure"), f"{group}_compress")(p)
     for name in BACKENDS:
         b = load_backend(name)
         assert getattr(b, f"{group}_in_subgroup")(p) is expected, (name, p)

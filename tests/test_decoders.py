@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from otsske import protocol, scheme
 from otsske.backend import available_backends
 from otsske.errors import DecodeError
-from otsske.groups import DeterministicRandomness, setup
+from otsske.groups import DeterministicRandomness, SourceElement, setup
+from otsske.params import G1_GENERATOR, G2_GENERATOR
 
 BACKENDS = available_backends()
 PARAMS = scheme.SchemeParams(sessions=2, symbols=2, radix=2)
@@ -99,3 +100,21 @@ def test_mutated_encodings_decode_or_reject(backend, kind, data):
     group, table = encodings(backend)
     decoder, _, valid = table[kind]
     decode_or_reject(decoder, group, data.draw(mutations(valid)))
+
+
+@pytest.mark.parametrize("sides", [(5, 7), (7, 5), (7, 7)])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_whose_exponent_disagrees_with_the_key_is_rejected(backend, sides):
+    # a store holds alpha = 5 next to a public key whose g1 is (G1^a, G2^b)
+    group, table = encodings(backend)
+    _, (params, pk, master, materials), _ = table["session_store"]
+    b = group.backend
+    a, c = sides
+    forged = scheme.PublicKey(group, SourceElement(group, b.g1_mul(G1_GENERATOR, a), b.g2_mul(G2_GENERATOR, c)), pk.h)
+    data = scheme.encode_session_store(params, forged, scheme.MasterSecret(5, pk.g2.exp(5)), materials)
+    with pytest.raises(DecodeError, match="master exponent does not match the public key"):
+        scheme.decode_session_store(data, backend=backend)
+    # the same store with a consistent key decodes
+    honest = scheme.PublicKey(group, SourceElement(group, b.g1_mul(G1_GENERATOR, 5), b.g2_mul(G2_GENERATOR, 5)), pk.h)
+    data = scheme.encode_session_store(params, honest, scheme.MasterSecret(5, pk.g2.exp(5)), materials)
+    assert scheme.decode_session_store(data, backend=backend)[1] == honest
