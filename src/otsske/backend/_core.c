@@ -577,6 +577,54 @@ INLINE void jac_add(const field *F, u64 *r, const u64 *p, const u64 *q)
     F->mul(r + 2 * n, r + 2 * n, h);
 }
 
+INLINE void jac_madd(const field *F, u64 *r, const u64 *p, const u64 *a)
+{
+    /* madd-2007-bl: Jacobian P plus a finite affine A = (x2, y2), with the
+     * doubling fallback; r may alias p */
+    const int n = F->n;
+    const u64 *x1 = p, *y1 = p + n, *z1 = p + 2 * n, *x2 = a, *y2 = a + n;
+    u64 z1z1[12], h[12], hh[12], i[12], j[12], rr[12], v[12], z3[12], t[12];
+    if (F->is_zero(z1)) {
+        memcpy(r, a, 16 * n);
+        set_one(r + 2 * n, n);
+        return;
+    }
+    F->mul(z1z1, z1, z1);
+    F->mul(h, x2, z1z1);
+    F->sub(h, h, x1);
+    F->mul(rr, y2, z1);
+    F->mul(rr, rr, z1z1);
+    F->sub(rr, rr, y1);
+    if (F->is_zero(h) && F->is_zero(rr)) {
+        u64 q[36];
+        memcpy(q, a, 16 * n);
+        set_one(q + 2 * n, n);
+        jac_double(F, r, q);
+        return;
+    }
+    F->mul(hh, h, h);
+    F->add(i, hh, hh);
+    F->add(i, i, i); /* 4*HH */
+    F->mul(j, h, i);
+    F->add(rr, rr, rr);
+    F->mul(v, x1, i);
+    F->add(z3, z1, h);
+    F->mul(z3, z3, z3);
+    F->sub(z3, z3, z1z1);
+    F->sub(z3, z3, hh);
+    F->mul(t, rr, rr);
+    F->sub(t, t, j);
+    F->sub(t, t, v);
+    F->sub(t, t, v); /* X3 = r^2 - J - 2V */
+    F->mul(j, y1, j);
+    F->add(j, j, j); /* 2*Y1*J */
+    F->sub(v, v, t);
+    F->mul(v, rr, v);
+    memcpy(r, t, 8 * n);
+    F->sub(r + n, v, j);
+    memcpy(r + 2 * n, z3, 8 * n);
+}
+
 INLINE int jac_to_affine(const field *F, u64 *a, const u64 *p)
 {
     const int n = F->n;
@@ -593,13 +641,22 @@ INLINE int jac_to_affine(const field *F, u64 *a, const u64 *p)
 
 INLINE void jac_mul(const field *F, u64 *r, const u64 *p, const unsigned char *k, Py_ssize_t len)
 {
-    /* fixed 4-bit window over the big-endian scalar bytes k[0..len) */
+    /* fixed 4-bit window over the big-endian scalar bytes k[0..len); the
+     * table stops at the largest nibble, so a small scalar builds only the
+     * multiples it reads */
     const int n = F->n;
     u64 tab[16][36], acc[36];
+    int top = 1;
     jac_set_infinity(F, acc);
     if (len && !F->is_zero(p + 2 * n)) {
+        for (Py_ssize_t i = 0; i < len; i++) {
+            if (k[i] >> 4 > top)
+                top = k[i] >> 4;
+            if ((k[i] & 0xF) > top)
+                top = k[i] & 0xF;
+        }
         memcpy(tab[1], p, 24 * n);
-        for (int i = 2; i < 16; i++)
+        for (int i = 2; i <= top; i++)
             jac_add(F, tab[i], tab[i - 1], p);
         for (Py_ssize_t i = 0; i < len; i++)
             for (int shift = 4; shift >= 0; shift -= 4) {
@@ -653,6 +710,104 @@ INLINE int jac_in_subgroup(const field *F, const u64 *p)
     F->mul(z2, z2, t + 2 * n);
     F->mul(u, e + n, z2);
     return !memcmp(u, t + n, 8 * n);
+}
+
+/* ------------------------------------------------------ fixed-base combs */
+/* Lim-Lee combs for the constant generators, as pure._comb_table and
+ * pure._comb_mul, built at init.  Each base has order r, so [k]P is read
+ * from k mod r as w = COMB_TEETH rows of d = COMB_COLS bits: column j
+ * gathers bit j of every row into an index u, and entry u is the affine sum
+ * of [2^(i d)]P over the set bits i of u, so a multiplication is d
+ * doublings and at most d mixed additions. */
+
+#define COMB_TEETH 6 /* w, as pure._COMB_TEETH */
+#define COMB_SIZE (1 << COMB_TEETH)
+
+typedef struct {
+    const field *F;
+    u64 base[24];           /* affine P, Montgomery: the lookup key */
+    u64 tab[COMB_SIZE][24]; /* affine entries, Montgomery; entry 0 unused */
+} comb;
+
+static comb COMB_G1, COMB_G2, COMB_AUX;
+static int COMB_COLS; /* d = ceil(bits of r / w) */
+
+INLINE void batch_to_affine(const field *F, u64 (*out)[24], u64 (*in)[36], int count)
+{
+    /* the affine forms of count finite Jacobian points with one inversion
+     * (Montgomery's trick), as pure._batch_to_affine */
+    const int n = F->n;
+    u64 prefix[COMB_SIZE][12], inv[12], zi[12], zi2[12];
+    memcpy(prefix[0], in[0] + 2 * n, 8 * n);
+    for (int i = 1; i < count; i++)
+        F->mul(prefix[i], prefix[i - 1], in[i] + 2 * n);
+    F->inv(inv, prefix[count - 1]);
+    for (int i = count - 1; i >= 0; i--) {
+        if (i) {
+            F->mul(zi, inv, prefix[i - 1]);
+            F->mul(inv, inv, in[i] + 2 * n);
+        } else
+            memcpy(zi, inv, 8 * n);
+        F->mul(zi2, zi, zi);
+        F->mul(out[i], in[i], zi2);
+        F->mul(zi2, zi2, zi);
+        F->mul(out[i] + n, in[i] + n, zi2);
+    }
+}
+
+static void comb_build(const field *F, comb *c, const u64 *p)
+{
+    /* p affine, Montgomery.  The rows [2^(i d)]P are made affine with one
+     * inversion, then entry u = entry (u without its top bit) + row (top
+     * bit), never infinity or a doubling, and every entry with one more. */
+    const int n = F->n;
+    u64 jac[COMB_SIZE][36], rows[COMB_TEETH][24];
+    c->F = F;
+    memcpy(c->base, p, 16 * n);
+    memcpy(jac[0], p, 16 * n);
+    set_one(jac[0] + 2 * n, n);
+    for (int i = 1; i < COMB_TEETH; i++) {
+        memcpy(jac[i], jac[i - 1], 24 * n);
+        for (int j = 0; j < COMB_COLS; j++)
+            jac_double(F, jac[i], jac[i]);
+    }
+    batch_to_affine(F, rows, jac, COMB_TEETH);
+    for (int u = 1; u < COMB_SIZE; u++) {
+        int top = 31 - __builtin_clz(u), rest = u ^ (1 << top);
+        if (rest)
+            jac_madd(F, jac[u], jac[rest], rows[top]);
+        else {
+            memcpy(jac[u], rows[top], 16 * n);
+            set_one(jac[u] + 2 * n, n);
+        }
+    }
+    batch_to_affine(F, c->tab + 1, jac + 1, COMB_SIZE - 1);
+}
+
+INLINE const comb *comb_for(const field *F, const u64 *a)
+{
+    /* the comb whose base is the affine point a (Montgomery), or NULL */
+    static const comb *const combs[] = {&COMB_G1, &COMB_G2, &COMB_AUX};
+    for (int i = 0; i < 3; i++)
+        if (combs[i]->F == F && !memcmp(combs[i]->base, a, 16 * F->n))
+            return combs[i];
+    return NULL;
+}
+
+INLINE void comb_mul(const field *F, u64 *r, const comb *c, const u64 *k)
+{
+    /* [k]P for k < 2^(w d) in plain limbs */
+    jac_set_infinity(F, r);
+    for (int j = COMB_COLS - 1; j >= 0; j--) {
+        int u = 0;
+        jac_double(F, r, r);
+        for (int i = 0; i < COMB_TEETH; i++) {
+            int bit = i * COMB_COLS + j;
+            u |= (int)((k[bit >> 6] >> (bit & 63)) & 1) << i;
+        }
+        if (u)
+            jac_madd(F, r, r, c->tab[u]);
+    }
 }
 
 /* ----------------------------------------------------------------- pairing */
@@ -1072,20 +1227,37 @@ INLINE PyObject *group_neg(const field *F, PyObject *p)
     return out;
 }
 
+static PyObject *ORDER_PY; /* params.ORDER */
+
 INLINE PyObject *group_mul(const field *F, PyObject *p, PyObject *k)
 {
-    u64 a[36];
-    int neg;
-    PyObject *kb = scalar_bytes(k, &neg), *out = NULL;
-    if (!kb)
+    /* a comb base takes its table with k mod r, any other point the window */
+    u64 a[36], km[6];
+    int neg, tp;
+    const comb *c;
+    PyObject *v = PyNumber_Index(k), *kb = NULL, *out = NULL;
+    if (!v)
         return NULL;
-    if (point_from_py(F, a, p) >= 0) {
+    if ((tp = point_from_py(F, a, p)) < 0)
+        goto done;
+    if (tp && (c = comb_for(F, a))) {
+        PyObject *m = PyNumber_Remainder(v, ORDER_PY);
+        int rc = m ? limbs_from_py(km, m, 6) : -1;
+        Py_XDECREF(m);
+        if (rc)
+            goto done;
+        comb_mul(F, a, c, km);
+    } else {
+        if (!(kb = scalar_bytes(v, &neg)))
+            goto done;
         if (neg)
             F->neg(a + F->n, a + F->n);
         jac_mul(F, a, a, (const unsigned char *)PyBytes_AS_STRING(kb), PyBytes_GET_SIZE(kb));
-        out = point_to_py(F, a);
     }
-    Py_DECREF(kb);
+    out = point_to_py(F, a);
+done:
+    Py_DECREF(v);
+    Py_XDECREF(kb);
     return out;
 }
 
@@ -1531,6 +1703,31 @@ static int init_pairing(PyObject *params)
     return 0;
 }
 
+static int base_from_py(const field *F, u64 *r, PyObject *mod, const char *name)
+{
+    /* an affine constant point of mod, Montgomery */
+    PyObject *v = PyObject_GetAttrString(mod, name);
+    int rc = v ? coords_from_py(r, v, 2 * F->n) : -1;
+    Py_XDECREF(v);
+    if (!rc)
+        to_mont(r, 2 * F->n);
+    return rc;
+}
+
+static int init_combs(PyObject *params, PyObject *pure)
+{
+    u64 g1[12], g2[24], aux[24], r[6];
+    ORDER_PY = PyObject_GetAttrString(params, "ORDER");
+    if (!ORDER_PY || limbs_from_py(r, ORDER_PY, 6) || base_from_py(&G1, g1, params, "G1_GENERATOR")
+        || base_from_py(&G2, g2, params, "G2_GENERATOR") || base_from_py(&G2, aux, pure, "G2_AUX_GENERATOR"))
+        return -1;
+    COMB_COLS = (bit_length(r) + COMB_TEETH - 1) / COMB_TEETH;
+    comb_build(&G1, &COMB_G1, g1);
+    comb_build(&G2, &COMB_G2, g2);
+    comb_build(&G2, &COMB_AUX, aux);
+    return 0;
+}
+
 static int self_check(PyObject *m, PyObject *params)
 {
     /* import-time sanity: non-degenerate pairing of order r */
@@ -1568,7 +1765,7 @@ PyMODINIT_FUNC PyInit__core(void)
     PyObject *params = m ? PyImport_ImportModule("otsske.params") : NULL;
     PyObject *pure = params ? PyImport_ImportModule("otsske.backend.pure") : NULL;
     int ok = pure && !init_boundary() && !init_field(params) && !init_frobenius(pure)
-             && !init_pairing(params);
+             && !init_pairing(params) && !init_combs(params, pure);
     if (ok) {
         GT_ONE = PyObject_GetAttrString(pure, "GT_ONE");
         PyObject *aux = PyObject_GetAttrString(pure, "G2_AUX_GENERATOR");

@@ -13,6 +13,7 @@ responsible for any modular reduction they want.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import index
 from typing import Callable, NamedTuple
 
@@ -327,7 +328,7 @@ def g1_neg(p):
 
 def g1_mul(p, k):
     k = index(k)
-    return _jac_mul(_G1, _g1_point(p), k)
+    return _mul(_G1, _g1_point(p), k)
 
 
 def g2_add(p, s):
@@ -355,7 +356,7 @@ def g2_neg(p):
 
 def g2_mul(p, k):
     k = index(k)
-    return _jac_mul(_G2, _g2_point(p), k)
+    return _mul(_G2, _g2_point(p), k)
 
 
 def g1_on_curve(p):
@@ -437,6 +438,28 @@ def _jac_add(F, p, s):
     return (x3, y3, mul(sub(sub(sqr(F.add(z1, z2)), z1z1), z2z2), h))
 
 
+def _jac_madd(F, p, a):
+    # madd-2007-bl: Jacobian P plus a finite affine A, with the doubling fallback
+    x1, y1, z1 = p
+    x2, y2 = a
+    if z1 == F.zero:
+        return (x2, y2, F.one)
+    sub, mul, sqr, muls = F.sub, F.mul, F.sqr, F.muls
+    z1z1 = sqr(z1)
+    h = sub(mul(x2, z1z1), x1)
+    r = sub(mul(mul(y2, z1), z1z1), y1)
+    if h == F.zero and r == F.zero:
+        return _jac_double(F, (x2, y2, F.one))
+    hh = sqr(h)
+    i = muls(hh, 4)
+    j = mul(h, i)
+    r = muls(r, 2)
+    v = mul(x1, i)
+    x3 = sub(sub(sqr(r), j), muls(v, 2))
+    y3 = sub(mul(r, sub(v, x3)), muls(mul(y1, j), 2))
+    return (x3, y3, sub(sub(sqr(F.add(z1, h)), z1z1), hh))
+
+
 def _jac_mul(F, p, k):
     """[k]P for an affine point P and any integer k, as an affine point."""
     if not p or not k:
@@ -445,15 +468,16 @@ def _jac_mul(F, p, k):
     if k < 0:
         k, y = -k, F.neg(y)
     base = (x, y, F.one)
-    # fixed 4-bit window, high nibble first
+    # fixed 4-bit window, high nibble first; the table stops at the largest
+    # nibble, so a small scalar builds only the multiples it reads
+    nibs = [(k >> shift) & 0xF for shift in range(((k.bit_length() + 3) // 4) * 4 - 4, -1, -4)]
     table = [None, base]
-    for _ in range(14):
+    for _ in range(max(nibs) - 1):
         table.append(_jac_add(F, table[-1], base))
     acc = (F.one, F.one, F.zero)
-    for shift in range(((k.bit_length() + 3) // 4) * 4 - 4, -1, -4):
+    for nib in nibs:
         for _ in range(4):
             acc = _jac_double(F, acc)
-        nib = (k >> shift) & 0xF
         if nib:
             acc = _jac_add(F, acc, table[nib])
     return _jac_to_affine(F, acc)
@@ -466,6 +490,22 @@ def _jac_to_affine(F, p):
     zi = F.inv(z)
     zi2 = F.sqr(zi)
     return (F.mul(x, zi2), F.mul(y, F.mul(zi2, zi)))
+
+
+def _batch_to_affine(F, points):
+    """The affine forms of finite Jacobian points, with one inversion (Montgomery's trick)."""
+    prefix = [points[0][2]]
+    for _, _, z in points[1:]:
+        prefix.append(F.mul(prefix[-1], z))
+    inv = F.inv(prefix[-1])  # 1 / (z_0 ... z_last)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = F.mul(inv, prefix[i - 1]) if i else inv
+        inv = F.mul(inv, z)
+        zi2 = F.sqr(zi)
+        out[i] = (F.mul(x, zi2), F.mul(y, F.mul(zi2, zi)))
+    return out
 
 
 def _jac_in_subgroup(F, p):
@@ -533,6 +573,61 @@ def g2_in_subgroup(p):
     """Whether an on-curve G2 point is in the order-r subgroup: psi(P) == [X]P."""
     p = _g2_point(p)
     return not p or _jac_in_subgroup(_G2, p)
+
+
+# ---------------------------------------------------------------- fixed bases
+# Lim-Lee comb (CRYPTO 1994) for the constant generators, registered in
+# _COMB_BASES once they are known.  Each has order r, so [k]P = [k mod r]P,
+# and k mod r < 2^(w d) is read as w rows of d bits: column j gathers bit j of
+# every row into an index u, and the table holds, at u, the affine sum of
+# [2^(i d)]P over the set bits i of u.  A multiplication is then d doublings
+# and at most d mixed additions, with one inversion at the end.
+
+_COMB_TEETH = 6  # w
+_COMB_COLS = -(-ORDER.bit_length() // _COMB_TEETH)  # d
+_COMB_BASES = set()
+
+
+@cache
+def _comb_table(F, p):
+    """The 2^w affine comb entries of P, built on first use (None at index 0)."""
+    rows = [(p[0], p[1], F.one)]
+    for _ in range(_COMB_TEETH - 1):
+        t = rows[-1]
+        for _ in range(_COMB_COLS):
+            t = _jac_double(F, t)
+        rows.append(t)
+    rows = _batch_to_affine(F, rows)
+    # entry u = entry (u without its top bit) + row (top bit); entry u is [c]P
+    # for a distinct 0 < c < 2^(5d + 1) < r, so no sum is infinity or a doubling
+    table = [None]
+    for u in range(1, 1 << _COMB_TEETH):
+        top = u.bit_length() - 1
+        rest = u ^ (1 << top)
+        table.append(_jac_madd(F, table[rest], rows[top]) if rest else (*rows[top], F.one))
+    return [None] + _batch_to_affine(F, table[1:])
+
+
+def _comb_mul(F, table, k):
+    """[k]P for 0 <= k < 2^(w d), from P's comb table."""
+    mask = (1 << _COMB_COLS) - 1
+    rows = [(k >> (i * _COMB_COLS)) & mask for i in range(_COMB_TEETH)]
+    acc = (F.one, F.one, F.zero)
+    for j in range(_COMB_COLS - 1, -1, -1):
+        acc = _jac_double(F, acc)
+        u = 0
+        for i, row in enumerate(rows):
+            u |= ((row >> j) & 1) << i
+        if u:
+            acc = _jac_madd(F, acc, table[u])
+    return _jac_to_affine(F, acc)
+
+
+def _mul(F, p, k):
+    """[k]P for a parsed point: the comb for a table base, the windowed chain otherwise."""
+    if p in _COMB_BASES:
+        return _comb_mul(F, _comb_table(F, p), k % ORDER)
+    return _jac_mul(F, p, k)
 
 
 # ---------------------------------------------------------------- pairing
@@ -738,6 +833,13 @@ def g2_decompress(data):
     return p
 
 
+# the definitional [r]P == O, on the variable-base chain, pins the
+# endomorphism constants of the subgroup checks; a wrong chain fails here
+# rather than in the derivation below
+assert g1_on_curve(G1_GENERATOR) and not _jac_mul(_G1, G1_GENERATOR, ORDER) and g1_in_subgroup(G1_GENERATOR)
+assert g2_on_curve(G2_GENERATOR) and not _jac_mul(_G2, G2_GENERATOR, ORDER) and g2_in_subgroup(G2_GENERATOR)
+
+
 # ---------------------------------------------------------------- fixed points
 # Second, independent G2 base point: nothing-up-my-sleeve derivation from a
 # hash-seeded x coordinate, cleared to the prime-order subgroup.  Starting
@@ -746,11 +848,13 @@ def g2_decompress(data):
 # the resulting point has unknown discrete log with respect to it.
 
 
+_AUX_TRIES = 64  # counter 0 succeeds
+
+
 def _derive_aux_generator():
     import hashlib
 
-    counter = 0
-    while True:
+    for counter in range(_AUX_TRIES):
         seed = hashlib.sha256(b"OTSSKE/G2AUX" + counter.to_bytes(8, "big")).digest()
         wide = seed + hashlib.sha256(seed).digest()
         x = (int.from_bytes(wide, "big") % Q, counter % Q)
@@ -759,14 +863,11 @@ def _derive_aux_generator():
         if y is not None:
             if _y_is_larger_fp2(y):
                 y = _f2_neg(y)
-            p = g2_mul((x, y), G2_COFACTOR)
-            if p and not g2_mul(p, ORDER) and p != G2_GENERATOR:
+            p = _jac_mul(_G2, (x, y), G2_COFACTOR)
+            if p and not _jac_mul(_G2, p, ORDER) and p != G2_GENERATOR:
                 return p
-        counter += 1
+    raise RuntimeError(f"no auxiliary G2 generator in {_AUX_TRIES} tries")
 
 
 G2_AUX_GENERATOR = _derive_aux_generator()
-
-# the definitional [r]P == O pins the endomorphism constants of the subgroup checks
-assert g1_on_curve(G1_GENERATOR) and not g1_mul(G1_GENERATOR, ORDER) and g1_in_subgroup(G1_GENERATOR)
-assert g2_on_curve(G2_GENERATOR) and not g2_mul(G2_GENERATOR, ORDER) and g2_in_subgroup(G2_GENERATOR)
+_COMB_BASES.update((G1_GENERATOR, G2_GENERATOR, G2_AUX_GENERATOR))

@@ -227,13 +227,15 @@ def _ecdsa_stats(config: BenchConfig, message: bytes) -> dict[str, OpStats]:
 
 def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
     """Per-backend costs: pairing (its halves and a verify's 3-term loop),
-    exponentiation, decoding and the subgroup check alone."""
+    exponentiation on a variable base ([3]g) and on the fixed-base tables
+    of g and g2, decoding and the subgroup check alone."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
         group = setup(config.params.security_level, backend=name)
         g = generator(group)
         g2 = aux_generator(group)
+        g3 = g.exp(3)  # no table base
         exponent = group.order - 3
         b = group.backend
         f = b.miller_loop(g.first, g2.second)
@@ -245,8 +247,10 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
             "miller_loop": _measure(lambda: b.miller_loop(g.first, g2.second), reps, 1),
             "multi_miller_loop": _measure(lambda: b.multi_miller_loop(terms), reps, 1),
             "final_exp": _measure(lambda: b.final_exp(f), reps, 1),
-            "g2_exp": _measure(lambda: g2.exp(exponent), reps, 1),
-            "g1_exp": _measure(lambda: g.first_only().exp(exponent), reps, 1),
+            "g2_exp": _measure(lambda: g3.second_only().exp(exponent), reps, 1),
+            "g1_exp": _measure(lambda: g3.first_only().exp(exponent), reps, 1),
+            "g2_exp_fixed": _measure(lambda: g.second_only().exp(exponent), reps, 1),
+            "g1_exp_fixed": _measure(lambda: g.first_only().exp(exponent), reps, 1),
             "g1_decompress": _measure(lambda: b.g1_decompress(g1_bytes), reps, 1),
             "g2_decompress": _measure(lambda: b.g2_decompress(g2_bytes), reps, 1),
             "g1_in_subgroup": _measure(lambda: b.g1_in_subgroup(g.first), reps, 1),

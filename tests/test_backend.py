@@ -70,6 +70,10 @@ class TestGroupLaws:
     def test_generator_orders(self, backend):
         assert backend.g1_mul(G1_GENERATOR, ORDER) == ()
         assert backend.g2_mul(G2_GENERATOR, ORDER) == ()
+        # a generator reduces k mod r on its comb; its negation is no table
+        # base, so this runs the variable-base chain
+        assert backend.g1_mul(backend.g1_neg(G1_GENERATOR), ORDER) == ()
+        assert backend.g2_mul(backend.g2_neg(G2_GENERATOR), ORDER) == ()
 
     def test_exp_zero_is_identity(self, backend):
         assert backend.g1_mul(G1_GENERATOR, 0) == ()
@@ -198,6 +202,15 @@ def test_aux_generator_properties(backend):
     assert aux != G2_GENERATOR
     assert backend.g2_mul(aux, ORDER) == ()
     assert backend.g2_on_curve(aux)
+
+
+def test_aux_generator_derivation_is_bounded(monkeypatch):
+    # with no square root to find, the import-time derivation gives up
+    # instead of looping forever
+    pure = load_backend("pure")
+    monkeypatch.setattr(pure, "_f2_sqrt", lambda a: None)
+    with pytest.raises(RuntimeError, match="no auxiliary G2 generator in 64 tries"):
+        pure._derive_aux_generator()
 
 
 def test_twist_order_consistency():
@@ -386,8 +399,10 @@ def malformed(group, p, data):
 @settings(max_examples=40, deadline=None)
 def test_differential_mul(group, a, k, data):
     assert_agree(f"{group}_mul", point(group, a), k)
-    for bad in malformed(group, point(group, data.draw(NONZERO)), data):
-        assert_agree(f"{group}_mul", bad, k, message=True)
+    bases = [b for g, b in TABLE_BASES.values() if g == group]
+    for p in [point(group, data.draw(NONZERO))] + bases:
+        for bad in malformed(group, p, data):
+            assert_agree(f"{group}_mul", bad, k, message=True)
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -596,6 +611,74 @@ def test_mul_against_definition(group, kind, data, k):
         mul = getattr(load_backend(name), f"{group}_mul")
         assert mul(p, k) == expected, (name, p, k)
         assert mul((), k) == ()
+
+
+# ------------------------------------------------------------ fixed bases
+# g*_mul takes a comb table for the three constant generators and reduces k
+# mod r there; every other point takes the windowed chain.  Both paths are
+# checked against affine_mul, which shares no code with either.
+
+TABLE_BASES = {"g1": ("g1", G1_GENERATOR), "g2": ("g2", G2_GENERATOR),
+               "aux": ("g2", load_backend("pure").G2_AUX_GENERATOR)}
+
+
+def test_table_bases_have_order_r():
+    for group, base in TABLE_BASES.values():
+        assert affine_mul(group, base, ORDER) == ()
+        assert affine_mul(group, base, ORDER - 1) == affine_mul(group, base, -1) != ()
+
+
+@pytest.mark.parametrize("base", TABLE_BASES)
+@given(k=MUL_SCALARS)
+@settings(max_examples=8, deadline=None)
+def test_table_base_mul_against_definition(base, k):
+    group, p = TABLE_BASES[base]
+    expected = affine_mul(group, p, k)
+    for name in BACKENDS:
+        assert getattr(load_backend(name), f"{group}_mul")(p, k) == expected, (name, base, k)
+
+
+def rebuilt(item, kind):
+    """item with every tuple replaced by a list, or with fresh int objects."""
+    if isinstance(item, int):
+        return int.from_bytes(item.to_bytes(48, "big"), "big")
+    parts = [rebuilt(c, kind) for c in item]
+    return parts if kind == "list" else tuple(parts)
+
+
+@pytest.mark.parametrize("base", TABLE_BASES)
+def test_table_base_found_by_value(backend, base):
+    group, p = TABLE_BASES[base]
+    mul = getattr(backend, f"{group}_mul")
+    decoded = getattr(backend, f"{group}_decompress")(getattr(backend, f"{group}_compress")(p))
+    k = random.Random(base).randrange(ORDER)
+    expected = mul(p, k)
+    assert decoded == p
+    for q in (rebuilt(p, "tuple"), rebuilt(p, "list"), decoded):
+        assert mul(q, k) == expected
+        assert mul(q, k + ORDER) == mul(q, k - ORDER) == expected
+
+
+def scalars_with_top_nibble(top, rnd):
+    """A 253-bit scalar whose largest 4-bit window is top, at a random place."""
+    nibs = [1] + [rnd.randrange(top + 1) for _ in range(63)]
+    nibs[rnd.randrange(1, 64)] = top
+    return int("".join(f"{n:x}" for n in nibs), 16)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_small_and_partial_window_scalars_against_definition(group):
+    # a non-table point: the chain builds its window only up to the largest nibble
+    pure = load_backend("pure")
+    p = getattr(pure, f"{group}_neg")(GROUPS[group][1])
+    rnd = random.Random(group)
+    scalars = list(range(1, 41)) + [scalars_with_top_nibble(top, rnd) for top in range(1, 16)]
+    for k in scalars:
+        expected = affine_mul(group, p, k)
+        for name in BACKENDS:
+            mul = getattr(load_backend(name), f"{group}_mul")
+            assert mul(p, k) == expected, (name, k)
+            assert mul(p, -k) == getattr(pure, f"{group}_neg")(expected), (name, k)
 
 
 @pytest.mark.parametrize("y", [2, FIELD_MODULUS - 2], ids=["y=2", "y=-2"])
