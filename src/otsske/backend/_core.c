@@ -1002,6 +1002,7 @@ static PyObject *GT_ONE;         /* pure.GT_ONE */
 static PyObject *INT_TO_BYTES;   /* int.to_bytes */
 static PyObject *INT_FROM_BYTES; /* int.from_bytes */
 static PyObject *S_BIG, *S_BIT_LENGTH, *N48, *ZERO;
+static PyObject *ORDER_PY;       /* params.ORDER, for k mod r on a comb */
 
 static void limbs_from_be(u64 *r, const unsigned char *p)
 {
@@ -1226,8 +1227,6 @@ INLINE PyObject *group_neg(const field *F, PyObject *p)
     Py_XDECREF(items);
     return out;
 }
-
-static PyObject *ORDER_PY; /* params.ORDER */
 
 INLINE PyObject *group_mul(const field *F, PyObject *p, PyObject *k)
 {

@@ -7,8 +7,8 @@ after import, so the two are independent.  Points cross the API boundary in
 affine coordinates: a G1 point is ``(x, y)``, a G2 point is
 ``((x0, x1), (y0, y1))`` and the point at infinity is the empty tuple.
 GT elements are flat 12-tuples of integers (Fp2 towers flattened in
-(w, v, i) order).  Scalars are plain non-negative integers; callers are
-responsible for any modular reduction they want.
+(w, v, i) order).  Scalars are any integers; a multiplication of one of the
+three generators, which have order r, reads its scalar mod r.
 """
 
 from __future__ import annotations
