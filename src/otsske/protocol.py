@@ -195,18 +195,18 @@ _ERASED = None
 class ObliviousBuffer:
     """Read-once holder for one session's q = t*n subkeys.
 
-    The first read serves exactly the subset selected by the caller's
-    request and erases everything else; any further read fails.
+    Slots hold the co-processor's own points: they never leave the trusted
+    side, so a read serves them as they are, with no decoding.  The first
+    read serves exactly the subset selected by the caller's request and
+    erases everything else; any further read fails.
     """
 
-    def __init__(self, params: SchemeParams, group: GroupParams,
-                 session: int, material: SessionKeyMaterial):
+    def __init__(self, params: SchemeParams, session: int, material: SessionKeyMaterial):
         self.session = session
         self.consumed = False
         self._params = params
-        self._group = group
-        self._slots: list[Optional[bytes]] = [
-            material.subkeys[j][b].serialize()
+        self._slots: list[Optional[SourceElement]] = [
+            material.subkeys[j][b]
             for j in range(params.symbols)
             for b in range(params.radix)
         ]
@@ -222,7 +222,7 @@ class ObliviousBuffer:
             slot = self._slots[index]
             if slot is _ERASED:
                 raise BufferCorruptionError(f"slot {index} erased before first read")
-            picked.append(SourceElement.deserialize(self._group, slot))
+            picked.append(slot)
         keep = set(selection.indices)
         for index in range(len(self._slots)):
             if index not in keep:
@@ -270,7 +270,7 @@ class CoProcessor:
         label = self.counter + 1
         session = label - 1  # scheme indices are 0-based
         material = scheme.gen_session(self.pk, self._master, self.params, session, rng)
-        buffer = ObliviousBuffer(self.params, self.pk.group, session, material)
+        buffer = ObliviousBuffer(self.params, session, material)
         self.counter = label
         if self.log is not None:
             self.log.append(SessionKeyEvent(counter=label, session=session, aux=material.aux))
@@ -498,8 +498,14 @@ def run_protocol(
     enclave = RAEnclave(coproc.pk, params, enclave_mr)
     verifier = RemoteVerifier(coproc.pk, params)
 
+    # set when the request loop ends, so that a producer blocked on the full
+    # queue, or about to generate one more session, stops instead of waiting
+    stop = threading.Event()
+
     def produce() -> None:
         for _ in range(sessions):
+            if stop.is_set():
+                return
             coproc.generate_next(keygen_rng)
 
     worker = None
@@ -529,6 +535,13 @@ def run_protocol(
             nonces.append(nonce)
     finally:
         if worker is not None:
+            stop.set()
+            # drained sessions were never served; dropping them erases them
+            while True:
+                try:
+                    coproc.queue.get_nowait()
+                except queue.Empty:
+                    break
             worker.join(timeout=60.0)
 
     return ProtocolRun(

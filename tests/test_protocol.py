@@ -1,8 +1,14 @@
 """Attestation-flow tests: memory semantics, actors, observer log, forgeries."""
 
+import gc
+import threading
+import time
+import weakref
+
 import pytest
 
 from otsske import protocol, scheme
+from otsske.backend import available_backends
 from otsske.errors import (
     BufferCorruptionError,
     DecodeError,
@@ -11,7 +17,7 @@ from otsske.errors import (
     SessionBudgetError,
     SessionConsumedError,
 )
-from otsske.groups import DeterministicRandomness
+from otsske.groups import DeterministicRandomness, setup
 from otsske.protocol import (
     AdversaryLog,
     AttestationRequest,
@@ -63,7 +69,7 @@ class TestObliviousBuffer:
     def make(self, toy_params, toy_keys, session=0):
         pk, master = toy_keys
         material = scheme.gen_session(pk, master, toy_params, session, DeterministicRandomness(500))
-        return ObliviousBuffer(toy_params, pk.group, session, material), material
+        return ObliviousBuffer(toy_params, session, material), material
 
     def test_read_returns_selected_subset(self, toy_params, toy_keys):
         buffer, material = self.make(toy_params, toy_keys)
@@ -72,6 +78,24 @@ class TestObliviousBuffer:
         expected = scheme.eot_select(toy_params, b"x-value", MR.digest)
         assert selection == expected
         assert subkeys == scheme.subkeys_at(material, selection)
+
+    def test_read_serves_coprocessor_points(self, toy_params, toy_keys):
+        buffer, material = self.make(toy_params, toy_keys)
+        subkeys, selection = buffer.read(b"x-value", MR)
+        own = scheme.subkeys_at(material, selection)
+        assert len(subkeys) == len(own)
+        assert all(served is mine for served, mine in zip(subkeys, own))
+
+    def test_erasure_drops_unread_subkeys(self, proto_params):
+        rng = DeterministicRandomness(84)
+        coproc = CoProcessor(proto_params, rng)
+        coproc.generate_next(rng)
+        _, buffer, _ = coproc.fetch_session()
+        refs = [weakref.ref(slot) for slot in buffer._slots]
+        _, selection = buffer.read(b"x", MR)
+        gc.collect()
+        alive = {index for index, ref in enumerate(refs) if ref() is not None}
+        assert alive == set(selection.indices)
 
     def test_second_read_fails(self, toy_params, toy_keys):
         buffer, _ = self.make(toy_params, toy_keys)
@@ -147,6 +171,58 @@ class TestCoProcessor:
         assert a.pk.g1 != b.pk.g1
 
 
+COUNTED = ("g1_decompress", "g2_decompress", "g2_compress")
+
+
+@pytest.fixture(params=available_backends())
+def counted_group(request, monkeypatch):
+    """A group whose backend counts its point encodings and decodings."""
+    group = setup(256, backend=request.param)
+    calls = dict.fromkeys(COUNTED, 0)
+    for name in COUNTED:
+        real = getattr(group.backend, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(group.backend, name, spy)
+    return group, calls
+
+
+class TestCostStructure:
+    def test_codec_calls_per_step(self, proto_params, counted_group):
+        group, calls = counted_group
+        rng = DeterministicRandomness(83)
+        coproc = CoProcessor(proto_params, rng, group=group)
+        enclave = RAEnclave(coproc.pk, proto_params, MR)
+        verifier = RemoteVerifier(coproc.pk, proto_params)
+
+        def counted(step, *args):
+            calls.update(dict.fromkeys(COUNTED, 0))
+            out = step(*args)
+            return out, dict(calls)
+
+        _, made = counted(coproc.generate_next, rng)
+        assert made["g2_compress"] == 0
+        _, buffer, _ = coproc.fetch_session()
+        _, made = counted(buffer.read, b"x", MR)
+        assert made["g1_decompress"] == made["g2_decompress"] == 0
+
+        coproc.generate_next(rng)
+        nonce = verifier.new_nonce(rng)
+
+        def request():
+            quote = enclave.handle(coproc, AttestationRequest(nonce, b"result", MR))
+            decoded = quote_decode(group, quote_encode(quote))
+            return verifier.verify(decoded, nonce)
+
+        verdict, made = counted(request)
+        assert verdict
+        assert made["g1_decompress"] == 1
+        assert made["g2_decompress"] == 1
+
+
 class TestQuoteCodec:
     def test_roundtrip(self, completed_run):
         quote = completed_run.quotes[0]
@@ -196,6 +272,19 @@ class TestEndToEnd:
         a = run_protocol(proto_params, seed=77, sessions=3, threaded=True)
         b = run_protocol(proto_params, seed=77, sessions=3, threaded=False)
         assert a.transcript_text() == b.transcript_text()
+
+    def test_failed_request_stops_keygen_thread(self, monkeypatch):
+        params = scheme.SchemeParams(sessions=6, symbols=2, radix=2)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("request failed")
+
+        monkeypatch.setattr(RAEnclave, "handle", fail)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="request failed"):
+            run_protocol(params, seed=82, sessions=6, threaded=True)
+        assert time.monotonic() - start < 10.0
+        assert not any(t.name == "keygen-coprocessor" for t in threading.enumerate())
 
     def test_deterministic_across_runs(self, proto_params):
         a = run_protocol(proto_params, seed=78, sessions=2)
