@@ -77,13 +77,9 @@ class TestObliviousBuffer:
         assert len(subkeys) == toy_params.symbols
         expected = scheme.eot_select(toy_params, b"x-value", MR.digest)
         assert selection == expected
-        assert subkeys == scheme.subkeys_at(material, selection)
-
-    def test_read_serves_coprocessor_points(self, toy_params, toy_keys):
-        buffer, material = self.make(toy_params, toy_keys)
-        subkeys, selection = buffer.read(b"x-value", MR)
         own = scheme.subkeys_at(material, selection)
-        assert len(subkeys) == len(own)
+        assert subkeys == own
+        # the co-processor's own objects, served without a decode
         assert all(served is mine for served, mine in zip(subkeys, own))
 
     def test_erasure_drops_unread_subkeys(self, proto_params):
