@@ -1,7 +1,8 @@
 /*
  * Compiled BLS12-381 arithmetic backend, ``otsske.backend._core``.
  *
- * Mirrors pure.py function for function: the same boundary types (affine
+ * Mirrors each pure.py function that the package calls (pure.py keeps a
+ * few more for the tests): the same boundary types (affine
  * integer tuples, the empty tuple for the point at infinity, flat 12-tuples
  * for GT) and the same algorithms, with 6x64-bit Montgomery field
  * arithmetic, Jacobian point kernels and the pairing in C.  Every curve
@@ -1260,18 +1261,6 @@ done:
     return out;
 }
 
-INLINE PyObject *group_on_curve(const field *F, PyObject *p)
-{
-    const int n = F->n;
-    u64 a[36], t[12];
-    int tp = point_from_py(F, a, p);
-    if (tp <= 0)
-        return tp ? NULL : Py_NewRef(Py_True);
-    curve_rhs(F, t, a);
-    F->mul(a + n, a + n, a + n);
-    return PyBool_FromLong(!memcmp(t, a + n, 8 * n));
-}
-
 INLINE PyObject *group_in_subgroup(const field *F, PyObject *p)
 {
     u64 a[36];
@@ -1413,9 +1402,6 @@ BINARY(g2_add, group_add, &G2)
 BINARY(g1_mul, group_mul, &G1)
 BINARY(g2_mul, group_mul, &G2)
 UNARY(g1_neg, group_neg, &G1)
-UNARY(g2_neg, group_neg, &G2)
-UNARY(g1_on_curve, group_on_curve, &G1)
-UNARY(g2_on_curve, group_on_curve, &G2)
 UNARY(g1_in_subgroup, group_in_subgroup, &G1)
 UNARY(g2_in_subgroup, group_in_subgroup, &G2)
 UNARY(g1_compress, group_compress, &G1)
@@ -1531,12 +1517,6 @@ static int gt_invert(u64 *a)
     return 0;
 }
 
-static PyObject *gt_inv(PyObject *Py_UNUSED(m), PyObject *v)
-{
-    u64 a[72];
-    return gt_from_py(a, v) || gt_invert(a) ? NULL : gt_to_py(a);
-}
-
 static PyObject *py_final_exp(PyObject *Py_UNUSED(m), PyObject *v)
 {
     u64 a[72];
@@ -1577,9 +1557,6 @@ static PyMethodDef methods[] = {
     {"g1_mul", FASTCALL(g1_mul), "[k]P in G1 for any integer k."},
     {"g2_mul", FASTCALL(g2_mul), "[k]P in G2 for any integer k."},
     {"g1_neg", g1_neg, METH_O, "-P in G1."},
-    {"g2_neg", g2_neg, METH_O, "-P in G2."},
-    {"g1_on_curve", g1_on_curve, METH_O, "Whether P satisfies y^2 = x^3 + 4."},
-    {"g2_on_curve", g2_on_curve, METH_O, "Whether P satisfies y^2 = x^3 + 4(1+i)."},
     {"g1_in_subgroup", g1_in_subgroup, METH_O, "Whether an on-curve G1 point has order r: phi(P) == -[x^2]P."},
     {"g2_in_subgroup", g2_in_subgroup, METH_O, "Whether an on-curve G2 point has order r: psi(P) == [x]P."},
     {"g1_compress", g1_compress, METH_O, "48-byte compressed encoding of a G1 point."},
@@ -1592,7 +1569,6 @@ static PyMethodDef methods[] = {
      "Product of the Miller loops of a sequence of (P, Q) pairs, with one shared loop."},
     {"final_exp", py_final_exp, METH_O, "f^((q^12 - 1) / r) for a nonzero Fp12 element f."},
     {"gt_mul", FASTCALL(gt_mul), "Product in GT."},
-    {"gt_inv", gt_inv, METH_O, "Inverse in GT."},
     {"gt_pow", FASTCALL(gt_pow), "a^e in GT for any integer e."},
     {NULL, NULL, 0, NULL},
 };

@@ -312,7 +312,8 @@ def g1_add(p, s):
     x1, y1 = p
     x2, y2 = s
     if x1 == x2:
-        if (y1 + y2) % Q == 0:
+        # as _core.c's jac_add: only P + P with y != 0 doubles, also off the curve
+        if y1 != y2 or not y1:
             return INFINITY
         lam = 3 * x1 * x1 * pow(2 * y1, -1, Q) % Q
     else:
@@ -340,7 +341,7 @@ def g2_add(p, s):
     x1, y1 = p
     x2, y2 = s
     if x1 == x2:
-        if _f2_add(y1, y2) == _F2_ZERO:
+        if y1 != y2 or y1 == _F2_ZERO:
             return INFINITY
         lam = _f2_mul(_f2_muls(_f2_sqr(x1), 3), _f2_inv(_f2_muls(y1, 2)))
     else:

@@ -21,9 +21,9 @@ attack strategies.
 
 from __future__ import annotations
 
-import queue
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +55,6 @@ from .scheme import (
 
 QUOTE_VERSION = 1
 NONCE_BYTES = 16
-DEFAULT_PIPELINE_DEPTH = 2
 
 
 # ------------------------------------------------------------ measurements
@@ -158,15 +157,22 @@ class AdversaryLog:
         return [e for e in self.events if isinstance(e, MemoryReadEvent)]
 
     def session_views(self) -> dict[int, SessionView]:
-        """Correlate events into one view per completed session."""
+        """Correlate events into one view per completed session.
+
+        Each quote answers the last request logged before it: a request
+        that failed (say, with no session ready) logged no quote.
+        """
         events = self.events
         aux_by_session = {e.session: e for e in events if isinstance(e, SessionKeyEvent)}
         reads = {e.session: e for e in events if isinstance(e, MemoryReadEvent)}
-        requests = [e for e in events if isinstance(e, RequestEvent)]
         views: dict[int, SessionView] = {}
-        quote_events = [e for e in events if isinstance(e, QuoteEvent)]
-        for request, qe in zip(requests, quote_events):
-            quote = qe.quote
+        request = None
+        for event in events:
+            if isinstance(event, RequestEvent):
+                request = event
+            if not isinstance(event, QuoteEvent) or request is None:
+                continue
+            quote = event.quote
             session = quote.counter - 1
             if session not in aux_by_session or session not in reads:
                 continue
@@ -241,17 +247,14 @@ class ObliviousBuffer:
 
 
 class CoProcessor:
-    """Key-generation side: counter, master secret and the handoff queue."""
+    """Key-generation side: counter, master secret and the sessions not yet fetched."""
 
     def __init__(self, params: SchemeParams, rng, group: GroupParams | None = None,
-                 pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
                  log: AdversaryLog | None = None):
         self.params = params
         self.pk, self._master = scheme.keygen_setup(params, rng, group=group)
         self.counter = 0  # sessions generated so far; quote labels are 1-based
-        self.queue: "queue.Queue[tuple[int, ObliviousBuffer, SourceElement]]" = queue.Queue(
-            maxsize=pipeline_depth
-        )
+        self._ready: deque[tuple[int, ObliviousBuffer, SourceElement]] = deque()
         self.log = log
 
     @property
@@ -261,9 +264,9 @@ class CoProcessor:
     def generate_next(self, rng) -> int:
         """Generate the next session, load its buffer, publish its aux.
 
-        Blocks while the handoff queue is full (bounded pipelining).
-        Raises :class:`SessionBudgetError` once all sessions are spent,
-        leaving the state untouched.
+        The session waits, oldest first, for :meth:`fetch_session`, so a
+        caller may generate several ahead.  Raises :class:`SessionBudgetError`
+        once all sessions are spent, leaving the state untouched.
         """
         if self.exhausted:
             raise SessionBudgetError(f"all {self.params.sessions} sessions generated")
@@ -274,17 +277,14 @@ class CoProcessor:
         self.counter = label
         if self.log is not None:
             self.log.append(SessionKeyEvent(counter=label, session=session, aux=material.aux))
-        self.queue.put((label, buffer, material.aux))
+        self._ready.append((label, buffer, material.aux))
         return label
 
-    def fetch_session(self, timeout: float | None = None
-                      ) -> tuple[int, ObliviousBuffer, SourceElement]:
-        """The signer's read of {aux, ctr}; serialized single-owner handoff."""
+    def fetch_session(self) -> tuple[int, ObliviousBuffer, SourceElement]:
+        """The signer's read of {aux, ctr}: the oldest session not yet fetched."""
         try:
-            if timeout is None:
-                return self.queue.get_nowait()
-            return self.queue.get(timeout=timeout)
-        except queue.Empty:
+            return self._ready.popleft()
+        except IndexError:
             raise ProtocolError("no generated session available") from None
 
 
@@ -368,14 +368,13 @@ class RAEnclave:
         coproc: CoProcessor,
         request: AttestationRequest,
         log: AdversaryLog | None = None,
-        timeout: float | None = None,
     ) -> Quote:
         """Serve one attestation request, consuming one session."""
         if log is not None:
             log.append(RequestEvent(request.nonce, request.result, request.app_mr))
         message = protocol_message(self.measurement, request.app_mr, request.result)
         x = selector_input(request.nonce, message)
-        counter, buffer, aux = coproc.fetch_session(timeout=timeout)
+        counter, buffer, aux = coproc.fetch_session()
         subkeys, selection = buffer.read(x, self.measurement, log=log)
         sig = scheme.sign_compressed(self.pk, self.params, buffer.session, subkeys, selection, aux)
         quote = Quote(
@@ -477,14 +476,12 @@ def run_protocol(
     seed: int | bytes,
     sessions: int,
     group: GroupParams | None = None,
-    threaded: bool = True,
-    pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
 ) -> ProtocolRun:
     """Drive the full flow for a number of sessions under a fixed seed.
 
-    Key generation draws from one forked rng stream and the verifier from
-    another, so transcripts are byte-identical whether or not the
-    generator runs on its own thread.
+    Each round generates one session, issues one request, has the enclave
+    serve it and verifies the quote from its bytes.  Key generation draws
+    from one forked rng stream and the verifier from another.
     """
     if sessions > params.sessions:
         raise ParameterError(f"requested {sessions} sessions, provisioned {params.sessions}")
@@ -493,56 +490,29 @@ def run_protocol(
     request_rng = root.fork(b"requests")
 
     log = AdversaryLog()
-    coproc = CoProcessor(params, keygen_rng, group=group, pipeline_depth=pipeline_depth, log=log)
+    coproc = CoProcessor(params, keygen_rng, group=group, log=log)
     enclave_mr = measure(b"otsske demo enclave (signer+app combined)")
     enclave = RAEnclave(coproc.pk, params, enclave_mr)
     verifier = RemoteVerifier(coproc.pk, params)
-
-    # set when the request loop ends, so that a producer blocked on the full
-    # queue, or about to generate one more session, stops instead of waiting
-    stop = threading.Event()
-
-    def produce() -> None:
-        for _ in range(sessions):
-            if stop.is_set():
-                return
-            coproc.generate_next(keygen_rng)
-
-    worker = None
-    if threaded:
-        worker = threading.Thread(target=produce, name="keygen-coprocessor", daemon=True)
-        worker.start()
 
     transcript: list[tuple[str, str]] = []
     verdicts: list[bool] = []
     quotes: list[Quote] = []
     nonces: list[bytes] = []
-    try:
-        for index in range(sessions):
-            if not threaded:
-                coproc.generate_next(keygen_rng)
-            nonce = verifier.new_nonce(request_rng)
-            result = b"app result %d" % index
-            request = AttestationRequest(nonce=nonce, result=result, app_mr=enclave_mr)
-            transcript.append(("REQ", nonce.hex()))
-            quote = enclave.handle(coproc, request, log=log, timeout=30.0)
-            encoded = quote_encode(quote)
-            transcript.append(("QUOTE", encoded.hex()))
-            verdict = verifier.verify(quote_decode(coproc.pk.group, encoded), nonce)
-            transcript.append(("VERDICT", "true" if verdict else "false"))
-            verdicts.append(verdict)
-            quotes.append(quote)
-            nonces.append(nonce)
-    finally:
-        if worker is not None:
-            stop.set()
-            # drained sessions were never served; dropping them erases them
-            while True:
-                try:
-                    coproc.queue.get_nowait()
-                except queue.Empty:
-                    break
-            worker.join(timeout=60.0)
+    for index in range(sessions):
+        coproc.generate_next(keygen_rng)
+        nonce = verifier.new_nonce(request_rng)
+        result = b"app result %d" % index
+        request = AttestationRequest(nonce=nonce, result=result, app_mr=enclave_mr)
+        transcript.append(("REQ", nonce.hex()))
+        quote = enclave.handle(coproc, request, log=log)
+        encoded = quote_encode(quote)
+        transcript.append(("QUOTE", encoded.hex()))
+        verdict = verifier.verify(quote_decode(coproc.pk.group, encoded), nonce)
+        transcript.append(("VERDICT", "true" if verdict else "false"))
+        verdicts.append(verdict)
+        quotes.append(quote)
+        nonces.append(nonce)
 
     return ProtocolRun(
         params=params,
@@ -701,7 +671,7 @@ def run_security_game(
     messages_per_session: int = 4,
 ) -> GameReport:
     """Honest run over all sessions, then the forgery catalogue per session."""
-    run = run_protocol(params, seed, params.sessions, group=group, threaded=False)
+    run = run_protocol(params, seed, params.sessions, group=group)
     if not run.all_verified:
         raise ProtocolError("honest run failed; game preconditions not met")
     harness_rng = DeterministicRandomness(seed).fork(b"game")

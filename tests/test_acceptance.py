@@ -299,8 +299,7 @@ def test_criterion_7_protocol_freshness():
     rejected_replays = 0
     run_index = 0
     while accepted < 100:
-        run = run_protocol(params, seed=20_000 + run_index, sessions=params.sessions,
-                           group=group, threaded=False)
+        run = run_protocol(params, seed=20_000 + run_index, sessions=params.sessions, group=group)
         assert run.all_verified
         for idx, quote in enumerate(run.quotes):
             if accepted >= 100:

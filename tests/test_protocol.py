@@ -47,7 +47,7 @@ def proto_params():
 
 @pytest.fixture(scope="module")
 def completed_run(proto_params):
-    return run_protocol(proto_params, seed=1900, sessions=4, threaded=False)
+    return run_protocol(proto_params, seed=1900, sessions=4)
 
 
 class TestMeasurement:
@@ -140,7 +140,7 @@ class TestCoProcessor:
 
     def test_budget_enforced_state_unchanged(self, toy_params):
         rng = DeterministicRandomness(3)
-        coproc = CoProcessor(toy_params, rng, pipeline_depth=toy_params.sessions)
+        coproc = CoProcessor(toy_params, rng)
         for _ in range(toy_params.sessions):
             coproc.generate_next(rng)
         before = coproc.counter
@@ -158,6 +158,29 @@ class TestCoProcessor:
 
     def test_fetch_without_generation(self, toy_params):
         coproc = CoProcessor(toy_params, DeterministicRandomness(5))
+        with pytest.raises(ProtocolError):
+            coproc.fetch_session()
+
+    def test_one_caller_generates_every_session_ahead(self):
+        params = scheme.SchemeParams(sessions=5, symbols=2, radix=2)
+        rng = DeterministicRandomness(8)
+        coproc = CoProcessor(params, rng)
+        labels = list(range(1, params.sessions + 1))
+        outcome = []
+
+        def generate_then_fetch():
+            generated = [coproc.generate_next(rng) for _ in labels]
+            fetched = [coproc.fetch_session()[0] for _ in labels]
+            outcome.append((generated, fetched))
+
+        # a generator that blocks would hang the suite; a bounded join fails instead
+        caller = threading.Thread(target=generate_then_fetch, daemon=True)
+        caller.start()
+        caller.join(timeout=30.0)
+        assert not caller.is_alive()
+        assert outcome == [(labels, labels)]
+        with pytest.raises(SessionBudgetError):
+            coproc.generate_next(rng)
         with pytest.raises(ProtocolError):
             coproc.fetch_session()
 
@@ -264,23 +287,23 @@ class TestEndToEnd:
         counters = [q.counter for q in completed_run.quotes]
         assert counters == list(range(1, len(counters) + 1))
 
-    def test_threaded_matches_unthreaded(self, proto_params):
-        a = run_protocol(proto_params, seed=77, sessions=3, threaded=True)
-        b = run_protocol(proto_params, seed=77, sessions=3, threaded=False)
-        assert a.transcript_text() == b.transcript_text()
-
-    def test_failed_request_stops_keygen_thread(self, monkeypatch):
+    @pytest.mark.parametrize("owner, name", [(RAEnclave, "handle"), (scheme, "gen_session")],
+                             ids=["request", "keygen"])
+    def test_failure_surfaces_at_once(self, monkeypatch, owner, name):
         params = scheme.SchemeParams(sessions=6, symbols=2, radix=2)
+        failure = RuntimeError(f"{name} failed")
 
         def fail(*args, **kwargs):
-            raise RuntimeError("request failed")
+            raise failure
 
-        monkeypatch.setattr(RAEnclave, "handle", fail)
+        monkeypatch.setattr(owner, name, fail)
+        threads = threading.active_count()
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match="request failed"):
-            run_protocol(params, seed=82, sessions=6, threaded=True)
+        with pytest.raises(RuntimeError) as raised:
+            run_protocol(params, seed=82, sessions=6)
+        assert raised.value is failure
         assert time.monotonic() - start < 10.0
-        assert not any(t.name == "keygen-coprocessor" for t in threading.enumerate())
+        assert threading.active_count() == threads
 
     def test_deterministic_across_runs(self, proto_params):
         a = run_protocol(proto_params, seed=78, sessions=2)
@@ -294,7 +317,7 @@ class TestEndToEnd:
         if len(available_backends()) < 2:
             pytest.skip("only one backend built")
         texts = [
-            run_protocol(proto_params, seed=79, sessions=1, threaded=False,
+            run_protocol(proto_params, seed=79, sessions=1,
                          group=setup(256, backend=name)).transcript_text()
             for name in available_backends()
         ]
@@ -399,6 +422,23 @@ class TestAdversaryLog:
             )
             assert view.x == selector_input(view.nonce, view.message)
 
+    def test_failed_request_does_not_shift_views(self, toy_params):
+        rng = DeterministicRandomness(85)
+        log = AdversaryLog()
+        coproc = CoProcessor(toy_params, rng, log=log)
+        enclave = RAEnclave(coproc.pk, toy_params, MR)
+        verifier = RemoteVerifier(coproc.pk, toy_params)
+        early = verifier.make_request(rng, b"before any session", MR)
+        with pytest.raises(ProtocolError):
+            enclave.handle(coproc, early, log=log)
+        coproc.generate_next(rng)
+        served = verifier.make_request(rng, b"served", MR)
+        quote = enclave.handle(coproc, served, log=log)
+        assert verifier.verify(quote, served.nonce)
+        view = log.session_views()[0]
+        assert view.nonce == served.nonce
+        assert view.x == selector_input(view.nonce, view.message)
+
 
 class TestForgeryHarness:
     def test_empty_log_insufficient(self, proto_params, completed_run):
@@ -419,7 +459,7 @@ class TestForgeryHarness:
             assert by_name["same-message-resign"].outcome == "verified"
 
     def test_single_session_log_lacks_cross_material(self, proto_params):
-        run = run_protocol(proto_params, seed=90, sessions=1, threaded=False)
+        run = run_protocol(proto_params, seed=90, sessions=1)
         attempts = protocol.adversary_forge_attempts(
             run.log, run.pk, proto_params, 0, b"\x11" * 32
         )
