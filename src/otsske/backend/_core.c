@@ -463,7 +463,7 @@ typedef struct {
     const u64 *b;                     /* curve coefficient, Montgomery */
 } field;
 
-/* Subgroup-check endomorphisms, as pure.g1_in_subgroup/g2_in_subgroup:
+/* Subgroup-check endomorphisms, as pure's _G1.endo and _G2.endo:
  * phi(x, y) = (beta x, y) on G1 and psi(x, y) = (conj(x) c_x, conj(y) c_y) on
  * the twist, with the constants read at init (Montgomery). */
 static u64 BETA_M[6], PSI_X[12], PSI_Y[12];
@@ -1145,7 +1145,7 @@ static PyObject *pair_from_py(PyObject *v)
 
 static int coords_from_py(u64 *r, PyObject *v, int n)
 {
-    /* Plain limbs of a point, like pure's _g1_point and _g2_point: a G1
+    /* Plain limbs of a point, like pure's _G1.point and _G2.point: a G1
      * point (n = 12) or a G2 point (n = 24) is exactly two items, so is
      * each Fp2 coordinate, and every Fp value is an integer in [0, q).
      * Every point that enters a group operation or the Miller loop passes
@@ -1745,7 +1745,6 @@ PyMODINIT_FUNC PyInit__core(void)
         GT_ONE = PyObject_GetAttrString(pure, "GT_ONE");
         PyObject *aux = PyObject_GetAttrString(pure, "G2_AUX_GENERATOR");
         ok = GT_ONE && aux && !PyModule_AddStringConstant(m, "NAME", "native")
-             && !PyModule_AddObjectRef(m, "INFINITY", INF)
              && !PyModule_AddObjectRef(m, "GT_ONE", GT_ONE)
              && !PyModule_AddObjectRef(m, "G2_AUX_GENERATOR", aux) && !self_check(m, params);
         Py_XDECREF(aux);

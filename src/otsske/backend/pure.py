@@ -9,11 +9,15 @@ affine coordinates: a G1 point is ``(x, y)``, a G2 point is
 GT elements are flat 12-tuples of integers (Fp2 towers flattened in
 (w, v, i) order).  Scalars are any integers; a multiplication of one of the
 three generators, which have order r, reads its scalar mod r.
+
+Like _core.c's group_* functions over its field struct, every public G1/G2
+function is written once over the field descriptor _Field and bound to the
+instances _G1 and _G2, which hold all that differs between the groups.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from operator import index
 from typing import Callable, NamedTuple
 
@@ -292,99 +296,21 @@ def _fp_pair(v):
     return _fp(a), _fp(b)
 
 
-def _g1_point(p):
-    return _fp_pair(p) if p else INFINITY
-
-
-def _g2_point(p):
-    if not p:
-        return INFINITY
-    x, y = _pair(p)
-    return _fp_pair(x), _fp_pair(y)
-
-
-def g1_add(p, s):
-    p, s = _g1_point(p), _g1_point(s)
-    if not p:
-        return s
-    if not s:
-        return p
-    x1, y1 = p
-    x2, y2 = s
-    if x1 == x2:
-        # as _core.c's jac_add: only P + P with y != 0 doubles, also off the curve
-        if y1 != y2 or not y1:
-            return INFINITY
-        lam = 3 * x1 * x1 * pow(2 * y1, -1, Q) % Q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, Q) % Q
-    x3 = (lam * lam - x1 - x2) % Q
-    return (x3, (lam * (x1 - x3) - y1) % Q)
-
-
-def g1_neg(p):
-    p = _g1_point(p)
-    return (p[0], -p[1] % Q) if p else INFINITY
-
-
-def g1_mul(p, k):
-    k = index(k)
-    return _mul(_G1, _g1_point(p), k)
-
-
-def g2_add(p, s):
-    p, s = _g2_point(p), _g2_point(s)
-    if not p:
-        return s
-    if not s:
-        return p
-    x1, y1 = p
-    x2, y2 = s
-    if x1 == x2:
-        if y1 != y2 or y1 == _F2_ZERO:
-            return INFINITY
-        lam = _f2_mul(_f2_muls(_f2_sqr(x1), 3), _f2_inv(_f2_muls(y1, 2)))
-    else:
-        lam = _f2_mul(_f2_sub(y2, y1), _f2_inv(_f2_sub(x2, x1)))
-    x3 = _f2_sub(_f2_sub(_f2_sqr(lam), x1), x2)
-    return (x3, _f2_sub(_f2_mul(lam, _f2_sub(x1, x3)), y1))
-
-
-def g2_neg(p):
-    p = _g2_point(p)
-    return (p[0], _f2_neg(p[1])) if p else INFINITY
-
-
-def g2_mul(p, k):
-    k = index(k)
-    return _mul(_G2, _g2_point(p), k)
-
-
-def g1_on_curve(p):
-    p = _g1_point(p)
-    if not p:
-        return True
-    x, y = p
-    return (y * y - (x * x * x + B_COEFF)) % Q == 0
-
-
-def g2_on_curve(p):
-    p = _g2_point(p)
-    if not p:
-        return True
-    x, y = p
-    return _f2_sqr(y) == _f2_add(_f2_mul(_f2_sqr(x), x), (B_TWIST[0] % Q, B_TWIST[1] % Q))
-
-
-# ---------------------------------------------------------------- Jacobian
-# Scalar-multiplication chains in Jacobian coordinates (X, Y, Z) for the
-# affine point (X/Z^2, Y/Z^3), so a chain pays no inversion until its result
-# is made affine.  The kernels are written once over a field descriptor and
-# mirror _core.c's jac_* kernels; Z = 0 is the point at infinity, whatever
-# X and Y are.
+# psi(x, y) = (conj(x) c_x, conj(y) c_y) on the twist, with
+# c_x = xi^-((q-1)/3) and c_y = xi^-((q-1)/2)
+_PSI_X = _f2_inv(_FROB_V[1])
+_PSI_Y = _f2_inv(_f2_pow(XI, (Q - 1) // 2))
 
 
 class _Field(NamedTuple):
+    """The coordinate field of G1 (Fp) or G2 (Fp2), with the curve over it.
+
+    Every group operation, Jacobian kernel and encoding rule below is written
+    once over this descriptor, as _core.c's group_* functions are over its
+    field struct; _G1 and _G2 are the only place that says how the groups
+    differ.
+    """
+
     add: Callable
     sub: Callable
     mul: Callable
@@ -392,10 +318,100 @@ class _Field(NamedTuple):
     muls: Callable  # times a small integer
     neg: Callable
     inv: Callable
+    sqrt: Callable  # a square root, or None if there is none
     zero: object
     one: object
+    b: object  # the curve is y^2 = x^3 + b
+    point: Callable  # a finite point's coordinates, checked as above
+    wire: Callable  # x as its Fp components in encoding order
+    unwire: Callable  # x from those components
+    size: int  # compressed encoding length in bytes
     endo: Callable  # the subgroup check's endomorphism, on affine points
     chains: int  # its eigenvalue on the subgroup is -|X|^chains
+
+
+# G1: phi(P) == -[X^2]P with phi(x, y) = (beta x, y); G2: psi(P) == [X]P,
+# and X < 0, so [X]P = -[|X|]P
+_G1 = _Field(
+    add=lambda a, b: (a + b) % Q,
+    sub=lambda a, b: (a - b) % Q,
+    mul=lambda a, b: a * b % Q,
+    sqr=lambda a: a * a % Q,
+    muls=lambda a, s: a * s % Q,
+    neg=lambda a: -a % Q,
+    inv=lambda a: pow(a, -1, Q),
+    sqrt=_fp_sqrt,
+    zero=0,
+    one=1,
+    b=B_COEFF,
+    point=_fp_pair,
+    wire=lambda x: (x,),
+    unwire=lambda c: c[0],
+    size=48,
+    endo=lambda p: (BETA * p[0] % Q, p[1]),
+    chains=2,
+)
+_G2 = _Field(
+    _f2_add, _f2_sub, _f2_mul, _f2_sqr, _f2_muls, _f2_neg, _f2_inv, _f2_sqrt, _F2_ZERO, _F2_ONE, B_TWIST,
+    point=lambda p: tuple(map(_fp_pair, _pair(p))),
+    wire=lambda x: (x[1], x[0]),  # c1 || c0
+    unwire=lambda c: (c[1], c[0]),
+    size=96,
+    endo=lambda p: (_f2_mul(_f2_conj(p[0]), _PSI_X), _f2_mul(_f2_conj(p[1]), _PSI_Y)),
+    chains=1,
+)
+
+
+def _point(F, p):
+    return F.point(p) if p else INFINITY
+
+
+def _rhs(F, x):
+    """x^3 + b, which is y^2 for the curve points (x, y)."""
+    return F.add(F.mul(F.sqr(x), x), F.b)
+
+
+def _add(F, p, s):
+    p, s = _point(F, p), _point(F, s)
+    if not p:
+        return s
+    if not s:
+        return p
+    sub, mul, sqr, muls = F.sub, F.mul, F.sqr, F.muls
+    x1, y1 = p
+    x2, y2 = s
+    if x1 == x2:
+        # as _core.c's jac_add: only P + P with y != 0 doubles, also off the curve
+        if y1 != y2 or y1 == F.zero:
+            return INFINITY
+        lam = mul(muls(sqr(x1), 3), F.inv(muls(y1, 2)))
+    else:
+        lam = mul(sub(y2, y1), F.inv(sub(x2, x1)))
+    x3 = sub(sub(sqr(lam), x1), x2)
+    return (x3, sub(mul(lam, sub(x1, x3)), y1))
+
+
+def _neg(F, p):
+    p = _point(F, p)
+    return (p[0], F.neg(p[1])) if p else INFINITY
+
+
+def _on_curve(F, p):
+    p = _point(F, p)
+    return not p or F.sqr(p[1]) == _rhs(F, p[0])
+
+
+g1_add, g2_add = partial(_add, _G1), partial(_add, _G2)
+g1_neg, g2_neg = partial(_neg, _G1), partial(_neg, _G2)
+g1_on_curve, g2_on_curve = partial(_on_curve, _G1), partial(_on_curve, _G2)
+
+
+# ---------------------------------------------------------------- Jacobian
+# Scalar-multiplication chains in Jacobian coordinates (X, Y, Z) for the
+# affine point (X/Z^2, Y/Z^3), so a chain pays no inversion until its result
+# is made affine.  The kernels are written once over _Field and mirror
+# _core.c's jac_* kernels; Z = 0 is the point at infinity, whatever
+# X and Y are.
 
 
 def _jac_double(F, p):
@@ -537,43 +553,13 @@ def _jac_in_subgroup(F, p):
 
 _X_BITS = bin(abs(X_PARAM))[3:]
 
-# psi(x, y) = (conj(x) c_x, conj(y) c_y) on the twist, with
-# c_x = xi^-((q-1)/3) and c_y = xi^-((q-1)/2)
-_PSI_X = _f2_inv(_FROB_V[1])
-_PSI_Y = _f2_inv(_f2_pow(XI, (Q - 1) // 2))
-
-# G1: phi(P) == -[X^2]P with phi(x, y) = (beta x, y); G2: psi(P) == [X]P,
-# and X < 0, so [X]P = -[|X|]P
-_G1 = _Field(
-    add=lambda a, b: (a + b) % Q,
-    sub=lambda a, b: (a - b) % Q,
-    mul=lambda a, b: a * b % Q,
-    sqr=lambda a: a * a % Q,
-    muls=lambda a, s: a * s % Q,
-    neg=lambda a: -a % Q,
-    inv=lambda a: pow(a, -1, Q),
-    zero=0,
-    one=1,
-    endo=lambda p: (BETA * p[0] % Q, p[1]),
-    chains=2,
-)
-_G2 = _Field(
-    _f2_add, _f2_sub, _f2_mul, _f2_sqr, _f2_muls, _f2_neg, _f2_inv, _F2_ZERO, _F2_ONE,
-    endo=lambda p: (_f2_mul(_f2_conj(p[0]), _PSI_X), _f2_mul(_f2_conj(p[1]), _PSI_Y)),
-    chains=1,
-)
+def _in_subgroup(F, p):
+    """Whether an on-curve point is in the order-r subgroup: -endo(P) == [|X|^chains]P."""
+    p = _point(F, p)
+    return not p or _jac_in_subgroup(F, p)
 
 
-def g1_in_subgroup(p):
-    """Whether an on-curve G1 point is in the order-r subgroup: phi(P) == -[X^2]P."""
-    p = _g1_point(p)
-    return not p or _jac_in_subgroup(_G1, p)
-
-
-def g2_in_subgroup(p):
-    """Whether an on-curve G2 point is in the order-r subgroup: psi(P) == [X]P."""
-    p = _g2_point(p)
-    return not p or _jac_in_subgroup(_G2, p)
+g1_in_subgroup, g2_in_subgroup = partial(_in_subgroup, _G1), partial(_in_subgroup, _G2)
 
 
 # ---------------------------------------------------------------- fixed bases
@@ -625,10 +611,15 @@ def _comb_mul(F, table, k):
 
 
 def _mul(F, p, k):
-    """[k]P for a parsed point: the comb for a table base, the windowed chain otherwise."""
+    """[k]P: the comb for a table base, the windowed chain otherwise."""
+    k = index(k)
+    p = _point(F, p)
     if p in _COMB_BASES:
         return _comb_mul(F, _comb_table(F, p), k % ORDER)
     return _jac_mul(F, p, k)
+
+
+g1_mul, g2_mul = partial(_mul, _G1), partial(_mul, _G2)
 
 
 # ---------------------------------------------------------------- pairing
@@ -729,7 +720,7 @@ def multi_miller_loop(pairs):
 
     A term with a point at infinity contributes 1 and is skipped.
     """
-    terms = [(_g1_point(p), _g2_point(q2)) for p, q2 in pairs if p and q2]
+    terms = [(_G1.point(p), _G2.point(q2)) for p, q2 in pairs if p and q2]
     return _gt_flatten(_miller(terms)) if terms else GT_ONE
 
 
@@ -746,99 +737,63 @@ def pairing(p, q2):
 
 
 # ---------------------------------------------------------------- encoding
-# 48-byte (G1) / 96-byte (G2) compressed form.  Flag bits on the first
-# byte: 0x80 compressed, 0x40 infinity, 0x20 y is the lexicographically
-# larger root.  G2 serialises x as c1 || c0.
+# 48-byte (G1) / 96-byte (G2) compressed form: x as its Fp components in
+# wire order (G2 serialises x as c1 || c0).  Flag bits on the first byte:
+# 0x80 compressed, 0x40 infinity, 0x20 y is the larger root: y > -y with
+# the components compared in wire order.
 
 _FLAG_COMPRESSED = 0x80
 _FLAG_INFINITY = 0x40
 _FLAG_SIGN = 0x20
 
 
-def _y_is_larger_fp(y):
-    return y > Q // 2
+def _is_larger(F, y):
+    return F.wire(y) > F.wire(F.neg(y))
 
 
-def _y_is_larger_fp2(y):
-    y0, y1 = y
-    return y1 > Q // 2 if y1 != 0 else y0 > Q // 2
-
-
-def g1_compress(p):
+def _compress(F, p):
     if not p:
-        return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(47)
-    x, y = _fp_pair(p)
-    data = bytearray(x.to_bytes(48, "big"))
-    data[0] |= _FLAG_COMPRESSED | (_FLAG_SIGN if _y_is_larger_fp(y) else 0)
+        return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(F.size - 1)
+    x, y = F.point(p)
+    data = bytearray(b"".join([c.to_bytes(48, "big") for c in F.wire(x)]))
+    data[0] |= _FLAG_COMPRESSED | (_FLAG_SIGN if _is_larger(F, y) else 0)
     return bytes(data)
 
 
-def g2_compress(p):
-    if not p:
-        return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(95)
-    (x0, x1), y = _g2_point(p)
-    data = bytearray(x1.to_bytes(48, "big") + x0.to_bytes(48, "big"))
-    data[0] |= _FLAG_COMPRESSED | (_FLAG_SIGN if _y_is_larger_fp2(y) else 0)
-    return bytes(data)
-
-
-def _split_flags(data, size):
-    if len(data) != size:
-        raise ValueError(f"expected {size} bytes, got {len(data)}")
+def _decompress(F, data):
+    if len(data) != F.size:
+        raise ValueError(f"expected {F.size} bytes, got {len(data)}")
     flags = data[0] & 0xE0
     if not flags & _FLAG_COMPRESSED:
         raise ValueError("uncompressed encodings are not accepted")
     body = bytes([data[0] & 0x1F]) + data[1:]
-    return flags, body
-
-
-def g1_decompress(data):
-    flags, body = _split_flags(data, 48)
     if flags & _FLAG_INFINITY:
         if flags & _FLAG_SIGN or any(body):
             raise ValueError("malformed point at infinity")
         return INFINITY
-    x = int.from_bytes(body, "big")
-    if x >= Q:
+    parts = [int.from_bytes(body[i : i + 48], "big") for i in range(0, F.size, 48)]
+    if max(parts) >= Q:
         raise ValueError("x coordinate out of range")
-    y = _fp_sqrt((x * x * x + B_COEFF) % Q)
+    x = F.unwire(parts)
+    y = F.sqrt(_rhs(F, x))
     if y is None:
         raise ValueError("x is not on the curve")
-    if _y_is_larger_fp(y) != bool(flags & _FLAG_SIGN):
-        y = Q - y
+    if _is_larger(F, y) != bool(flags & _FLAG_SIGN):
+        y = F.neg(y)
     p = (x, y)
-    if not g1_in_subgroup(p):
+    if not _jac_in_subgroup(F, p):
         raise ValueError("point not in the prime-order subgroup")
     return p
 
 
-def g2_decompress(data):
-    flags, body = _split_flags(data, 96)
-    if flags & _FLAG_INFINITY:
-        if flags & _FLAG_SIGN or any(body):
-            raise ValueError("malformed point at infinity")
-        return INFINITY
-    x1 = int.from_bytes(body[:48], "big")
-    x0 = int.from_bytes(body[48:], "big")
-    if x0 >= Q or x1 >= Q:
-        raise ValueError("x coordinate out of range")
-    x = (x0, x1)
-    y = _f2_sqrt(_f2_add(_f2_mul(_f2_sqr(x), x), (B_TWIST[0] % Q, B_TWIST[1] % Q)))
-    if y is None:
-        raise ValueError("x is not on the curve")
-    if _y_is_larger_fp2(y) != bool(flags & _FLAG_SIGN):
-        y = _f2_neg(y)
-    p = (x, y)
-    if not g2_in_subgroup(p):
-        raise ValueError("point not in the prime-order subgroup")
-    return p
-
+g1_compress, g2_compress = partial(_compress, _G1), partial(_compress, _G2)
+g1_decompress, g2_decompress = partial(_decompress, _G1), partial(_decompress, _G2)
 
 # the definitional [r]P == O, on the variable-base chain, pins the
 # endomorphism constants of the subgroup checks; a wrong chain fails here
 # rather than in the derivation below
-assert g1_on_curve(G1_GENERATOR) and not _jac_mul(_G1, G1_GENERATOR, ORDER) and g1_in_subgroup(G1_GENERATOR)
-assert g2_on_curve(G2_GENERATOR) and not _jac_mul(_G2, G2_GENERATOR, ORDER) and g2_in_subgroup(G2_GENERATOR)
+for _F, _g in ((_G1, G1_GENERATOR), (_G2, G2_GENERATOR)):
+    assert _on_curve(_F, _g) and not _jac_mul(_F, _g, ORDER) and _in_subgroup(_F, _g)
 
 
 # ---------------------------------------------------------------- fixed points
@@ -859,10 +814,9 @@ def _derive_aux_generator():
         seed = hashlib.sha256(b"OTSSKE/G2AUX" + counter.to_bytes(8, "big")).digest()
         wide = seed + hashlib.sha256(seed).digest()
         x = (int.from_bytes(wide, "big") % Q, counter % Q)
-        rhs = _f2_add(_f2_mul(_f2_sqr(x), x), (B_TWIST[0] % Q, B_TWIST[1] % Q))
-        y = _f2_sqrt(rhs)
+        y = _f2_sqrt(_rhs(_G2, x))
         if y is not None:
-            if _y_is_larger_fp2(y):
+            if _is_larger(_G2, y):
                 y = _f2_neg(y)
             p = _jac_mul(_G2, (x, y), G2_COFACTOR)
             if p and not _jac_mul(_G2, p, ORDER) and p != G2_GENERATOR:

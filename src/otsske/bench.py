@@ -73,7 +73,6 @@ class OpStats:
     mean_ms: float
     median_ms: float
     stddev_ms: float | None  # None when only one sample was taken
-    samples: int
 
 
 @dataclass
@@ -83,7 +82,6 @@ class BenchReport:
     stats: dict[str, OpStats]
     pairing_counts: dict[str, int]
     backend_core: dict[str, dict[str, OpStats]] = dataclass_field(default_factory=dict)
-    reference: dict[str, float] = dataclass_field(default_factory=lambda: dict(REFERENCE_MS))
 
     def to_kv(self) -> str:
         """Machine-readable key=value lines."""
@@ -104,7 +102,7 @@ class BenchReport:
         for name, ops in sorted(self.backend_core.items()):
             for op, stat in sorted(ops.items()):
                 lines.append(f"backend.{name}.{op}_ms={stat.mean_ms:.3f}")
-        for key, value in sorted(self.reference.items()):
+        for key, value in sorted(REFERENCE_MS.items()):
             lines.append(f"reference.{key}={value}")
         return "\n".join(lines) + "\n"
 
@@ -130,7 +128,7 @@ class BenchReport:
         for label, key, refkey in rows:
             stat = self.stats[key]
             stddev = "n/a" if stat.stddev_ms is None else f"{stat.stddev_ms:.2f}"
-            ref = self.reference.get(refkey)
+            ref = REFERENCE_MS.get(refkey)
             refs = f"{ref:.1f}" if ref is not None else "-"
             lines.append(
                 f"{label:28s} {stat.mean_ms:10.3f} {stat.median_ms:10.3f} {stddev:>10s} {refs:>14s}"
@@ -151,7 +149,6 @@ def _stats(samples: list[float]) -> OpStats:
         mean_ms=statistics.fmean(samples),
         median_ms=statistics.median(samples),
         stddev_ms=statistics.stdev(samples) if len(samples) > 1 else None,
-        samples=len(samples),
     )
 
 

@@ -47,8 +47,6 @@ _DUAL_BYTES = _G1_BYTES + _G2_BYTES
 class SystemRandomness:
     """OS-entropy generator for production use."""
 
-    deterministic = False
-
     def random_bytes(self, n: int) -> bytes:
         return os.urandom(n)
 
@@ -59,12 +57,10 @@ class SystemRandomness:
 class DeterministicRandomness:
     """Seeded SHA-256 counter stream; replayable and forkable.
 
-    ``fork`` derives an independent stream for a named role so concurrent
-    actors (key generator, verifier) draw from disjoint streams and runs
-    stay byte-reproducible regardless of scheduling.
+    ``fork`` derives an independent stream for a named role (key
+    generator, requests), so what one role draws does not shift the values
+    another role sees.
     """
-
-    deterministic = True
 
     def __init__(self, seed: int | bytes):
         if isinstance(seed, int):
@@ -94,7 +90,6 @@ class GroupParams:
 
     security_level: int
     order: int
-    field_modulus: int
     backend: ModuleType = field(compare=False)
 
     @property
@@ -119,7 +114,6 @@ def setup(security_level: int, backend: str | None = None) -> GroupParams:
     return GroupParams(
         security_level=security_level,
         order=curve.ORDER,
-        field_modulus=curve.FIELD_MODULUS,
         backend=module,
     )
 
