@@ -9,6 +9,8 @@ Timed regions
 * ``keygen.total``  one full session generation (the three phases plus glue).
 * ``sign``          subset selection + compressed signing (zero pairings).
 * ``verify``        compressed verification (exactly three pairings).
+* ``store_load``    decoding a store of the public key, master exponent
+                    and one session (``decode_session_store``).
 * ``ecdsa.*``       P-256 keygen / SHA-256 sign / verify via OpenSSL.
 
 Absolute times are hardware- and backend-specific; the published reference
@@ -115,6 +117,7 @@ class BenchReport:
             ("keygen: total", "otsske.keygen.total", "otsske.keygen.total_ms"),
             ("sign (compressed)", "otsske.sign", "otsske.sign_ms"),
             ("verify (compressed)", "otsske.verify", "otsske.verify_ms"),
+            ("store load (1 session)", "otsske.store_load", "otsske.store_load_ms"),
             ("ecdsa keygen", "ecdsa.keygen", "ecdsa.keygen_ms"),
             ("ecdsa sign", "ecdsa.sign", "ecdsa.sign_ms"),
             ("ecdsa verify", "ecdsa.verify", "ecdsa.verify_ms"),
@@ -280,6 +283,11 @@ def bench_run(config: BenchConfig) -> BenchReport:
     signature = do_sign()
     stats["otsske.verify"] = _measure(
         lambda: scheme.verify_compressed(pk, params, 0, signature, message), reps, warm
+    )
+
+    store = scheme.encode_session_store(params, pk, master, [material])
+    stats["otsske.store_load"] = _measure(
+        lambda: scheme.decode_session_store(store, backend=group.backend_name), min(reps, 20), 1
     )
 
     # structural pairing counts for one operation of each kind

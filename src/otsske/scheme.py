@@ -190,6 +190,26 @@ def _aux_element(pk: PublicKey, r: Scalar) -> SourceElement:
     return SourceElement(pk.group, pk.group.backend.g1_mul(pk.g.first, r), None)
 
 
+def _walk_rows(
+    group: GroupParams, heads: Sequence[tuple], step: tuple, t: int
+) -> tuple[tuple[SourceElement, ...], ...]:
+    """Rows of a subkey matrix: row j is head_j + b*S_j for b in [0, t),
+    with S_0 = step and S_(j+1) = t*S_j.
+
+    Session generation and store loading both build their rows here, so a
+    loaded matrix is rebuilt exactly as it was generated.
+    """
+    backend = group.backend
+    rows = []
+    for head in heads:
+        row = [head]
+        for _ in range(t - 1):
+            row.append(backend.g2_add(row[-1], step))
+        rows.append(tuple(SourceElement(group, None, point) for point in row))
+        step = backend.g2_mul(step, t)
+    return tuple(rows)
+
+
 def _subkey_matrix(
     pk: PublicKey,
     params: SchemeParams,
@@ -204,23 +224,14 @@ def _subkey_matrix(
     turns each row into t-1 group additions instead of t exponentiations.
     """
     backend = pk.group.backend
-    group = pk.group
     n, t = params.symbols, params.radix
     w = backend.g2_mul(pk.g1.second, r)  # (g1^r)
     hr = backend.g2_mul(pk.h.second, r)  # (h^r)
     base = backend.g2_add(master.g2_alpha.second, hr)
     base = backend.g2_add(base, backend.g2_mul(w, session * params.space % ORDER))
-    rows = []
+    heads = [backend.g2_add(base, v) for v in blinding]
     step = backend.g2_mul(w, n % ORDER)  # w^(n * t^0)
-    for j in range(n):
-        entry = backend.g2_add(base, blinding[j])
-        row = [entry]
-        for _ in range(t - 1):
-            entry = backend.g2_add(entry, step)
-            row.append(entry)
-        rows.append(tuple(SourceElement(group, None, point) for point in row))
-        step = backend.g2_mul(step, t)  # w^(n * t^(j+1))
-    return tuple(rows)
+    return _walk_rows(pk.group, heads, step, t)
 
 
 def gen_session(
@@ -516,7 +527,8 @@ def encode_public_key(params: SchemeParams, pk: PublicKey) -> bytes:
     return _pack_fields(fields)
 
 
-def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemeParams, PublicKey]:
+def _read_public_key(data: bytes, backend: str | None) -> tuple[SchemeParams, PublicKey]:
+    """Parse a public key, checking each point but not g1's sides against each other."""
     reader = _FieldReader(data)
     security, sessions, symbols, radix = (reader.take_int() for _ in range(4))
     try:
@@ -527,6 +539,18 @@ def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemePa
     g1, h = reader.take(144), reader.take(96)
     reader.finish()
     pk = PublicKey(group, SourceElement.deserialize(group, g1), SourceElement.deserialize(group, h))
+    return params, pk
+
+
+def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemeParams, PublicKey]:
+    """Decode a public key whose g1 = (G1^a, G2^c) has a = c.
+
+    The sides are compared as e(g1_1, G2) == e(G1, g1_2): two pairing terms
+    and one final exponentiation.
+    """
+    params, pk = _read_public_key(data, backend)
+    if pair(pk.g1, pk.g) != pair(pk.g, pk.g1):
+        raise DecodeError("the two sides of g1 disagree")
     return params, pk
 
 
@@ -557,11 +581,49 @@ def encode_session_store(
     return _pack_fields(fields)
 
 
+def _decode_subkeys(
+    group: GroupParams, params: SchemeParams, flat: bytes
+) -> tuple[tuple[SourceElement, ...], ...]:
+    """Rebuild a stored n x t matrix from its n row heads and its entry (0, 1).
+
+    Those n + 1 points, with S_0 = (0, 1) - (0, 0), determine an honest
+    matrix (see ``_walk_rows``); each other entry must compress to its
+    stored bytes.
+    """
+    n, t = params.symbols, params.radix
+    backend = group.backend
+
+    def stored(j: int, b: int) -> bytes:
+        offset = 96 * (j * t + b)
+        return flat[offset : offset + 96]
+
+    heads = [SourceElement.deserialize(group, stored(j, 0)).second for j in range(n)]
+    entry01 = SourceElement.deserialize(group, stored(0, 1)).second
+    step = backend.g2_add(entry01, backend.g2_mul(heads[0], -1))
+    rows = _walk_rows(group, heads, step, t)
+    for j, row in enumerate(rows):
+        for b in range(1, t):
+            if backend.g2_compress(row[b].second) != stored(j, b):
+                raise DecodeError(f"subkey ({j}, {b}) does not continue its row")
+    return rows
+
+
 def decode_session_store(
     data: bytes, backend: str | None = None
 ) -> tuple[SchemeParams, PublicKey, MasterSecret, list[SessionKeyMaterial]]:
+    """Decode a store written by ``encode_session_store``.
+
+    The embedded key's g1 is checked as g1 == g^alpha on both sides for the
+    stored exponent alpha, which needs no pairing.  Per session, the aux
+    value, the n row heads (j, 0) and the entry (0, 1) are fully decoded
+    (square root and subgroup check); every other subkey is derived from
+    them by the generator's row walk and must equal its stored encoding
+    byte for byte.  A subkey swapped for any other valid point is therefore
+    rejected with :class:`DecodeError`, except at n = 1, t = 2, where both
+    entries are fully decoded and nothing is derived.
+    """
     reader = _FieldReader(data)
-    params, pk = decode_public_key(reader.take(), backend=backend)
+    params, pk = _read_public_key(reader.take(), backend)
     group = pk.group
     alpha = int.from_bytes(reader.take(32), "big")
     if not 0 < alpha < ORDER:
@@ -576,14 +638,7 @@ def decode_session_store(
         if session >= params.sessions:
             raise DecodeError("stored session index out of range")
         aux = SourceElement.deserialize(group, reader.take(48))
-        flat = reader.take(96 * params.subkey_count)
-        rows = []
-        for j in range(params.symbols):
-            row = []
-            for b in range(params.radix):
-                offset = 96 * (j * params.radix + b)
-                row.append(SourceElement.deserialize(group, flat[offset : offset + 96]))
-            rows.append(tuple(row))
-        materials.append(SessionKeyMaterial(session=session, subkeys=tuple(rows), aux=aux))
+        subkeys = _decode_subkeys(group, params, reader.take(96 * params.subkey_count))
+        materials.append(SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux))
     reader.finish()
     return params, pk, master, materials

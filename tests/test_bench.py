@@ -13,6 +13,7 @@ REQUIRED_KEYS = [
     "otsske.keygen.sk_ms",
     "otsske.sign_ms",
     "otsske.verify_ms",
+    "otsske.store_load_ms",
     "ecdsa.keygen_ms",
     "ecdsa.sign_ms",
     "ecdsa.verify_ms",
@@ -73,6 +74,7 @@ class TestReportSchema:
         table = small_report.to_table()
         assert "sign (compressed)" in table
         assert "ecdsa verify" in table
+        assert "store load (1 session)" in table
 
 
 class TestMeasurements:

@@ -118,3 +118,61 @@ def test_store_whose_exponent_disagrees_with_the_key_is_rejected(backend, sides)
     honest = scheme.PublicKey(group, SourceElement(group, b.g1_mul(G1_GENERATOR, 5), b.g2_mul(G2_GENERATOR, 5)), pk.h)
     data = scheme.encode_session_store(params, honest, scheme.MasterSecret(5, pk.g2.exp(5)), materials)
     assert scheme.decode_session_store(data, backend=backend)[1] == honest
+
+
+@pytest.mark.parametrize("sides", [(5, 7), (7, 5), (7, 7)])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_public_key_whose_g1_sides_disagree_is_rejected(backend, sides):
+    # g1 = (G1^a, G2^c) is a valid point on each side; only a = c is a key
+    group, table = encodings(backend)
+    _, (params, pk), _ = table["public_key"]
+    b = group.backend
+    a, c = sides
+    g1 = SourceElement(group, b.g1_mul(G1_GENERATOR, a), b.g2_mul(G2_GENERATOR, c))
+    data = scheme.encode_public_key(params, scheme.PublicKey(group, g1, pk.h))
+    if a != c:
+        with pytest.raises(DecodeError, match="the two sides of g1 disagree"):
+            scheme.decode_public_key(data, backend=backend)
+    else:
+        assert scheme.decode_public_key(data, backend=backend)[1].g1 == g1
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (1, 0), (0, 1), (0, 0)])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_with_a_swapped_subkey_is_rejected(backend, entry):
+    # one subkey replaced by another valid G2 point: a non-head entry, a row
+    # head, the entry (0, 1) that fixes the first row step, and the first head
+    group, table = encodings(backend)
+    _, (params, pk, _, _), data = table["session_store"]
+    j, b = entry
+    other = pk.g2.exp(12345).serialize()
+    offset = len(data) - 96 * (params.subkey_count - (j * params.radix + b))
+    assert data[offset : offset + 96] != other
+    swapped = data[:offset] + other + data[offset + 96 :]
+    with pytest.raises(DecodeError, match="does not continue its row"):
+        scheme.decode_session_store(swapped, backend=backend)
+
+
+SHAPES = [(2, 1), (2, 3), (3, 2), (4, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def two_session_store(backend, radix, symbols):
+    params = scheme.SchemeParams(sessions=2, symbols=symbols, radix=radix)
+    group = setup(256, backend=backend)
+    rng = DeterministicRandomness(b"store-shapes")
+    pk, master = scheme.keygen_setup(params, rng, group=group)
+    materials = [scheme.gen_session(pk, master, params, s, rng) for s in range(2)]
+    data = scheme.encode_session_store(params, pk, master, materials)
+    return (params, pk, master, materials), data
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"t{t}n{n}" for t, n in SHAPES])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_two_session_store_round_trips(backend, shape):
+    (params, pk, master, materials), data = two_session_store(backend, *shape)
+    assert scheme.decode_session_store(data, backend=backend) == (params, pk, master, materials)
+    # every backend writes and reads back the same store
+    for other in BACKENDS:
+        assert two_session_store(other, *shape)[1] == data
+        assert scheme.decode_session_store(data, backend=other)[3] == materials
