@@ -405,9 +405,20 @@ static void f12_mul(u64 *r, const u64 *a, const u64 *b)
     memcpy(r + 36, m, 288);
 }
 
-static inline void f12_sqr(u64 *r, const u64 *a)
+static void f12_sqr(u64 *r, const u64 *a)
 {
-    f12_mul(r, a, a);
+    /* (a0 + a1 w)^2 = ((a0 + a1)(a0 + v a1) - (1 + v) a0 a1) + 2 a0 a1 w:
+     * 2 Fp6 multiplications instead of 3, as pure._f12_sqr; r may alias a */
+    u64 t[36], s[36], u[36];
+    f6_mul(t, a, a + 36);
+    f6_add(s, a, a + 36);
+    f6_mul_v(u, a + 36);
+    f6_add(u, u, a);
+    f6_mul(s, s, u);
+    f6_sub(s, s, t);
+    f6_mul_v(u, t);
+    f6_sub(r, s, u);
+    f6_add(r + 36, t, t);
 }
 
 static void f12_conj(u64 *r, const u64 *a)
@@ -814,26 +825,87 @@ INLINE void comb_mul(const field *F, u64 *r, const comb *c, const u64 *k)
 /* ----------------------------------------------------------------- pairing */
 /* Ate pairing with the Miller variable T kept affine on the twist, as in
  * pure._miller; lines are premultiplied by w^3, which the final
- * exponentiation erases.  Several terms share one loop: one squaring of f
- * per bit, and at each step one inversion for all the terms' slopes. */
+ * exponentiation erases, so the line of slope lam through T is
+ * (lam*xT - yT) + (-lam*xP) v + yP v w at P, and a step multiplies f by
+ * that sparse element.  Several terms share one loop: one squaring of f per
+ * bit, and at each step one inversion for all the terms' slopes.  A term
+ * whose Q is a registered constant (lines_for) reads (lam*xT - yT, lam) per
+ * step from a table built at init (Costello-Stebila, LATINCRYPT 2010) and
+ * pays no slope, inversion or point update. */
+
+typedef u64 line_t[24]; /* (lam*xT - yT, lam) of one step */
 
 typedef struct {
-    u64 p[12];   /* P = (xp, yp) on G1 */
-    u64 q[24];   /* Q = (qx, qy) on the twist */
-    u64 t[24];   /* T = (tx, ty), the running multiple of Q */
-    u64 num[12]; /* slope of the step's line: num / den */
+    u64 p[12];           /* P = (xp, yp) on G1 */
+    u64 q[24];           /* Q = (qx, qy) on the twist */
+    const line_t *fixed; /* Q's line table when Q has one, else NULL */
+    u64 t[24];           /* T = (tx, ty), the running multiple of Q */
+    line_t line;         /* the step's line, for a term without a table */
+    u64 num[12];         /* slope of the step's line: num / den */
     u64 den[12];
     u64 prod[12]; /* den of this term times the den of every earlier one */
 } term;
 
-static int line_steps(u64 *f, term *terms, Py_ssize_t n, int chord)
+static void f6_mul_01(u64 *r, const u64 *x, const u64 *a, const u64 *b)
 {
-    /* f *= w^3 * l(P) for every term's line through T: the tangent
-     * (chord = 0) or the chord through Q (chord = 1); then T += T or Q.
-     * The denominators share one inversion (Montgomery's trick); -1 when
-     * one of them is zero.  The sparse line is (lam*xT - yT) at
-     * (k=0,j=0), (-lam*xP) at (k=0,j=1) and yP at (k=1,j=1). */
-    u64 l[72] = {0}, inv[12], s[12], lam[12], x3[12];
+    /* x * (a + b v): 5 Fp2 multiplications instead of 6, as pure._f6_mul_01;
+     * r may alias x */
+    u64 p0[12], p1[12], s[12], t[12], r0[12];
+    f2_mul(p0, x, a);
+    f2_mul(p1, x + 12, b);
+    f2_mul(r0, x + 24, b);
+    f2_mul(r0, r0, XI_M);
+    f2_add(r0, r0, p0);
+    f2_add(s, x, x + 12);
+    f2_add(t, a, b);
+    f2_mul(s, s, t);
+    f2_sub(s, s, p0);
+    f2_sub(s, s, p1);
+    f2_mul(t, x + 24, a);
+    f2_add(r + 24, t, p1);
+    memcpy(r + 12, s, 96);
+    memcpy(r, r0, 96);
+}
+
+static void f12_mul_line(u64 *f, const u64 *a, const u64 *b, const u64 *c)
+{
+    /* f *= a + b v + c v w for Fp2 a, b and Fp c, as pure._f12_mul_line
+     * (Aranha et al., EUROCRYPT 2011): 10 Fp2 multiplications and 6 by c,
+     * against 18 Fp2 multiplications dense */
+    u64 t0[36], t1[36], s[36], bc[12];
+    f6_mul_01(t0, f, a, b);
+    for (int j = 0; j < 36; j += 6)
+        fp_mul(s + j, f + 36 + j, c);
+    f6_mul_v(t1, s); /* f1 * c v */
+    f6_add(s, f, f + 36);
+    memcpy(bc, b, 96);
+    fp_add(bc, bc, c);
+    f6_mul_01(s, s, a, bc);
+    f6_sub(s, s, t0);
+    f6_sub(f + 36, s, t1);
+    f6_mul_v(t1, t1);
+    f6_add(f, t0, t1);
+}
+
+static void line_mul(u64 *f, const u64 *line, const u64 *p)
+{
+    /* f *= (lam*xT - yT) + (-lam*xP) v + yP v w for line = (lam*xT - yT, lam) */
+    u64 b[12];
+    fp_mul(b, line + 12, p);
+    fp_mul(b + 6, line + 18, p);
+    f2_neg(b, b);
+    f12_mul_line(f, line, b, p + 6);
+}
+
+static int slopes(term *terms, Py_ssize_t n, int chord)
+{
+    /* every term's line through T, the tangent (chord = 0) or the chord
+     * through Q (chord = 1), then T += T or Q, as pure._slopes.  The
+     * denominators share one inversion (Montgomery's trick); -1 when one of
+     * them is zero. */
+    u64 inv[12], s[12], x3[12];
+    if (!n)
+        return 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         term *e = terms + i;
         if (chord) {
@@ -855,7 +927,7 @@ static int line_steps(u64 *f, term *terms, Py_ssize_t n, int chord)
     f2_inv(inv, terms[n - 1].prod);
     for (Py_ssize_t i = n - 1; i >= 0; i--) {
         term *e = terms + i;
-        u64 *tx = e->t, *ty = e->t + 12;
+        u64 *tx = e->t, *ty = e->t + 12, *lam = e->line + 12;
         if (i) {
             /* inv = 1 / prod[i]: peel off den[i] */
             f2_mul(s, inv, terms[i - 1].prod);
@@ -864,12 +936,7 @@ static int line_steps(u64 *f, term *terms, Py_ssize_t n, int chord)
             memcpy(s, inv, 96);
         f2_mul(lam, e->num, s);
         f2_mul(s, lam, tx);
-        f2_sub(l, s, ty);
-        f2_neg(s, lam);
-        fp_mul(l + 12, s, e->p);
-        fp_mul(l + 18, s + 6, e->p);
-        memcpy(l + 48, e->p + 6, 48);
-        f12_mul(f, f, l);
+        f2_sub(e->line, s, ty);
         f2_sqr(x3, lam);
         f2_sub(x3, x3, tx);
         f2_sub(x3, x3, chord ? e->q : tx);
@@ -883,17 +950,73 @@ static int line_steps(u64 *f, term *terms, Py_ssize_t n, int chord)
 
 static int miller(u64 *f, term *terms, Py_ssize_t n)
 {
-    /* the product of the n >= 1 terms' Miller values; -1 on a zero slope denominator */
-    set_one(f, 72);
+    /* the product of the n >= 1 terms' Miller values; -1 on a zero slope
+     * denominator.  The terms with a line table are moved to the front, so
+     * that the others share the inversions. */
+    Py_ssize_t nf = 0;
     for (Py_ssize_t i = 0; i < n; i++)
+        if (terms[i].fixed) {
+            term tmp = terms[nf];
+            terms[nf++] = terms[i];
+            terms[i] = tmp;
+        }
+    set_one(f, 72);
+    for (Py_ssize_t i = nf; i < n; i++)
         memcpy(terms[i].t, terms[i].q, 192);
-    for (int i = 0; i < X_BIT_COUNT; i++) {
+    for (int i = 0, step = 0; i < X_BIT_COUNT; i++) {
         f12_sqr(f, f);
-        if (line_steps(f, terms, n, 0) || (X_BITS[i] && line_steps(f, terms, n, 1)))
-            return -1;
+        for (int chord = 0; chord <= X_BITS[i]; chord++, step++) {
+            if (slopes(terms + nf, n - nf, chord))
+                return -1;
+            for (Py_ssize_t j = 0; j < n; j++)
+                line_mul(f, j < nf ? terms[j].fixed[step] : terms[j].line, terms[j].p);
+        }
     }
     f12_conj(f, f); /* negative curve parameter */
     return 0;
+}
+
+/* Line tables of the constant G2 bases, as pure._line_table, built at init
+ * next to the combs.  The loop of |x| has one tangent per bit below the
+ * leading one and one chord per set bit among them: at most 2 * 63 steps. */
+
+#define MAX_STEPS 126
+
+typedef struct {
+    u64 base[24];           /* Q, affine Montgomery: the lookup key */
+    line_t line[MAX_STEPS]; /* the line of each step, in loop order */
+} line_table;
+
+static line_table LINES[2]; /* the G2 generator's and the auxiliary generator's */
+
+static int lines_build(const u64 *g2, const u64 *aux)
+{
+    /* both tables from their affine bases (Montgomery), in one loop that
+     * shares the inversions */
+    term t[2];
+    memcpy(LINES[0].base, g2, 192);
+    memcpy(LINES[1].base, aux, 192);
+    for (int k = 0; k < 2; k++) {
+        memcpy(t[k].q, LINES[k].base, 192);
+        memcpy(t[k].t, LINES[k].base, 192);
+    }
+    for (int i = 0, step = 0; i < X_BIT_COUNT; i++)
+        for (int chord = 0; chord <= X_BITS[i]; chord++, step++) {
+            if (slopes(t, 2, chord))
+                return -1;
+            for (int k = 0; k < 2; k++)
+                memcpy(LINES[k].line[step], t[k].line, sizeof(line_t));
+        }
+    return 0;
+}
+
+static const line_t *lines_for(const u64 *q)
+{
+    /* the line table whose base is the affine point q (Montgomery), or NULL */
+    for (int k = 0; k < 2; k++)
+        if (!memcmp(LINES[k].base, q, 192))
+            return LINES[k].line;
+    return NULL;
 }
 
 /* Granger-Scott squaring in the cyclotomic subgroup, as pure._cyc_sqr: with
@@ -1420,6 +1543,7 @@ static int term_from_py(term *t, PyObject *p, PyObject *q)
         return -1;
     to_mont(t->p, 12);
     to_mont(t->q, 24);
+    t->fixed = lines_for(t->q);
     return 1;
 }
 
@@ -1689,8 +1813,9 @@ static int base_from_py(const field *F, u64 *r, PyObject *mod, const char *name)
     return rc;
 }
 
-static int init_combs(PyObject *params, PyObject *pure)
+static int init_tables(PyObject *params, PyObject *pure)
 {
+    /* the combs of the three generators and the line tables of the G2 ones */
     u64 g1[12], g2[24], aux[24], r[6];
     ORDER_PY = PyObject_GetAttrString(params, "ORDER");
     if (!ORDER_PY || limbs_from_py(r, ORDER_PY, 6) || base_from_py(&G1, g1, params, "G1_GENERATOR")
@@ -1700,6 +1825,10 @@ static int init_combs(PyObject *params, PyObject *pure)
     comb_build(&G1, &COMB_G1, g1);
     comb_build(&G2, &COMB_G2, g2);
     comb_build(&G2, &COMB_AUX, aux);
+    if (lines_build(g2, aux)) {
+        PyErr_SetString(PyExc_ValueError, "a line slope has a zero denominator");
+        return -1;
+    }
     return 0;
 }
 
@@ -1740,7 +1869,7 @@ PyMODINIT_FUNC PyInit__core(void)
     PyObject *params = m ? PyImport_ImportModule("otsske.params") : NULL;
     PyObject *pure = params ? PyImport_ImportModule("otsske.backend.pure") : NULL;
     int ok = pure && !init_boundary() && !init_field(params) && !init_frobenius(pure)
-             && !init_pairing(params) && !init_combs(params, pure);
+             && !init_pairing(params) && !init_tables(params, pure);
     if (ok) {
         GT_ONE = PyObject_GetAttrString(pure, "GT_ONE");
         PyObject *aux = PyObject_GetAttrString(pure, "G2_AUX_GENERATOR");

@@ -186,7 +186,12 @@ def _f12_mul(a, b):
 
 
 def _f12_sqr(a):
-    return _f12_mul(a, a)
+    # (a0 + a1 w)^2 = ((a0 + a1)(a0 + v a1) - (1 + v) a0 a1) + 2 a0 a1 w:
+    # 2 Fp6 multiplications instead of 3
+    a0, a1 = a
+    t = _f6_mul(a0, a1)
+    c0 = _f6_sub(_f6_sub(_f6_mul(_f6_add(a0, a1), _f6_add(a0, _f6_mul_v(a1))), t), _f6_mul_v(t))
+    return (c0, _f6_add(t, t))
 
 
 def _f12_conj(a):
@@ -509,19 +514,26 @@ def _jac_to_affine(F, p):
     return (F.mul(x, zi2), F.mul(y, F.mul(zi2, zi)))
 
 
+def _batch_inv(F, values):
+    """The inverses of nonzero field elements, with one inversion (Montgomery's trick)."""
+    prefix = [values[0]]
+    for v in values[1:]:
+        prefix.append(F.mul(prefix[-1], v))
+    inv = F.inv(prefix[-1])  # 1 / (v_0 ... v_last)
+    out = [None] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = F.mul(inv, prefix[i - 1])
+        inv = F.mul(inv, values[i])
+    out[0] = inv
+    return out
+
+
 def _batch_to_affine(F, points):
-    """The affine forms of finite Jacobian points, with one inversion (Montgomery's trick)."""
-    prefix = [points[0][2]]
-    for _, _, z in points[1:]:
-        prefix.append(F.mul(prefix[-1], z))
-    inv = F.inv(prefix[-1])  # 1 / (z_0 ... z_last)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zi = F.mul(inv, prefix[i - 1]) if i else inv
-        inv = F.mul(inv, z)
+    """The affine forms of finite Jacobian points, with one inversion."""
+    out = []
+    for (x, y, _), zi in zip(points, _batch_inv(F, [z for _, _, z in points])):
         zi2 = F.sqr(zi)
-        out[i] = (F.mul(x, zi2), F.mul(y, F.mul(zi2, zi)))
+        out.append((F.mul(x, zi2), F.mul(y, F.mul(zi2, zi))))
     return out
 
 
@@ -623,36 +635,94 @@ g1_mul, g2_mul = partial(_mul, _G1), partial(_mul, _G2)
 
 
 # ---------------------------------------------------------------- pairing
-# Ate pairing with the Miller variable kept affine on the twist and lines
+# Ate pairing with the Miller variable T kept affine on the twist and lines
 # mapped to Fp12 through the untwisting (x, y) -> (x/w^2, y/w^3).  Each
 # line value is premultiplied by w^3, which lies in an Fp4 subfield and is
-# therefore erased by the final exponentiation.
+# therefore erased by the final exponentiation.  The line of slope lam
+# through T, at P, is then
+#   w^3 l(P) = (lam*xT - yT) + (-lam*xP) v + yP v w,
+# so a step needs only (lam*xT - yT, lam) from T and multiplies f by a
+# sparse element.  Several terms share one loop: one squaring of f per bit,
+# and at each step one inversion for all the terms' slopes (Montgomery's
+# trick).  The Miller variable of a registered constant Q (_LINE_BASES) is
+# never computed: its (lam*xT - yT, lam) per step come from a table built on
+# first use, the fixed-argument method of Costello-Stebila (LATINCRYPT 2010),
+# so its term pays no slope, inversion or point update.
+
+_LINE_BASES = set()
+_CHORDS = {"0": (False,), "1": (False, True)}  # the steps of one bit of |X|
 
 
-def _line_step(f, t, lam, sx, p):
-    # f * w^3 l(P) for the line of slope lam through T, and T + S for the
-    # S with x coordinate sx.  w^3 l(P) = (lam*xT - yT) + (-lam*xP) w^2 + yP w^3
-    a = _f2_sub(_f2_mul(lam, t[0]), t[1])
-    b = _f2_muls(_f2_neg(lam), p[0])
-    f = _f12_mul(f, ((a, b, _F2_ZERO), (_F2_ZERO, (p[1], 0), _F2_ZERO)))
-    x3 = _f2_sub(_f2_sub(_f2_sqr(lam), t[0]), sx)
-    return f, (x3, _f2_sub(_f2_mul(lam, _f2_sub(t[0], x3)), t[1]))
+def _f6_mul_01(x, a, b):
+    # x * (a + b v): 5 Fp2 multiplications instead of 6
+    x0, x1, x2 = x
+    p0 = _f2_mul(x0, a)
+    p1 = _f2_mul(x1, b)
+    c1 = _f2_sub(_f2_sub(_f2_mul(_f2_add(x0, x1), _f2_add(a, b)), p0), p1)
+    return (_f2_add(p0, _f2_mul(XI, _f2_mul(x2, b))), c1, _f2_add(_f2_mul(x2, a), p1))
+
+
+def _f12_mul_line(f, a, b, c):
+    """f * (a + b v + c v w) for Fp2 a, b and Fp c (Aranha et al., EUROCRYPT 2011).
+
+    Karatsuba over w with the line's sparse halves: 10 Fp2 multiplications
+    and 6 by the Fp element c, against 18 Fp2 multiplications dense.
+    """
+    f0, f1 = f
+    t0 = _f6_mul_01(f0, a, b)
+    y0, y1, y2 = f1
+    t1 = _f6_mul_v((_f2_muls(y0, c), _f2_muls(y1, c), _f2_muls(y2, c)))  # f1 * c v
+    s = _f6_mul_01(_f6_add(f0, f1), a, _f2_add(b, (c, 0)))
+    return (_f6_add(t0, _f6_mul_v(t1)), _f6_sub(_f6_sub(s, t0), t1))
+
+
+def _slopes(ts, qs, chord):
+    """The line of each T at one step, as (lam*xT - yT, lam): the tangent at
+    T (chord False) or the chord through T and Q, with T advanced in place to
+    2T or T + Q.  The slopes share one inversion."""
+    if not ts:
+        return []
+    if chord:
+        nums = [_f2_sub(yt, yq) for (_, yt), (_, yq) in zip(ts, qs)]
+        dens = [_f2_sub(xt, xq) for (xt, _), (xq, _) in zip(ts, qs)]
+    else:
+        nums = [_f2_muls(_f2_sqr(xt), 3) for xt, _ in ts]
+        dens = [_f2_muls(yt, 2) for _, yt in ts]
+    if _F2_ZERO in dens:
+        raise ValueError("a line slope has a zero denominator")
+    out = []
+    for i, inv in enumerate(_batch_inv(_G2, dens)):
+        lam = _f2_mul(nums[i], inv)
+        xt, yt = ts[i]
+        x3 = _f2_sub(_f2_sub(_f2_sqr(lam), xt), qs[i][0] if chord else xt)
+        ts[i] = (x3, _f2_sub(_f2_mul(lam, _f2_sub(xt, x3)), yt))
+        out.append((_f2_sub(_f2_mul(lam, xt), yt), lam))
+    return out
+
+
+@cache
+def _line_table(q2):
+    """The (lam*xT - yT, lam) of every step of Q's Miller loop, in order."""
+    ts = [q2]
+    return tuple(line for bit in _X_BITS for chord in _CHORDS[bit] for line in _slopes(ts, (q2,), chord))
 
 
 def _miller(terms):
-    # all (P, Q) terms in one loop, with one squaring of f per bit
+    # all (P, Q) terms in one loop: the registered Q read their lines from a
+    # table, the rest compute theirs with one inversion per step
+    fixed = [(p, _line_table(q2)) for p, q2 in terms if q2 in _LINE_BASES]
+    ps = [p for p, q2 in terms if q2 not in _LINE_BASES]
+    qs = [q2 for _, q2 in terms if q2 not in _LINE_BASES]
+    ts = list(qs)
     f = _F12_ONE
-    ts = [q2 for _, q2 in terms]
+    step = 0
     for bit in _X_BITS:
         f = _f12_sqr(f)
-        for i, (p, q2) in enumerate(terms):
-            t = ts[i]
-            lam = _f2_mul(_f2_muls(_f2_sqr(t[0]), 3), _f2_inv(_f2_muls(t[1], 2)))
-            f, t = _line_step(f, t, lam, t[0], p)
-            if bit == "1":
-                lam = _f2_mul(_f2_sub(t[1], q2[1]), _f2_inv(_f2_sub(t[0], q2[0])))
-                f, t = _line_step(f, t, lam, q2[0], p)
-            ts[i] = t
+        for chord in _CHORDS[bit]:
+            lines = [(p, table[step]) for p, table in fixed] + list(zip(ps, _slopes(ts, qs, chord)))
+            for p, (a, lam) in lines:
+                f = _f12_mul_line(f, a, _f2_muls(lam, Q - p[0]), p[1])
+            step += 1
     # parameter is negative: invert via conjugation (unitary after final exp)
     return _f12_conj(f)
 
@@ -826,3 +896,4 @@ def _derive_aux_generator():
 
 G2_AUX_GENERATOR = _derive_aux_generator()
 _COMB_BASES.update((G1_GENERATOR, G2_GENERATOR, G2_AUX_GENERATOR))
+_LINE_BASES.update((G2_GENERATOR, G2_AUX_GENERATOR))

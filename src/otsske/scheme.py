@@ -427,14 +427,19 @@ def verify_compressed(
     message: bytes,
     selection: Optional[IndexSelection] = None,
 ) -> bool:
-    """Check e(g, z) = e(g1, g2^n) * e(y, (g1^k h)^n); exactly 3 pairings."""
+    """Check e(g, z) = e(g1, g2^n) * e(y, (g1^k h)^n); exactly 3 pairings.
+
+    The factor e(g1, g2^n) is evaluated as e(g1^n, g2): a multiplication
+    by n on the first-group side, and a right argument that is the constant
+    g2, whose Miller-loop lines the backend reads from a table.
+    """
     if not 0 <= session < params.sessions:
         return False
     n = params.symbols
     sel = _selection_for(params, sig, message, selection)
     k = encode_index(params, session, sel.value)
     lhs = pair(pk.g, sig.z)
-    rhs = pair(pk.g1, pk.g2.exp(n)).mul(pair(sig.y, index_point(pk, k).exp(n)))
+    rhs = pair(pk.g1.first_only().exp(n), pk.g2).mul(pair(sig.y, index_point(pk, k).exp(n)))
     return lhs == rhs
 
 
@@ -545,8 +550,9 @@ def _read_public_key(data: bytes, backend: str | None) -> tuple[SchemeParams, Pu
 def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemeParams, PublicKey]:
     """Decode a public key whose g1 = (G1^a, G2^c) has a = c.
 
-    The sides are compared as e(g1_1, G2) == e(G1, g1_2): two pairing terms
-    and one final exponentiation.
+    The sides are compared as e(g1_1, G2) == e(G1, g1_2): two pairing terms,
+    the first on the generator's Miller-loop line table, and one final
+    exponentiation.
     """
     params, pk = _read_public_key(data, backend)
     if pair(pk.g1, pk.g) != pair(pk.g, pk.g1):

@@ -1,6 +1,7 @@
 """Group-law, pairing and encoding checks for both arithmetic backends."""
 
 import functools
+import hashlib
 import importlib.util
 import os
 import random
@@ -506,13 +507,25 @@ def test_differential_miller_loop(a, b, infinity):
     assert_agree("miller_loop", p, q)
 
 
+# the right arguments whose Miller-loop lines both backends read from a table
+LINE_BASES = (G2_GENERATOR, load_backend("pure").G2_AUX_GENERATOR)
+
+
 def miller_terms(data):
-    """0-4 (P, Q) terms, with points at infinity and a repeated term drawn in."""
+    """0-4 (P, Q) terms, with points at infinity, negated P, the table bases
+    as Q and a repeated term drawn in."""
     terms = []
     for _ in range(data.draw(st.integers(0, 3))):
         infinity = data.draw(st.sampled_from(["none", "none", "g1", "g2"]))
         p = () if infinity == "g1" else point("g1", data.draw(EXPONENTS))
-        q = () if infinity == "g2" else point("g2", data.draw(EXPONENTS))
+        if p and data.draw(st.booleans()):
+            p = load_backend("pure").g1_neg(p)
+        if infinity == "g2":
+            q = ()
+        elif data.draw(st.booleans()):
+            q = data.draw(st.sampled_from(LINE_BASES))
+        else:
+            q = point("g2", data.draw(EXPONENTS))
         terms.append((p, q))
     if terms and data.draw(st.booleans()):
         terms.append(data.draw(st.sampled_from(terms)))
@@ -566,13 +579,73 @@ def test_differential_multi_miller_loop_rejects_malformed(data):
             assert outcome(b.miller_loop, bad, False) == outcome(b.multi_miller_loop, ([bad],), False)
 
 
+def fixed_line_terms():
+    """A mix of table and variable Q: a negated P, an infinite P on a table
+    base, and a table term and a variable term each repeated."""
+    pure = load_backend("pure")
+    aux = pure.G2_AUX_GENERATOR
+    p5, p7 = pure.g1_mul(G1_GENERATOR, 5), pure.g1_mul(G1_GENERATOR, 7)
+    q11 = pure.g2_mul(G2_GENERATOR, 11)
+    return [(pure.g1_neg(p5), G2_GENERATOR), (p7, aux), (p5, q11), ((), aux), (p7, aux), (p5, q11)]
+
+
+# SHA-256 of multi_miller_loop(fixed_line_terms()), its 12 coefficients as
+# 48-byte big-endian integers: the value of the plain affine loop, which
+# computes every line from T and multiplies it in densely.  Table lines,
+# sparse products and shared inversions must leave every Miller value as is.
+FIXED_LINE_MILLER_SHA256 = "ff4913bf0be9803960a8661839caf7b0a61b0065d06569d945d3f9b036bba78e"
+
+
+def test_multi_miller_loop_golden(backend):
+    f = backend.multi_miller_loop(fixed_line_terms())
+    assert hashlib.sha256(b"".join(c.to_bytes(48, "big") for c in f)).hexdigest() == FIXED_LINE_MILLER_SHA256
+
+
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_fixed_lines_equal_computed_lines(data):
+    # with the registry emptied, pure computes the table bases' lines from T
+    # like any other Q: the Miller values must not change
+    pure = load_backend("pure")
+    terms = miller_terms(data) + [(point("g1", data.draw(NONZERO)), data.draw(st.sampled_from(LINE_BASES)))]
+    tabled = pure.multi_miller_loop(terms)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pure, "_LINE_BASES", set())
+        assert pure.multi_miller_loop(terms) == tabled
+
+
+@pytest.mark.parametrize("base", LINE_BASES)
+def test_fixed_line_pairing_against_definition(backend, base):
+    # e(P, Q) = e([k]P, [1/k]Q), and [1/k]Q is no table base
+    k = 0x1234567
+    p = backend.g1_mul(G1_GENERATOR, 99)
+    moved = (backend.g1_mul(p, k), backend.g2_mul(base, pow(k, -1, ORDER)))
+    assert backend.pairing(p, base) == backend.pairing(*moved)
+    assert backend.final_exp(backend.multi_miller_loop([(p, base), (backend.g1_neg(moved[0]), moved[1])])) \
+        == backend.GT_ONE
+
+
+def test_sparse_products_against_dense():
+    # the line product and the squaring against the dense Fp12 multiplication
+    pure = load_backend("pure")
+    rng = random.Random(5)
+    fp2 = lambda: (rng.randrange(FIELD_MODULUS), rng.randrange(FIELD_MODULUS))  # noqa: E731
+    zero = (0, 0)
+    for _ in range(5):
+        f = tuple(tuple(fp2() for _ in range(3)) for _ in range(2))
+        a, b, c = fp2(), fp2(), rng.randrange(FIELD_MODULUS)
+        line = ((a, b, zero), (zero, (c, 0), zero))
+        assert pure._f12_mul_line(f, a, b, c) == pure._f12_mul(f, line)
+        assert pure._f12_sqr(f) == pure._f12_mul(f, f)
+
+
 def test_multi_miller_loop_rejects_non_sequences_and_zero_slopes(backend):
     for pairs in (5, None, [5], [None]):
         with pytest.raises(TypeError):
             backend.multi_miller_loop(pairs)
-    # y = 0 makes the first tangent vertical; pure's inversion refuses it
+    # y = 0 makes the first tangent vertical, next to a term on a line table
     flat = (G2_GENERATOR[0], (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a line slope has a zero denominator"):
         backend.multi_miller_loop([(G1_GENERATOR, G2_GENERATOR), (G1_GENERATOR, flat)])
 
 

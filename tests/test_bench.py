@@ -65,8 +65,8 @@ class TestReportSchema:
         backends = {k.split(".")[1] for k in kv if k.startswith("backend.")}
         assert "pure" in backends
         for name in backends:
-            for op in ("pairing", "miller_loop", "multi_miller_loop", "final_exp", "g1_exp", "g2_exp",
-                       "g1_exp_fixed", "g2_exp_fixed", "g1_decompress", "g2_decompress",
+            for op in ("pairing", "miller_loop", "miller_loop_fixed", "multi_miller_loop", "final_exp",
+                       "g1_exp", "g2_exp", "g1_exp_fixed", "g2_exp_fixed", "g1_decompress", "g2_decompress",
                        "g1_in_subgroup", "g2_in_subgroup"):
                 assert f"backend.{name}.{op}_ms" in kv
 

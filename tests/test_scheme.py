@@ -14,7 +14,7 @@ from otsske.groups import (
     pairing_counter,
     reset_pairing_counter,
 )
-from otsske.params import ORDER
+from otsske.params import G2_GENERATOR, ORDER
 from otsske.scheme import CompressedSignature, FullSignature, SchemeParams
 
 
@@ -30,14 +30,18 @@ def session_randomness(params, seed=33):
 
 @pytest.fixture()
 def pairing_work(monkeypatch):
-    """Spies on every backend: the term count of each multi-Miller loop, and the final exps."""
-    work = {"terms": [], "final_exps": 0}
+    """Spies on every backend: the term count of each multi-Miller loop, the
+    constant right arguments among its terms (the bases with line tables), and
+    the final exps."""
+    work = {"terms": [], "fixed": [], "final_exps": 0}
     for name in available_backends():
         backend = load_backend(name)
+        constants = {G2_GENERATOR: "G2", backend.G2_AUX_GENERATOR: "aux"}
 
-        def multi_miller_loop(pairs, real=backend.multi_miller_loop):
+        def multi_miller_loop(pairs, real=backend.multi_miller_loop, constants=constants):
             pairs = tuple(pairs)
             work["terms"].append(len(pairs))
+            work["fixed"].append(tuple(constants[q] for _, q in pairs if q in constants))
             return real(pairs)
 
         def final_exp(f, real=backend.final_exp):
@@ -311,12 +315,13 @@ class TestSignatures:
         material, message, selection, subkeys = signed
         sig = scheme.sign_full(pk, medium_params, 1, subkeys, selection, material.aux,
                                message, DeterministicRandomness(60))
-        assert pairing_work == {"terms": [], "final_exps": 0}, "full signing must not pair"
+        assert pairing_work == {"terms": [], "fixed": [], "final_exps": 0}, "full signing must not pair"
         reset_pairing_counter()
         assert scheme.verify_full(pk, medium_params, 1, sig, message)
         assert pairing_counter() == 3
         # the three terms share one Miller loop and one final exponentiation
-        assert pairing_work == {"terms": [3], "final_exps": 1}
+        # no right argument of a full verify is a constant
+        assert pairing_work == {"terms": [3], "fixed": [()], "final_exps": 1}
 
     def test_full_randomized_but_both_verify(self, medium_params, medium_keys, signed):
         pk, _ = medium_keys
@@ -352,11 +357,12 @@ class TestSignatures:
         reset_pairing_counter()
         sig = scheme.sign_compressed(pk, medium_params, 1, subkeys, selection, material.aux)
         assert pairing_counter() == 0, "compressed signing must not pair"
-        assert pairing_work == {"terms": [], "final_exps": 0}
+        assert pairing_work == {"terms": [], "fixed": [], "final_exps": 0}
         reset_pairing_counter()
         assert scheme.verify_compressed(pk, medium_params, 1, sig, message)
         assert pairing_counter() == 3, "compressed verification is exactly three pairings"
-        assert pairing_work == {"terms": [3], "final_exps": 1}
+        # e(g1, g2^n) is evaluated as e(g1^n, g2): one term on g2's line table
+        assert pairing_work == {"terms": [3], "fixed": [("aux",)], "final_exps": 1}
 
     def test_compressed_deterministic(self, medium_params, medium_keys, signed):
         pk, _ = medium_keys
@@ -441,7 +447,7 @@ class TestSignatures:
         reset_pairing_counter()
         assert not scheme.verify_full(pk, medium_params, 1, sig, message)
         assert pairing_counter() == 0, "degenerate case must be rejected before pairing"
-        assert pairing_work == {"terms": [], "final_exps": 0}
+        assert pairing_work == {"terms": [], "fixed": [], "final_exps": 0}
 
 
 class TestRoundTripProperty:
@@ -471,10 +477,10 @@ class TestRoundTripProperty:
         subkeys = scheme.subkeys_at(material, selection)
         comp = scheme.sign_compressed(pk, toy_params, 0, subkeys, selection, material.aux)
         full = scheme.sign_full(pk, toy_params, 0, subkeys, selection, material.aux, message, rng)
-        assert pairing_work == {"terms": [], "final_exps": 0}
+        assert pairing_work == {"terms": [], "fixed": [], "final_exps": 0}
         assert scheme.verify_compressed(pk, toy_params, 0, comp, message)
         assert scheme.verify_full(pk, toy_params, 0, full, message)
-        assert pairing_work == {"terms": [3, 3], "final_exps": 2}
+        assert pairing_work == {"terms": [3, 3], "fixed": [("aux",), ()], "final_exps": 2}
 
 
 class TestCodecs:
@@ -520,12 +526,16 @@ class TestCodecs:
         assert scheme.verify_signature_bytes(pk, medium_params, 2, blob, message)
         assert not scheme.verify_signature_bytes(pk, medium_params, 2, blob[:-2], message)
 
-    def test_public_key_roundtrip(self, medium_params, medium_keys):
+    def test_public_key_roundtrip(self, medium_params, medium_keys, pairing_work):
         pk, _ = medium_keys
         blob = scheme.encode_public_key(medium_params, pk)
+        reset_pairing_counter()
         params2, pk2 = scheme.decode_public_key(blob)
         assert params2 == medium_params
         assert pk2 == pk
+        # e(g1_1, G2) == e(G1, g1_2): two terms, one on the generator's line table
+        assert pairing_counter() == 2
+        assert pairing_work == {"terms": [2], "fixed": [("G2",)], "final_exps": 1}
 
     def test_public_key_huge_symbol_count_rejected(self, medium_params, medium_keys):
         # the symbol count is an untrusted 8-byte field (the third one, body
