@@ -744,17 +744,37 @@ typedef struct {
 static comb COMB_G1, COMB_G2, COMB_AUX;
 static int COMB_COLS; /* d = ceil(bits of r / w) */
 
-INLINE void batch_to_affine(const field *F, u64 (*out)[24], u64 (*in)[36], int count)
+static void *new_array(Py_ssize_t count, size_t size)
 {
-    /* the affine forms of count finite Jacobian points with one inversion
-     * (Montgomery's trick), as pure._batch_to_affine */
+    /* PyMem_Malloc for count items of size bytes (at least one item), or
+     * NULL with MemoryError set */
+    void *p = (size_t)count <= PY_SSIZE_T_MAX / size ? PyMem_Malloc((count ? count : 1) * size) : NULL;
+    if (!p)
+        PyErr_NoMemory();
+    return p;
+}
+
+static int batch_to_affine(const field *F, u64 (*out)[24], u64 (*in)[36], Py_ssize_t count)
+{
+    /* the affine forms of count Jacobian points with one inversion
+     * (Montgomery's trick), as pure._batch_to_affine; a point at infinity
+     * (Z = 0) counts as Z = 1 in the products and its out entry is left as
+     * it is.  The prefix products are allocated per call: -1 with
+     * MemoryError set if that fails. */
     const int n = F->n;
-    u64 prefix[COMB_SIZE][12], inv[12], zi[12], zi2[12];
-    memcpy(prefix[0], in[0] + 2 * n, 8 * n);
-    for (int i = 1; i < count; i++)
-        F->mul(prefix[i], prefix[i - 1], in[i] + 2 * n);
-    F->inv(inv, prefix[count - 1]);
-    for (int i = count - 1; i >= 0; i--) {
+    u64 (*prefix)[12] = new_array(count, sizeof *prefix), inv[12], zi[12], zi2[12];
+    if (!prefix)
+        return -1;
+    set_one(inv, n);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (!F->is_zero(in[i] + 2 * n))
+            F->mul(inv, inv, in[i] + 2 * n);
+        memcpy(prefix[i], inv, 8 * n);
+    }
+    F->inv(inv, inv);
+    for (Py_ssize_t i = count - 1; i >= 0; i--) {
+        if (F->is_zero(in[i] + 2 * n))
+            continue;
         if (i) {
             F->mul(zi, inv, prefix[i - 1]);
             F->mul(inv, inv, in[i] + 2 * n);
@@ -765,9 +785,11 @@ INLINE void batch_to_affine(const field *F, u64 (*out)[24], u64 (*in)[36], int c
         F->mul(zi2, zi2, zi);
         F->mul(out[i] + n, in[i] + n, zi2);
     }
+    PyMem_Free(prefix);
+    return 0;
 }
 
-static void comb_build(const field *F, comb *c, const u64 *p)
+static int comb_build(const field *F, comb *c, const u64 *p)
 {
     /* p affine, Montgomery.  The rows [2^(i d)]P are made affine with one
      * inversion, then entry u = entry (u without its top bit) + row (top
@@ -783,7 +805,8 @@ static void comb_build(const field *F, comb *c, const u64 *p)
         for (int j = 0; j < COMB_COLS; j++)
             jac_double(F, jac[i], jac[i]);
     }
-    batch_to_affine(F, rows, jac, COMB_TEETH);
+    if (batch_to_affine(F, rows, jac, COMB_TEETH))
+        return -1;
     for (int u = 1; u < COMB_SIZE; u++) {
         int top = 31 - __builtin_clz(u), rest = u ^ (1 << top);
         if (rest)
@@ -793,7 +816,7 @@ static void comb_build(const field *F, comb *c, const u64 *p)
             set_one(jac[u] + 2 * n, n);
         }
     }
-    batch_to_affine(F, c->tab + 1, jac + 1, COMB_SIZE - 1);
+    return batch_to_affine(F, c->tab + 1, jac + 1, COMB_SIZE - 1);
 }
 
 INLINE const comb *comb_for(const field *F, const u64 *a)
@@ -1352,35 +1375,122 @@ INLINE PyObject *group_neg(const field *F, PyObject *p)
     return out;
 }
 
+static PyObject *points_to_py(const field *F, u64 (*jac)[36], Py_ssize_t count)
+{
+    /* the list of the affine forms of count Jacobian points, with one inversion */
+    const int n = F->n;
+    u64 (*aff)[24] = new_array(count, sizeof *aff);
+    PyObject *out = aff && !batch_to_affine(F, aff, jac, count) ? PyList_New(count) : NULL;
+    for (Py_ssize_t i = 0; out && i < count; i++) {
+        PyObject *p = INF;
+        if (F->is_zero(jac[i] + 2 * n))
+            Py_INCREF(p);
+        else {
+            from_mont(aff[i], aff[i], 2 * n);
+            p = py_from_limbs(aff[i], 2 * n);
+        }
+        if (p)
+            PyList_SET_ITEM(out, i, p);
+        else
+            Py_CLEAR(out);
+    }
+    PyMem_Free(aff);
+    return out;
+}
+
+INLINE PyObject *group_add_many(const field *F, PyObject *ps, PyObject *qs)
+{
+    /* P_i + Q_i by jac_add, made affine with one inversion; every P is
+     * parsed before every Q, as in pure._add_many */
+    PyObject *pt = PySequence_Tuple(ps), *qt = pt ? PySequence_Tuple(qs) : NULL, *out = NULL;
+    u64 (*jac)[36] = NULL, b[36];
+    if (!qt)
+        goto done;
+    Py_ssize_t len = PyTuple_GET_SIZE(pt);
+    if (PyTuple_GET_SIZE(qt) != len) {
+        PyErr_SetString(PyExc_ValueError, "expected two sequences of equal length");
+        goto done;
+    }
+    if (!(jac = new_array(len, sizeof *jac)))
+        goto done;
+    for (Py_ssize_t i = 0; i < len; i++)
+        if (point_from_py(F, jac[i], PyTuple_GET_ITEM(pt, i)) < 0)
+            goto done;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        if (point_from_py(F, b, PyTuple_GET_ITEM(qt, i)) < 0)
+            goto done;
+        jac_add(F, jac[i], jac[i], b);
+    }
+    out = points_to_py(F, jac, len);
+done:
+    PyMem_Free(jac);
+    Py_XDECREF(pt);
+    Py_XDECREF(qt);
+    return out;
+}
+
+static int mul_into(const field *F, u64 *r, const u64 *a, const comb *c, PyObject *v)
+{
+    /* r = [v]A (Jacobian) for an int v and a parsed point A: the comb c on
+     * v mod r when c is A's, the window otherwise; r may alias a */
+    u64 km[6], base[36];
+    int neg, rc;
+    if (c) {
+        PyObject *m = PyNumber_Remainder(v, ORDER_PY);
+        rc = m ? limbs_from_py(km, m, 6) : -1;
+        Py_XDECREF(m);
+        if (!rc)
+            comb_mul(F, r, c, km);
+        return rc;
+    }
+    PyObject *kb = scalar_bytes(v, &neg);
+    if (!kb)
+        return -1;
+    memcpy(base, a, 24 * F->n);
+    if (neg)
+        F->neg(base + F->n, base + F->n);
+    jac_mul(F, r, base, (const unsigned char *)PyBytes_AS_STRING(kb), PyBytes_GET_SIZE(kb));
+    Py_DECREF(kb);
+    return 0;
+}
+
 INLINE PyObject *group_mul(const field *F, PyObject *p, PyObject *k)
 {
-    /* a comb base takes its table with k mod r, any other point the window */
-    u64 a[36], km[6];
-    int neg, tp;
-    const comb *c;
-    PyObject *v = PyNumber_Index(k), *kb = NULL, *out = NULL;
+    u64 a[36];
+    int tp;
+    PyObject *v = PyNumber_Index(k), *out = NULL;
     if (!v)
         return NULL;
-    if ((tp = point_from_py(F, a, p)) < 0)
+    if ((tp = point_from_py(F, a, p)) >= 0 && !mul_into(F, a, a, tp ? comb_for(F, a) : NULL, v))
+        out = point_to_py(F, a);
+    Py_DECREF(v);
+    return out;
+}
+
+INLINE PyObject *group_mul_many(const field *F, PyObject *p, PyObject *ks)
+{
+    /* [k]P for each k, as group_mul, made affine with one inversion; the
+     * point is read before the scalars, as in pure._mul_many */
+    u64 a[36], (*jac)[36] = NULL;
+    int tp = point_from_py(F, a, p);
+    PyObject *kt = tp < 0 ? NULL : PySequence_Tuple(ks), *out = NULL;
+    if (!kt)
+        return NULL;
+    Py_ssize_t len = PyTuple_GET_SIZE(kt);
+    const comb *c = tp ? comb_for(F, a) : NULL;
+    if (!(jac = new_array(len, sizeof *jac)))
         goto done;
-    if (tp && (c = comb_for(F, a))) {
-        PyObject *m = PyNumber_Remainder(v, ORDER_PY);
-        int rc = m ? limbs_from_py(km, m, 6) : -1;
-        Py_XDECREF(m);
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *v = PyNumber_Index(PyTuple_GET_ITEM(kt, i));
+        int rc = v ? mul_into(F, jac[i], a, c, v) : -1;
+        Py_XDECREF(v);
         if (rc)
             goto done;
-        comb_mul(F, a, c, km);
-    } else {
-        if (!(kb = scalar_bytes(v, &neg)))
-            goto done;
-        if (neg)
-            F->neg(a + F->n, a + F->n);
-        jac_mul(F, a, a, (const unsigned char *)PyBytes_AS_STRING(kb), PyBytes_GET_SIZE(kb));
     }
-    out = point_to_py(F, a);
+    out = points_to_py(F, jac, len);
 done:
-    Py_DECREF(v);
-    Py_XDECREF(kb);
+    PyMem_Free(jac);
+    Py_DECREF(kt);
     return out;
 }
 
@@ -1524,6 +1634,8 @@ BINARY(g1_add, group_add, &G1)
 BINARY(g2_add, group_add, &G2)
 BINARY(g1_mul, group_mul, &G1)
 BINARY(g2_mul, group_mul, &G2)
+BINARY(g2_add_many, group_add_many, &G2)
+BINARY(g2_mul_many, group_mul_many, &G2)
 UNARY(g1_neg, group_neg, &G1)
 UNARY(g1_in_subgroup, group_in_subgroup, &G1)
 UNARY(g2_in_subgroup, group_in_subgroup, &G2)
@@ -1680,6 +1792,8 @@ static PyMethodDef methods[] = {
     {"g2_add", FASTCALL(g2_add), "P + S in G2."},
     {"g1_mul", FASTCALL(g1_mul), "[k]P in G1 for any integer k."},
     {"g2_mul", FASTCALL(g2_mul), "[k]P in G2 for any integer k."},
+    {"g2_add_many", FASTCALL(g2_add_many), "[P_i + Q_i] for two G2 sequences of equal length, with one inversion."},
+    {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2, with one inversion."},
     {"g1_neg", g1_neg, METH_O, "-P in G1."},
     {"g1_in_subgroup", g1_in_subgroup, METH_O, "Whether an on-curve G1 point has order r: phi(P) == -[x^2]P."},
     {"g2_in_subgroup", g2_in_subgroup, METH_O, "Whether an on-curve G2 point has order r: psi(P) == [x]P."},
@@ -1822,9 +1936,8 @@ static int init_tables(PyObject *params, PyObject *pure)
         || base_from_py(&G2, g2, params, "G2_GENERATOR") || base_from_py(&G2, aux, pure, "G2_AUX_GENERATOR"))
         return -1;
     COMB_COLS = (bit_length(r) + COMB_TEETH - 1) / COMB_TEETH;
-    comb_build(&G1, &COMB_G1, g1);
-    comb_build(&G2, &COMB_G2, g2);
-    comb_build(&G2, &COMB_AUX, aux);
+    if (comb_build(&G1, &COMB_G1, g1) || comb_build(&G2, &COMB_G2, g2) || comb_build(&G2, &COMB_AUX, aux))
+        return -1;
     if (lines_build(g2, aux)) {
         PyErr_SetString(PyExc_ValueError, "a line slope has a zero denominator");
         return -1;

@@ -323,6 +323,8 @@ class _Field(NamedTuple):
     muls: Callable  # times a small integer
     neg: Callable
     inv: Callable
+    norm: Callable  # N(a), in Fp
+    inv_by_norm: Callable  # 1/a from a and 1/N(a)
     sqrt: Callable  # a square root, or None if there is none
     zero: object
     one: object
@@ -345,6 +347,8 @@ _G1 = _Field(
     muls=lambda a, s: a * s % Q,
     neg=lambda a: -a % Q,
     inv=lambda a: pow(a, -1, Q),
+    norm=lambda a: a,
+    inv_by_norm=lambda a, s: s,
     sqrt=_fp_sqrt,
     zero=0,
     one=1,
@@ -357,7 +361,10 @@ _G1 = _Field(
     chains=2,
 )
 _G2 = _Field(
-    _f2_add, _f2_sub, _f2_mul, _f2_sqr, _f2_muls, _f2_neg, _f2_inv, _f2_sqrt, _F2_ZERO, _F2_ONE, B_TWIST,
+    _f2_add, _f2_sub, _f2_mul, _f2_sqr, _f2_muls, _f2_neg, _f2_inv,
+    norm=lambda a: (a[0] * a[0] + a[1] * a[1]) % Q,
+    inv_by_norm=lambda a, s: (a[0] * s % Q, -a[1] * s % Q),  # conj(a) / N(a)
+    sqrt=_f2_sqrt, zero=_F2_ZERO, one=_F2_ONE, b=B_TWIST,
     point=lambda p: tuple(map(_fp_pair, _pair(p))),
     wire=lambda x: (x[1], x[0]),  # c1 || c0
     unwire=lambda c: (c[1], c[0]),
@@ -376,24 +383,75 @@ def _rhs(F, x):
     return F.add(F.mul(F.sqr(x), x), F.b)
 
 
+def _batch_inv(F, values):
+    """The inverses of nonzero field elements, with one inversion in Fp:
+    Montgomery's trick over their norms N(a), which are integers."""
+    norms = [F.norm(v) for v in values]
+    prefix = []
+    acc = 1
+    for n in norms:
+        acc = acc * n % Q
+        prefix.append(acc)
+    inv = pow(acc, -1, Q)  # 1 / (N_0 ... N_last)
+    out = [None] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = F.inv_by_norm(values[i], inv * prefix[i - 1] % Q)
+        inv = inv * norms[i] % Q
+    if values:
+        out[0] = F.inv_by_norm(values[0], inv)
+    return out
+
+
+def _slope(F, p, s):
+    """The slope of the line through finite P and S as (numerator,
+    denominator), or None where P + S is infinity."""
+    (x1, y1), (x2, y2) = p, s
+    if x1 != x2:
+        return F.sub(y2, y1), F.sub(x2, x1)
+    # as _core.c's jac_add: only P + P with y != 0 doubles, also off the curve
+    if y1 != y2 or y1 == F.zero:
+        return None
+    return F.muls(F.sqr(x1), 3), F.muls(y1, 2)
+
+
+def _third_point(F, p, s, lam):
+    """P + S from the slope lam of the line through them."""
+    (x1, y1), x2 = p, s[0]
+    x3 = F.sub(F.sub(F.sqr(lam), x1), x2)
+    return (x3, F.sub(F.mul(lam, F.sub(x1, x3)), y1))
+
+
 def _add(F, p, s):
     p, s = _point(F, p), _point(F, s)
-    if not p:
-        return s
-    if not s:
-        return p
-    sub, mul, sqr, muls = F.sub, F.mul, F.sqr, F.muls
-    x1, y1 = p
-    x2, y2 = s
-    if x1 == x2:
-        # as _core.c's jac_add: only P + P with y != 0 doubles, also off the curve
-        if y1 != y2 or y1 == F.zero:
-            return INFINITY
-        lam = mul(muls(sqr(x1), 3), F.inv(muls(y1, 2)))
-    else:
-        lam = mul(sub(y2, y1), F.inv(sub(x2, x1)))
-    x3 = sub(sub(sqr(lam), x1), x2)
-    return (x3, sub(mul(lam, sub(x1, x3)), y1))
+    if not p or not s:
+        return p or s
+    slope = _slope(F, p, s)
+    return _third_point(F, p, s, F.mul(slope[0], F.inv(slope[1]))) if slope else INFINITY
+
+
+def _sums(F, ps, qs):
+    """P_i + Q_i for parsed affine points, with one inversion for all the slopes."""
+    out = list(ps)
+    todo, slopes = [], []
+    for i, (p, s) in enumerate(zip(ps, qs)):
+        if not p or not s:
+            out[i] = p or s
+        elif slope := _slope(F, p, s):
+            todo.append(i)
+            slopes.append(slope)
+        else:
+            out[i] = INFINITY
+    for i, (num, _), inv in zip(todo, slopes, _batch_inv(F, [den for _, den in slopes])):
+        out[i] = _third_point(F, ps[i], qs[i], F.mul(num, inv))
+    return out
+
+
+def _add_many(F, ps, qs):
+    """P_i + Q_i for each i, with one inversion."""
+    ps, qs = tuple(ps), tuple(qs)
+    if len(ps) != len(qs):
+        raise ValueError("expected two sequences of equal length")
+    return _sums(F, [_point(F, p) for p in ps], [_point(F, s) for s in qs])
 
 
 def _neg(F, p):
@@ -407,6 +465,7 @@ def _on_curve(F, p):
 
 
 g1_add, g2_add = partial(_add, _G1), partial(_add, _G2)
+g2_add_many = partial(_add_many, _G2)
 g1_neg, g2_neg = partial(_neg, _G1), partial(_neg, _G2)
 g1_on_curve, g2_on_curve = partial(_on_curve, _G1), partial(_on_curve, _G2)
 
@@ -514,20 +573,6 @@ def _jac_to_affine(F, p):
     return (F.mul(x, zi2), F.mul(y, F.mul(zi2, zi)))
 
 
-def _batch_inv(F, values):
-    """The inverses of nonzero field elements, with one inversion (Montgomery's trick)."""
-    prefix = [values[0]]
-    for v in values[1:]:
-        prefix.append(F.mul(prefix[-1], v))
-    inv = F.inv(prefix[-1])  # 1 / (v_0 ... v_last)
-    out = [None] * len(values)
-    for i in range(len(values) - 1, 0, -1):
-        out[i] = F.mul(inv, prefix[i - 1])
-        inv = F.mul(inv, values[i])
-    out[0] = inv
-    return out
-
-
 def _batch_to_affine(F, points):
     """The affine forms of finite Jacobian points, with one inversion."""
     out = []
@@ -580,7 +625,11 @@ g1_in_subgroup, g2_in_subgroup = partial(_in_subgroup, _G1), partial(_in_subgrou
 # and k mod r < 2^(w d) is read as w rows of d bits: column j gathers bit j of
 # every row into an index u, and the table holds, at u, the affine sum of
 # [2^(i d)]P over the set bits i of u.  A multiplication is then d doublings
-# and at most d mixed additions, with one inversion at the end.
+# and at most d mixed additions, with one inversion at the end.  Several
+# multiplications of one base run side by side in affine coordinates
+# instead: each column is one doubling and one addition of every chain, and
+# each of those shares one inversion across the chains, which in CPython
+# costs less than the Jacobian formulas' extra multiplications.
 
 _COMB_TEETH = 6  # w
 _COMB_COLS = -(-ORDER.bit_length() // _COMB_TEETH)  # d
@@ -589,7 +638,7 @@ _COMB_BASES = set()
 
 @cache
 def _comb_table(F, p):
-    """The 2^w affine comb entries of P, built on first use (None at index 0)."""
+    """The 2^w affine comb entries of P, built on first use (infinity at index 0)."""
     rows = [(p[0], p[1], F.one)]
     for _ in range(_COMB_TEETH - 1):
         t = rows[-1]
@@ -604,22 +653,35 @@ def _comb_table(F, p):
         top = u.bit_length() - 1
         rest = u ^ (1 << top)
         table.append(_jac_madd(F, table[rest], rows[top]) if rest else (*rows[top], F.one))
-    return [None] + _batch_to_affine(F, table[1:])
+    return [INFINITY] + _batch_to_affine(F, table[1:])
+
+
+def _comb_columns(k):
+    """The table index u of each column of 0 <= k < 2^(w d), column d - 1 first."""
+    mask = (1 << _COMB_COLS) - 1
+    # the rows as d-digit binary strings, row w - 1 first: a column's digits
+    # then read as u, high bit first
+    rows = [format((k >> (i * _COMB_COLS)) & mask, f"0{_COMB_COLS}b") for i in reversed(range(_COMB_TEETH))]
+    return [int("".join(column), 2) for column in zip(*rows)]
 
 
 def _comb_mul(F, table, k):
     """[k]P for 0 <= k < 2^(w d), from P's comb table."""
-    mask = (1 << _COMB_COLS) - 1
-    rows = [(k >> (i * _COMB_COLS)) & mask for i in range(_COMB_TEETH)]
     acc = (F.one, F.one, F.zero)
-    for j in range(_COMB_COLS - 1, -1, -1):
+    for u in _comb_columns(k):
         acc = _jac_double(F, acc)
-        u = 0
-        for i, row in enumerate(rows):
-            u |= ((row >> j) & 1) << i
         if u:
             acc = _jac_madd(F, acc, table[u])
     return _jac_to_affine(F, acc)
+
+
+def _comb_mul_many(F, table, ks):
+    """[k]P for each 0 <= k < 2^(w d), the chains side by side in affine coordinates."""
+    accs = [INFINITY] * len(ks)
+    for us in zip(*map(_comb_columns, ks)):
+        accs = _sums(F, accs, accs)
+        accs = _sums(F, accs, [table[u] for u in us])
+    return accs
 
 
 def _mul(F, p, k):
@@ -631,7 +693,18 @@ def _mul(F, p, k):
     return _jac_mul(F, p, k)
 
 
+def _mul_many(F, p, ks):
+    """[k]P for each k in ks, as _mul computes it: the combs side by side for
+    a table base, one windowed chain per scalar otherwise."""
+    p = _point(F, p)
+    ks = [index(k) for k in ks]
+    if p in _COMB_BASES:
+        return _comb_mul_many(F, _comb_table(F, p), [k % ORDER for k in ks])
+    return [_jac_mul(F, p, k) for k in ks]
+
+
 g1_mul, g2_mul = partial(_mul, _G1), partial(_mul, _G2)
+g2_mul_many = partial(_mul_many, _G2)
 
 
 # ---------------------------------------------------------------- pairing

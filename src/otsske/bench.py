@@ -2,10 +2,15 @@
 
 Timed regions
 -------------
-* ``keygen.v``      blinding-factor phase: sampling the beta exponents and
-                    computing the n blinding points g^beta.
-* ``keygen.aux``    sampling r and computing the session's aux value g^r.
-* ``keygen.sk``     filling the n x t subkey matrix.
+* ``keygen.v``      sampling r and the beta exponents, then one
+                    ``g2_mul_many`` on the G2 generator's comb: the n
+                    blinding points g^beta_j, each offset by the session
+                    term g^(alpha r i t^n), and the first row step
+                    g^(alpha r n).
+* ``keygen.aux``    the session's aux value g^r.
+* ``keygen.sk``     filling the n x t subkey matrix: h^r, the n row heads
+                    (one ``g2_add_many``) and the row walk (n - 1 steps
+                    times t, then t - 1 ``g2_add_many`` calls).
 * ``keygen.total``  one full session generation (the three phases plus glue).
 * ``sign``          subset selection + compressed signing (zero pairings).
 * ``verify``        compressed verification (exactly three pairings).
@@ -229,7 +234,8 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
     """Per-backend costs: pairing and its halves on a variable Q ([3]g),
     the Miller loop on g2's line table, a verify's 3-term loop,
     exponentiation on a variable base and on the fixed-base tables of g and
-    g2, decoding and the subgroup check alone."""
+    g2, 32 multiples of the G2 generator in one ``g2_mul_many`` (a session's
+    blinding points), decoding and the subgroup check alone."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
@@ -238,6 +244,7 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
         g2 = aux_generator(group)
         g3 = g.exp(3)  # no table base
         exponent = group.order - 3
+        scalars = [exponent - i for i in range(32)]
         b = group.backend
         f = b.miller_loop(g.first, g3.second)
         # a verify's equation: a negated G1 side, and two variable Q with g2 between them
@@ -253,6 +260,7 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
             "g1_exp": _measure(lambda: g3.first_only().exp(exponent), reps, 1),
             "g2_exp_fixed": _measure(lambda: g.second_only().exp(exponent), reps, 1),
             "g1_exp_fixed": _measure(lambda: g.first_only().exp(exponent), reps, 1),
+            "g2_mul_many": _measure(lambda: b.g2_mul_many(g.second, scalars), reps, 1),
             "g1_decompress": _measure(lambda: b.g1_decompress(g1_bytes), reps, 1),
             "g2_decompress": _measure(lambda: b.g2_decompress(g2_bytes), reps, 1),
             "g1_in_subgroup": _measure(lambda: b.g1_in_subgroup(g.first), reps, 1),

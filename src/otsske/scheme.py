@@ -179,15 +179,25 @@ def _session_randomness(params: SchemeParams, rng) -> tuple[Scalar, tuple[Scalar
     return r, tuple(betas)
 
 
-def _blinding_points(pk: PublicKey, betas: Sequence[Scalar]) -> list[tuple]:
-    # v_j = g^beta_j, needed only on the second-group side
-    backend = pk.group.backend
-    base = pk.g.second
-    return [backend.g2_mul(base, beta) for beta in betas]
-
-
 def _aux_element(pk: PublicKey, r: Scalar) -> SourceElement:
     return SourceElement(pk.group, pk.group.backend.g1_mul(pk.g.first, r), None)
+
+
+def _generator_terms(
+    pk: PublicKey, params: SchemeParams, master: MasterSecret, session: int, r: Scalar, betas: Sequence[Scalar]
+) -> tuple[list[tuple], tuple]:
+    """The matrix's G2-generator multiples, in one ``g2_mul_many`` call.
+
+    Since g1 = g^alpha, (g1^k)^r = g^(alpha r k).  So row j's blinding point
+    v_j = g^beta_j takes the session offset (g1^(i t^n))^r as
+    g^(beta_j + alpha r i t^n), and the first row step (g1^n)^r is
+    g^(alpha r n).  Returns the n offset blinding points and that step.
+    """
+    ar = master.alpha * r
+    offset = ar * session * params.space
+    scalars = [(beta + offset) % ORDER for beta in betas] + [ar * params.symbols % ORDER]
+    points = pk.group.backend.g2_mul_many(pk.g.second, scalars)
+    return points[:-1], points[-1]
 
 
 def _walk_rows(
@@ -196,41 +206,41 @@ def _walk_rows(
     """Rows of a subkey matrix: row j is head_j + b*S_j for b in [0, t),
     with S_0 = step and S_(j+1) = t*S_j.
 
-    Session generation and store loading both build their rows here, so a
-    loaded matrix is rebuilt exactly as it was generated.
+    The rows advance side by side, one column per ``g2_add_many`` call, so a
+    column's n additions share one inversion.  Session generation and store
+    loading both build their rows here, so a loaded matrix is rebuilt
+    exactly as it was generated.
     """
     backend = group.backend
-    rows = []
-    for head in heads:
-        row = [head]
-        for _ in range(t - 1):
-            row.append(backend.g2_add(row[-1], step))
-        rows.append(tuple(SourceElement(group, None, point) for point in row))
-        step = backend.g2_mul(step, t)
-    return tuple(rows)
+    steps = [step]
+    for _ in range(len(heads) - 1):
+        steps.append(backend.g2_mul(steps[-1], t))
+    columns = [list(heads)]
+    for _ in range(t - 1):
+        columns.append(backend.g2_add_many(columns[-1], steps))
+    return tuple(tuple(SourceElement(group, None, column[j]) for column in columns) for j in range(len(heads)))
 
 
 def _subkey_matrix(
     pk: PublicKey,
-    params: SchemeParams,
     master: MasterSecret,
-    session: int,
     r: Scalar,
     blinding: Sequence[tuple],
+    step: tuple,
+    t: int,
 ) -> tuple[tuple[SourceElement, ...], ...]:
     """Fill the n x t matrix: entry (j, b) = g2^a * (g1^(i*t^n + b*n*t^j) h)^r * v_j.
 
-    The g1/h powers of r are computed once and reused; walking b in order
-    turns each row into t-1 group additions instead of t exponentiations.
+    Requires pk.g1 = g^alpha for alpha = master.alpha.  Then every g1 power
+    is a generator multiple that ``_generator_terms`` already folded into
+    ``blinding`` (the offset v_j) and ``step`` (g^(alpha r n)), so the one
+    variable-base multiplication left is h^r: row j starts at
+    C * blinding_j with C = g2^a * h^r, and walking b in order turns each row
+    into t-1 group additions instead of t exponentiations.
     """
     backend = pk.group.backend
-    n, t = params.symbols, params.radix
-    w = backend.g2_mul(pk.g1.second, r)  # (g1^r)
-    hr = backend.g2_mul(pk.h.second, r)  # (h^r)
-    base = backend.g2_add(master.g2_alpha.second, hr)
-    base = backend.g2_add(base, backend.g2_mul(w, session * params.space % ORDER))
-    heads = [backend.g2_add(base, v) for v in blinding]
-    step = backend.g2_mul(w, n % ORDER)  # w^(n * t^0)
+    c = backend.g2_add(master.g2_alpha.second, backend.g2_mul(pk.h.second, r))
+    heads = backend.g2_add_many([c] * len(blinding), blinding)
     return _walk_rows(pk.group, heads, step, t)
 
 
@@ -244,11 +254,16 @@ def gen_session(
 ) -> SessionKeyMaterial:
     """Generate one session's key material.
 
-    The generation transients (r and the blinding exponents) never leave
-    this call.
+    Requires pk.g1 = g^alpha for alpha = master.alpha, as ``keygen_setup``
+    makes it and ``decode_session_store`` checks it: the g1 powers of the
+    matrix are then computed as multiples of the G2 generator (see
+    ``_subkey_matrix``).  The generation transients (r and the blinding
+    exponents) never leave this call.
 
     ``phase_sink``, when given, is called with the name of each phase as it
-    ends: ``"v"`` (blinding points), ``"aux"`` and ``"sk"`` (subkey matrix).
+    ends: ``"v"`` (drawing r and the betas, then the n offset blinding
+    points and the first row step, all on the G2 generator's comb),
+    ``"aux"`` (g^r) and ``"sk"`` (h^r, the row heads and the row walk).
     The benchmark times the phases of a call with it, so that the phase
     times and the call's total come from the same run.
     """
@@ -256,11 +271,11 @@ def gen_session(
         raise ParameterError(f"session {session} outside [0, {params.sessions})")
     mark = phase_sink or (lambda _phase: None)
     r, betas = _session_randomness(params, rng)
-    blinding = _blinding_points(pk, betas)
+    blinding, step = _generator_terms(pk, params, master, session, r, betas)
     mark("v")
     aux = _aux_element(pk, r)
     mark("aux")
-    subkeys = _subkey_matrix(pk, params, master, session, r, blinding)
+    subkeys = _subkey_matrix(pk, master, r, blinding, step, params.radix)
     mark("sk")
     return SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux)
 

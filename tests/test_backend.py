@@ -58,8 +58,8 @@ def traced_names():
 TRACED = traced_names()
 # groups.py, scheme.py and bench.py read these
 READ = ("NAME", "GT_ONE", "G2_AUX_GENERATOR", "g1_add", "g2_add", "g1_mul", "g2_mul", "g1_neg",
-        "g1_compress", "g2_compress", "g1_decompress", "g2_decompress", "g1_in_subgroup",
-        "g2_in_subgroup", "pairing", "miller_loop", "multi_miller_loop", "final_exp")
+        "g2_add_many", "g2_mul_many", "g1_compress", "g2_compress", "g1_decompress", "g2_decompress",
+        "g1_in_subgroup", "g2_in_subgroup", "pairing", "miller_loop", "multi_miller_loop", "final_exp")
 
 
 def test_backend_surface(backend):
@@ -853,3 +853,97 @@ def test_subgroup_check_against_definition(group, kind, data):
         b = load_backend(name)
         assert getattr(b, f"{group}_in_subgroup")(p) is expected, (name, p)
         assert outcome(getattr(b, f"{group}_decompress"), (encoding,), True) == decoded, (name, p)
+
+
+# ------------------------------------------------------------ batched G2
+# g2_mul_many and g2_add_many share one inversion across their elements.
+# Each must equal one g2_mul or g2_add per element, in both backends, and
+# the two backends must refuse the same input with the same exception.
+
+BATCH = ("g2_mul_many", "g2_add_many")
+BATCH_SCALARS = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1, ORDER, -ORDER, ORDER + 1, 2 * ORDER, -ORDER - 5]),
+              st.integers(-(2**256), 2**256)),
+    max_size=4,
+)
+
+
+@given(data=st.data(), ks=BATCH_SCALARS)
+@settings(max_examples=8, deadline=None)
+def test_g2_mul_many_against_g2_mul(data, ks):
+    # the two comb bases, a point with no table, and infinity
+    aux = load_backend("pure").G2_AUX_GENERATOR
+    for p in (G2_GENERATOR, aux, point("g2", data.draw(NONZERO)), ()):
+        for name in BACKENDS:
+            b = load_backend(name)
+            assert b.g2_mul_many(p, ks) == [b.g2_mul(p, k) for k in ks], (name, p, ks)
+        assert_agree("g2_mul_many", p, ks)
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_g2_add_many_against_g2_add(data):
+    pure = load_backend("pure")
+    p, s = point("g2", data.draw(NONZERO)), point("g2", data.draw(EXPONENTS))
+    off = replaced(p, (1,), (5, 0))  # p's x off the curve: equal-x sums as g2_add does them
+    # P + P, P + (-P), P + O, equal x with unequal y, and unrelated points
+    summands = st.sampled_from([p, s, (), pure.g2_neg(p), off])
+    pairs = data.draw(st.lists(st.tuples(summands, summands), max_size=6))
+    ps, qs = [a for a, _ in pairs], [c for _, c in pairs]
+    for name in BACKENDS:
+        b = load_backend(name)
+        assert b.g2_add_many(ps, qs) == [b.g2_add(a, c) for a, c in pairs], (name, pairs)
+    assert_agree("g2_add_many", ps, qs)
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_g2_batches_reject_malformed(data):
+    p = point("g2", data.draw(NONZERO))
+    for bad in malformed("g2", p, data):
+        assert_agree("g2_add_many", [p, bad], [p, p], message=True)
+        assert_agree("g2_add_many", [p, p], [bad, p], message=True)
+        assert_agree("g2_mul_many", bad, [1, 2], message=True)
+        # the point is read before the scalars
+        assert_agree("g2_mul_many", bad, [3, 1.5], message=True)
+    for args in (([p], []), ([], [p]), ([p, p], [p]), (5, [p]), ([p], None)):
+        assert_agree("g2_add_many", *args, message=True)
+    for ks in (5, None, [1, "2"], [2**300, None]):
+        assert_agree("g2_mul_many", p, ks, message=True)
+
+
+@functools.cache
+def batch_case(count):
+    """count generator scalars and small scalars, with the points they give, one g2_mul each."""
+    rnd = random.Random(count)
+    ks = [rnd.randrange(ORDER) for _ in range(count)]
+    small = [rnd.randrange(-50, 50) for _ in range(count)]
+    points = [point("g2", k) for k in ks]
+    sums = [load_backend("native").g2_add(a, b) for a, b in zip(points, points[::-1])]
+    return ks, small, points, [point("g2", 7 * k) for k in small], sums
+
+
+@pytest.mark.parametrize("count", [0, 1, 65, 300])
+def test_g2_batches_of_any_length(backend, count):
+    # the compiled core allocates its batch per call, past any fixed table size
+    ks, small, points, small_points, sums = batch_case(count)
+    assert backend.g2_mul_many(G2_GENERATOR, ks) == points
+    assert backend.g2_mul_many(point("g2", 7), small) == small_points  # no table: a chain per scalar
+    assert backend.g2_add_many(points, points[::-1]) == sums
+
+
+def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
+    # perfbench's tracer times the public functions by name, so a batch must
+    # not show up as calls of them
+    p, p10 = point("g2", 5), point("g2", 10)
+    minus_p = load_backend("pure").g2_neg(p)
+
+    def forbidden(*args):
+        raise AssertionError("a batch called a public backend function")
+
+    for name in TRACED + READ:
+        if callable(getattr(backend, name)) and name not in BATCH:
+            monkeypatch.setattr(backend, name, forbidden)
+    assert backend.g2_mul_many(G2_GENERATOR, [5, -5, 0]) == [p, minus_p, ()]
+    assert backend.g2_mul_many(p, [2]) == [p10]
+    assert backend.g2_add_many([p, p, ()], [p, (), ()]) == [p10, p, ()]

@@ -1,6 +1,7 @@
 """Signature-scheme tests: oracles first, then behaviour and codecs."""
 
 import dataclasses
+import hashlib
 import struct
 
 import pytest
@@ -13,6 +14,7 @@ from otsske.groups import (
     DeterministicRandomness,
     pairing_counter,
     reset_pairing_counter,
+    setup,
 )
 from otsske.params import G2_GENERATOR, ORDER
 from otsske.scheme import CompressedSignature, FullSignature, SchemeParams
@@ -141,6 +143,10 @@ class TestIndexPoint:
         assert lhs == rhs
 
 
+# SHA-256 of the store that test_session_store_golden builds
+STORE_SHA256 = "02109fc739c8f859b870705f86de53285defaa159cafd1dcdf2b1a489432208e"
+
+
 class TestSessionStructure:
     def test_blinding_product_is_identity(self, toy_params, toy_keys):
         _, betas = session_randomness(toy_params)
@@ -170,6 +176,41 @@ class TestSessionStructure:
                     master.g2_alpha.mul(scheme.index_point(pk, k).exp(r))
                 ).exp(toy_params.symbols)
                 assert agg == oracle, f"session {session}, digit vector {digits}"
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("radix, symbols", [(2, 1), (2, 3), (3, 2), (4, 3)])
+    def test_every_subkey_against_its_definition(self, backend, radix, symbols):
+        """Entry (j, b) = g2^a * (g1^(i t^n + b n t^j) h)^r * v_j for v_j = g^beta_j.
+
+        Oracle: plain exp and mul on the replayed r and betas, one entry at
+        a time, none of it through the batched generator terms or the row walk.
+        """
+        params = SchemeParams(sessions=3, symbols=symbols, radix=radix)
+        group = setup(256, backend=backend)
+        pk, master = scheme.keygen_setup(params, DeterministicRandomness(radix + 10 * symbols), group=group)
+        g2_alpha = pk.g2.second_only().exp(master.alpha)
+        for session in (0, params.sessions - 1):
+            material = make_session(params, (pk, master), session=session, seed=50 + session)
+            r, betas = session_randomness(params, seed=50 + session)
+            for j, beta in enumerate(betas):
+                v = pk.g.second_only().exp(beta)
+                for b in range(radix):
+                    k = session * params.space + b * symbols * radix**j
+                    entry = g2_alpha.mul(pk.g1.second_only().exp(k).mul(pk.h).exp(r)).mul(v)
+                    assert material.subkeys[j][b] == entry, (session, j, b)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_session_store_golden(self, backend):
+        """The t=4, n=32 store of sessions 0 and 5, keys and sessions drawn
+        from one stream seeded 7, is pinned by its SHA-256: the value the
+        generator gave with one g2_mul or g2_add per step, before its G2
+        work was batched."""
+        params = SchemeParams(sessions=8, symbols=32, radix=4)
+        rng = DeterministicRandomness(7)
+        pk, master = scheme.keygen_setup(params, rng, group=setup(256, backend=backend))
+        materials = [scheme.gen_session(pk, master, params, session, rng) for session in (0, 5)]
+        store = scheme.encode_session_store(params, pk, master, materials)
+        assert hashlib.sha256(store).hexdigest() == STORE_SHA256
 
     def test_aggregate_requires_full_subset(self, toy_params, toy_keys):
         material = make_session(toy_params, toy_keys)
