@@ -1429,6 +1429,39 @@ done:
     return out;
 }
 
+INLINE PyObject *group_sum(const field *F, PyObject *ps)
+{
+    /* the sum of a sequence of points, pairwise level by level as in
+     * pure._sum (an odd last point carried up), then made affine with one
+     * inversion; every point is parsed before any is added.  On the first
+     * level every finite point still has Z = 1, so the cheaper mixed
+     * addition serves there. */
+    PyObject *pt = PySequence_Tuple(ps), *out = NULL;
+    u64 (*jac)[36] = NULL;
+    if (!pt)
+        return NULL;
+    Py_ssize_t len = PyTuple_GET_SIZE(pt);
+    if (!(jac = new_array(len, sizeof *jac)))
+        goto done;
+    for (Py_ssize_t i = 0; i < len; i++)
+        if (point_from_py(F, jac[i], PyTuple_GET_ITEM(pt, i)) < 0)
+            goto done;
+    for (Py_ssize_t m = len; m > 1; m = (m + 1) / 2) {
+        for (Py_ssize_t i = 0; 2 * i + 1 < m; i++)
+            if (m == len && !F->is_zero(jac[2 * i + 1] + 2 * F->n))
+                jac_madd(F, jac[i], jac[2 * i], jac[2 * i + 1]);
+            else
+                jac_add(F, jac[i], jac[2 * i], jac[2 * i + 1]);
+        if (m % 2)
+            memcpy(jac[m / 2], jac[m - 1], sizeof *jac);
+    }
+    out = len ? point_to_py(F, jac[0]) : Py_NewRef(INF);
+done:
+    PyMem_Free(jac);
+    Py_DECREF(pt);
+    return out;
+}
+
 static int mul_into(const field *F, u64 *r, const u64 *a, const comb *c, PyObject *v)
 {
     /* r = [v]A (Jacobian) for an int v and a parsed point A: the comb c on
@@ -1636,6 +1669,7 @@ BINARY(g1_mul, group_mul, &G1)
 BINARY(g2_mul, group_mul, &G2)
 BINARY(g2_add_many, group_add_many, &G2)
 BINARY(g2_mul_many, group_mul_many, &G2)
+UNARY(g2_sum, group_sum, &G2)
 UNARY(g1_neg, group_neg, &G1)
 UNARY(g1_in_subgroup, group_in_subgroup, &G1)
 UNARY(g2_in_subgroup, group_in_subgroup, &G2)
@@ -1794,6 +1828,7 @@ static PyMethodDef methods[] = {
     {"g2_mul", FASTCALL(g2_mul), "[k]P in G2 for any integer k."},
     {"g2_add_many", FASTCALL(g2_add_many), "[P_i + Q_i] for two G2 sequences of equal length, with one inversion."},
     {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2, with one inversion."},
+    {"g2_sum", g2_sum, METH_O, "The sum of a sequence of G2 points, with one inversion."},
     {"g1_neg", g1_neg, METH_O, "-P in G1."},
     {"g1_in_subgroup", g1_in_subgroup, METH_O, "Whether an on-curve G1 point has order r: phi(P) == -[x^2]P."},
     {"g2_in_subgroup", g2_in_subgroup, METH_O, "Whether an on-curve G2 point has order r: psi(P) == [x]P."},

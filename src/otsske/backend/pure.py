@@ -454,6 +454,17 @@ def _add_many(F, ps, qs):
     return _sums(F, [_point(F, p) for p in ps], [_point(F, s) for s in qs])
 
 
+def _sum(F, points):
+    """The sum of a sequence of points, pairwise level by level: P0 + P1,
+    P2 + P3, ..., with an odd last point carried up unchanged (``_sums``
+    keeps the P it has no Q for).  One inversion per level, so 32 points
+    cost 5."""
+    level = [_point(F, p) for p in points]
+    while len(level) > 1:
+        level = _sums(F, level[0::2], level[1::2])
+    return level[0] if level else INFINITY
+
+
 def _neg(F, p):
     p = _point(F, p)
     return (p[0], F.neg(p[1])) if p else INFINITY
@@ -466,6 +477,7 @@ def _on_curve(F, p):
 
 g1_add, g2_add = partial(_add, _G1), partial(_add, _G2)
 g2_add_many = partial(_add_many, _G2)
+g2_sum = partial(_sum, _G2)
 g1_neg, g2_neg = partial(_neg, _G1), partial(_neg, _G2)
 g1_on_curve, g2_on_curve = partial(_on_curve, _G1), partial(_on_curve, _G2)
 

@@ -12,7 +12,8 @@ Timed regions
                     (one ``g2_add_many``) and the row walk (n - 1 steps
                     times t, then t - 1 ``g2_add_many`` calls).
 * ``keygen.total``  one full session generation (the three phases plus glue).
-* ``sign``          subset selection + compressed signing (zero pairings).
+* ``sign``          subset selection + compressed signing: one ``g2_sum``
+                    of the n selected subkeys (zero pairings).
 * ``verify``        compressed verification (exactly three pairings).
 * ``store_load``    decoding a store of the public key, master exponent
                     and one session (``decode_session_store``).
@@ -235,7 +236,8 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
     the Miller loop on g2's line table, a verify's 3-term loop,
     exponentiation on a variable base and on the fixed-base tables of g and
     g2, 32 multiples of the G2 generator in one ``g2_mul_many`` (a session's
-    blinding points), decoding and the subgroup check alone."""
+    blinding points), the sum of those 32 points in one ``g2_sum`` (a
+    compressed sign at n = 32), decoding and the subgroup check alone."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
@@ -246,6 +248,7 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
         exponent = group.order - 3
         scalars = [exponent - i for i in range(32)]
         b = group.backend
+        summands = b.g2_mul_many(g.second, scalars)
         f = b.miller_loop(g.first, g3.second)
         # a verify's equation: a negated G1 side, and two variable Q with g2 between them
         terms = [(b.g1_neg(g.first), g3.second), (g.first, g2.second), (g.first, g3.second)]
@@ -261,6 +264,7 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
             "g2_exp_fixed": _measure(lambda: g.second_only().exp(exponent), reps, 1),
             "g1_exp_fixed": _measure(lambda: g.first_only().exp(exponent), reps, 1),
             "g2_mul_many": _measure(lambda: b.g2_mul_many(g.second, scalars), reps, 1),
+            "g2_sum": _measure(lambda: b.g2_sum(summands), reps, 1),
             "g1_decompress": _measure(lambda: b.g1_decompress(g1_bytes), reps, 1),
             "g2_decompress": _measure(lambda: b.g2_decompress(g2_bytes), reps, 1),
             "g1_in_subgroup": _measure(lambda: b.g1_in_subgroup(g.first), reps, 1),

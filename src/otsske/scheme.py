@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DecodeError, ParameterError
+from .errors import DecodeError, ParameterError, RepresentationError
 from .groups import (
     GroupParams,
     Scalar,
@@ -342,13 +342,18 @@ def subkeys_at(material: SessionKeyMaterial, selection: IndexSelection) -> tuple
 
 
 def aggregate(params: SchemeParams, subkeys: Sequence[SourceElement]) -> SourceElement:
-    """Product of one selected subkey per symbol position."""
+    """Product of one selected subkey per symbol position.
+
+    Subkeys live on the second-group side, and their n points are summed in
+    one ``g2_sum`` call, which shares one inversion across the sum.
+    """
     if len(subkeys) != params.symbols:
         raise ParameterError(f"expected {params.symbols} subkeys, got {len(subkeys)}")
-    acc = subkeys[0]
-    for sk in subkeys[1:]:
-        acc = acc.mul(sk)
-    return acc
+    points = [sk.second for sk in subkeys]
+    if None in points:
+        raise RepresentationError("subkey has no second-group representation")
+    group = subkeys[0].params
+    return SourceElement(group, None, group.backend.g2_sum(points))
 
 
 # -------------------------------------------------------------- signing

@@ -58,8 +58,9 @@ def traced_names():
 TRACED = traced_names()
 # groups.py, scheme.py and bench.py read these
 READ = ("NAME", "GT_ONE", "G2_AUX_GENERATOR", "g1_add", "g2_add", "g1_mul", "g2_mul", "g1_neg",
-        "g2_add_many", "g2_mul_many", "g1_compress", "g2_compress", "g1_decompress", "g2_decompress",
-        "g1_in_subgroup", "g2_in_subgroup", "pairing", "miller_loop", "multi_miller_loop", "final_exp")
+        "g2_add_many", "g2_mul_many", "g2_sum", "g1_compress", "g2_compress", "g1_decompress",
+        "g2_decompress", "g1_in_subgroup", "g2_in_subgroup", "pairing", "miller_loop", "multi_miller_loop",
+        "final_exp")
 
 
 def test_backend_surface(backend):
@@ -856,11 +857,12 @@ def test_subgroup_check_against_definition(group, kind, data):
 
 
 # ------------------------------------------------------------ batched G2
-# g2_mul_many and g2_add_many share one inversion across their elements.
-# Each must equal one g2_mul or g2_add per element, in both backends, and
-# the two backends must refuse the same input with the same exception.
+# g2_mul_many, g2_add_many and g2_sum share one inversion across their
+# elements.  Each must equal one g2_mul or g2_add per element (g2_sum: the
+# left fold of g2_add over its points) in both backends, and the two
+# backends must refuse the same input with the same exception.
 
-BATCH = ("g2_mul_many", "g2_add_many")
+BATCH = ("g2_mul_many", "g2_add_many", "g2_sum")
 BATCH_SCALARS = st.lists(
     st.one_of(st.sampled_from([0, 1, -1, ORDER, -ORDER, ORDER + 1, 2 * ORDER, -ORDER - 5]),
               st.integers(-(2**256), 2**256)),
@@ -896,6 +898,46 @@ def test_g2_add_many_against_g2_add(data):
     assert_agree("g2_add_many", ps, qs)
 
 
+def fold_add(b, ps):
+    return functools.reduce(b.g2_add, ps, ())
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_g2_sum_against_g2_add(data):
+    pure = load_backend("pure")
+    p, s = point("g2", data.draw(NONZERO)), point("g2", data.draw(EXPONENTS))
+    # repeats (a doubling), P with -P (a cancellation), infinity and unrelated points
+    ps = data.draw(st.lists(st.sampled_from([p, s, (), pure.g2_neg(p)]), max_size=7))
+    for name in BACKENDS:
+        b = load_backend(name)
+        assert b.g2_sum(ps) == fold_add(b, ps), (name, ps)
+    assert_agree("g2_sum", ps)
+
+
+def test_g2_sum_edge_cases(backend):
+    p, s = point("g2", 5), point("g2", 9)
+    minus_p = load_backend("pure").g2_neg(p)
+    cases = [[], [p], [()], [(), ()], [p, p], [p, minus_p], [p, s, minus_p], [p, (), p, minus_p, s],
+             batch_case(32)[2]]
+    for ps in cases:
+        assert backend.g2_sum(ps) == fold_add(backend, ps), ps
+    assert backend.g2_sum(iter([p, s])) == backend.g2_add(p, s)  # any iterable, as g2_add_many
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_g2_sum_off_curve_backends_agree(data):
+    # off the curve the group law is not associative, so the sum depends on
+    # its order: both backends add pairwise, level by level
+    pure = load_backend("pure")
+    p = point("g2", data.draw(NONZERO))
+    off = replaced(p, (1,), (5, 0))  # p's x, a y off the curve
+    other = replaced(point("g2", data.draw(NONZERO)), (0,), (data.draw(FP), 0))
+    summands = st.sampled_from([p, off, pure.g2_neg(off), other, ()])
+    assert_agree("g2_sum", data.draw(st.lists(summands, max_size=9)))
+
+
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_g2_batches_reject_malformed(data):
@@ -906,10 +948,14 @@ def test_g2_batches_reject_malformed(data):
         assert_agree("g2_mul_many", bad, [1, 2], message=True)
         # the point is read before the scalars
         assert_agree("g2_mul_many", bad, [3, 1.5], message=True)
+        assert_agree("g2_sum", [p, bad, p], message=True)
+        assert_agree("g2_sum", [bad], message=True)
     for args in (([p], []), ([], [p]), ([p, p], [p]), (5, [p]), ([p], None)):
         assert_agree("g2_add_many", *args, message=True)
     for ks in (5, None, [1, "2"], [2**300, None]):
         assert_agree("g2_mul_many", p, ks, message=True)
+    for ps in (5, None, "ab", p):
+        assert_agree("g2_sum", ps, message=True)
 
 
 @functools.cache
@@ -920,16 +966,17 @@ def batch_case(count):
     small = [rnd.randrange(-50, 50) for _ in range(count)]
     points = [point("g2", k) for k in ks]
     sums = [load_backend("native").g2_add(a, b) for a, b in zip(points, points[::-1])]
-    return ks, small, points, [point("g2", 7 * k) for k in small], sums
+    return ks, small, points, [point("g2", 7 * k) for k in small], sums, point("g2", sum(ks))
 
 
 @pytest.mark.parametrize("count", [0, 1, 65, 300])
 def test_g2_batches_of_any_length(backend, count):
     # the compiled core allocates its batch per call, past any fixed table size
-    ks, small, points, small_points, sums = batch_case(count)
+    ks, small, points, small_points, sums, total = batch_case(count)
     assert backend.g2_mul_many(G2_GENERATOR, ks) == points
     assert backend.g2_mul_many(point("g2", 7), small) == small_points  # no table: a chain per scalar
     assert backend.g2_add_many(points, points[::-1]) == sums
+    assert backend.g2_sum(points) == total
 
 
 def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
@@ -947,3 +994,4 @@ def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
     assert backend.g2_mul_many(G2_GENERATOR, [5, -5, 0]) == [p, minus_p, ()]
     assert backend.g2_mul_many(p, [2]) == [p10]
     assert backend.g2_add_many([p, p, ()], [p, (), ()]) == [p10, p, ()]
+    assert backend.g2_sum([p, (), p, minus_p, p]) == p10

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from otsske import scheme
 from otsske.backend import available_backends, load_backend
-from otsske.errors import DecodeError, ParameterError
+from otsske.errors import DecodeError, ParameterError, RepresentationError
 from otsske.groups import (
     DeterministicRandomness,
     pairing_counter,
@@ -217,6 +217,12 @@ class TestSessionStructure:
         with pytest.raises(ParameterError):
             scheme.aggregate(toy_params, material.subkeys[0][:1])
 
+    def test_aggregate_requires_second_sides(self, toy_params, toy_keys):
+        pk, _ = toy_keys
+        material = make_session(toy_params, toy_keys)
+        with pytest.raises(RepresentationError):
+            scheme.aggregate(toy_params, [material.subkeys[0][0], pk.g1.first_only()])
+
     def test_aggregate_single_symbol(self, group):
         params = SchemeParams(sessions=1, symbols=1, radix=2)
         pk, master = scheme.keygen_setup(params, DeterministicRandomness(8), group=group)
@@ -404,6 +410,32 @@ class TestSignatures:
         assert pairing_counter() == 3, "compressed verification is exactly three pairings"
         # e(g1, g2^n) is evaluated as e(g1^n, g2): one term on g2's line table
         assert pairing_work == {"terms": [3], "fixed": [("aux",)], "final_exps": 1}
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_compressed_sign_is_one_g2_sum(self, backend, monkeypatch):
+        """At t=4, n=32 a compressed sign sums its 32 subkeys in one
+        ``g2_sum`` call: no other group operation and no pairing."""
+        params = SchemeParams(sessions=2, symbols=32, radix=4)
+        group = setup(256, backend=backend)
+        pk, master = scheme.keygen_setup(params, DeterministicRandomness(12), group=group)
+        material = scheme.gen_session(pk, master, params, 1, DeterministicRandomness(13))
+        message = b"count my calls"
+        selection = scheme.prp_select(params, b"\x02" * 16, message)
+        subkeys = scheme.subkeys_at(material, selection)
+        calls = {}
+        for name in ("g1_add", "g2_add", "g2_add_many", "g2_sum", "g1_mul", "g2_mul", "g2_mul_many",
+                     "pairing", "miller_loop", "multi_miller_loop", "final_exp"):
+            def spy(*args, real=getattr(group.backend, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(group.backend, name, spy)
+        reset_pairing_counter()
+        sig = scheme.sign_compressed(pk, params, 1, subkeys, selection, material.aux)
+        assert calls == {"g2_sum": 1}
+        assert pairing_counter() == 0
+        monkeypatch.undo()
+        assert scheme.verify_compressed(pk, params, 1, sig, message)
 
     def test_compressed_deterministic(self, medium_params, medium_keys, signed):
         pk, _ = medium_keys
