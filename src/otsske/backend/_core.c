@@ -33,6 +33,7 @@ static u64 ONE_M[6];    /* R mod q = Montgomery 1 */
 static u64 N0;          /* -q^-1 mod 2^64 */
 static u64 FERMAT[6];   /* q - 2 */
 static u64 SQRT_EXP[6]; /* (q + 1) / 4 */
+static u64 ISQRT_EXP[6]; /* (q - 3) / 4 */
 static u64 HALF_Q[6];   /* (q - 1) / 2: the larger square root exceeds it */
 static u64 INV2_M[6];   /* 1/2, Montgomery */
 static int Q_BITS;
@@ -249,39 +250,33 @@ static void f2_inv(u64 *r, const u64 *a)
 
 static int f2_sqrt(u64 *r, const u64 *a)
 {
-    u64 s[6], t[6], x0[6], two_x0[6], cand[12], chk[12];
-    if (fp_is_zero(a + 6)) {
-        if (fp_sqrt(s, a)) {
-            memcpy(r, s, 48);
-            memset(r + 6, 0, 48);
-            return 1;
-        }
-        fp_neg(t, a);
-        if (fp_sqrt(s, t)) {
-            memset(r, 0, 48);
-            memcpy(r + 6, s, 48);
-            return 1;
-        }
-        return 0;
-    }
-    /* norm = a0^2 + a1^2 must be a square */
+    /* As pure._f2_sqrt: with s = sqrt(N(a)) and c = (a0 + s)/2,
+     * e = c^((q-3)/4) is 1/sqrt(c) if c is a square and 1/sqrt(-c)
+     * otherwise, so a root is (c e, a1 e/2) or (-a1 e/2, c e): two powers
+     * and no inversion.  c = 0 only where a1 = 0 and s = -a0, and then
+     * c = a0 takes the other root -s. */
+    u64 s[6], t[6], c[6], e[6], ce[6], h[6], cand[12], chk[12];
     fp_mul(s, a, a);
     fp_mul(t, a + 6, a + 6);
     fp_add(s, s, t);
     if (!fp_sqrt(s, s))
         return 0;
-    fp_add(t, a, s);
-    fp_mul(t, t, INV2_M);
-    if (!fp_sqrt(x0, t)) {
-        fp_sub(t, a, s);
-        fp_mul(t, t, INV2_M);
-        if (!fp_sqrt(x0, t))
-            return 0;
+    fp_add(c, a, s);
+    fp_mul(c, c, INV2_M);
+    if (fp_is_zero(c))
+        memcpy(c, a, 48);
+    fp_pow(e, c, ISQRT_EXP, Q_BITS);
+    fp_mul(ce, c, e);
+    fp_mul(h, a + 6, e);
+    fp_mul(h, h, INV2_M);
+    fp_mul(t, ce, e);
+    if (!memcmp(t, ONE_M, 48)) {
+        memcpy(cand, ce, 48);
+        memcpy(cand + 6, h, 48);
+    } else {
+        fp_neg(cand, h);
+        memcpy(cand + 6, ce, 48);
     }
-    fp_add(two_x0, x0, x0);
-    fp_inv(two_x0, two_x0);
-    memcpy(cand, x0, 48);
-    fp_mul(cand + 6, a + 6, two_x0);
     f2_sqr(chk, cand);
     if (memcmp(chk, a, 96))
         return 0;
@@ -1678,6 +1673,19 @@ UNARY(g2_compress, group_compress, &G2)
 UNARY(g1_decompress, group_decompress, &G1)
 UNARY(g2_decompress, group_decompress, &G2)
 
+static PyObject *py_f2_sqrt(PyObject *self, PyObject *arg)
+{
+    /* f2_sqrt on an Fp2 element (c0, c1), for the differential tests */
+    u64 a[12], r[12];
+    if (coords_from_py(a, arg, 12))
+        return NULL;
+    to_mont(a, 12);
+    if (!f2_sqrt(r, a))
+        Py_RETURN_NONE;
+    from_mont(r, r, 12);
+    return py_from_limbs(r, 12);
+}
+
 static int term_from_py(term *t, PyObject *p, PyObject *q)
 {
     /* 1 for a term that enters the loop, 0 when a point is at infinity
@@ -1843,6 +1851,7 @@ static PyMethodDef methods[] = {
     {"final_exp", py_final_exp, METH_O, "f^((q^12 - 1) / r) for a nonzero Fp12 element f."},
     {"gt_mul", FASTCALL(gt_mul), "Product in GT."},
     {"gt_pow", FASTCALL(gt_pow), "a^e in GT for any integer e."},
+    {"_f2_sqrt", py_f2_sqrt, METH_O, "A square root of an Fp2 element (c0, c1), or None; for the tests."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1886,7 +1895,8 @@ static int init_field(PyObject *params)
 {
     PyObject *q = PyObject_GetAttrString(params, "FIELD_MODULUS");
     int rc = !q || limbs_from_py(Q, q, 6) || derived_limbs(FERMAT, q, -2, 0)
-             || derived_limbs(SQRT_EXP, q, 1, 2) || derived_limbs(HALF_Q, q, 0, 1)
+             || derived_limbs(SQRT_EXP, q, 1, 2) || derived_limbs(ISQRT_EXP, q, -3, 2)
+             || derived_limbs(HALF_Q, q, 0, 1)
              || derived_limbs(INV2_M, q, 1, 1);
     Py_XDECREF(q);
     if (rc)
@@ -1962,13 +1972,13 @@ static int base_from_py(const field *F, u64 *r, PyObject *mod, const char *name)
     return rc;
 }
 
-static int init_tables(PyObject *params, PyObject *pure)
+static int init_tables(PyObject *params)
 {
     /* the combs of the three generators and the line tables of the G2 ones */
     u64 g1[12], g2[24], aux[24], r[6];
     ORDER_PY = PyObject_GetAttrString(params, "ORDER");
     if (!ORDER_PY || limbs_from_py(r, ORDER_PY, 6) || base_from_py(&G1, g1, params, "G1_GENERATOR")
-        || base_from_py(&G2, g2, params, "G2_GENERATOR") || base_from_py(&G2, aux, pure, "G2_AUX_GENERATOR"))
+        || base_from_py(&G2, g2, params, "G2_GENERATOR") || base_from_py(&G2, aux, params, "G2_AUX_GENERATOR"))
         return -1;
     COMB_COLS = (bit_length(r) + COMB_TEETH - 1) / COMB_TEETH;
     if (comb_build(&G1, &COMB_G1, g1) || comb_build(&G2, &COMB_G2, g2) || comb_build(&G2, &COMB_AUX, aux))
@@ -2017,10 +2027,10 @@ PyMODINIT_FUNC PyInit__core(void)
     PyObject *params = m ? PyImport_ImportModule("otsske.params") : NULL;
     PyObject *pure = params ? PyImport_ImportModule("otsske.backend.pure") : NULL;
     int ok = pure && !init_boundary() && !init_field(params) && !init_frobenius(pure)
-             && !init_pairing(params) && !init_tables(params, pure);
+             && !init_pairing(params) && !init_tables(params);
     if (ok) {
         GT_ONE = PyObject_GetAttrString(pure, "GT_ONE");
-        PyObject *aux = PyObject_GetAttrString(pure, "G2_AUX_GENERATOR");
+        PyObject *aux = PyObject_GetAttrString(params, "G2_AUX_GENERATOR");
         ok = GT_ONE && aux && !PyModule_AddStringConstant(m, "NAME", "native")
              && !PyModule_AddObjectRef(m, "GT_ONE", GT_ONE)
              && !PyModule_AddObjectRef(m, "G2_AUX_GENERATOR", aux) && !self_check(m, params);

@@ -27,7 +27,7 @@ from ..params import (
     BETA,
     FIELD_MODULUS as Q,
     G1_GENERATOR,
-    G2_COFACTOR,
+    G2_AUX_GENERATOR,
     G2_GENERATOR,
     HARD_CHAIN,
     ORDER,
@@ -102,24 +102,23 @@ def _fp_sqrt(c):
     return s if s * s % Q == c % Q else None
 
 
+_INV2 = (Q + 1) // 2
+
+
 def _f2_sqrt(a):
+    # With s = sqrt(N(a)) and c = (a0 + s)/2, r = c^((q-3)/4) is 1/sqrt(c)
+    # if c is a square and 1/sqrt(-c) otherwise, so a root is (c r, a1 r/2)
+    # or (-a1 r/2, c r): two exponentiations and no inversion.  c = 0 only
+    # where a1 = 0 and s = -a0, and then c = a0 takes the other root -s.
     a0, a1 = a
-    if a1 == 0:
-        s = _fp_sqrt(a0)
-        if s is not None:
-            return (s, 0)
-        s = _fp_sqrt((-a0) % Q)
-        return None if s is None else (0, s)
     s = _fp_sqrt((a0 * a0 + a1 * a1) % Q)
     if s is None:
         return None
-    inv2 = (Q + 1) // 2
-    x0 = _fp_sqrt((a0 + s) * inv2 % Q)
-    if x0 is None:
-        x0 = _fp_sqrt((a0 - s) * inv2 % Q)
-        if x0 is None:
-            return None
-    cand = (x0, a1 * pow(2 * x0, -1, Q) % Q)
+    c = (a0 + s) * _INV2 % Q or a0 % Q
+    r = pow(c, (Q - 3) // 4, Q)
+    cr = c * r % Q
+    h = a1 * r * _INV2 % Q
+    cand = (cr, h) if cr * r % Q == 1 else (-h % Q, cr)
     return cand if _f2_sqr(cand) == (a0 % Q, a1 % Q) else None
 
 
@@ -220,10 +219,14 @@ def _f12_pow(a, e):
     return result
 
 
-# Frobenius coefficients for v^j and w^k, derived once.
-_FROB_V = tuple(_f2_pow(XI, j * (Q - 1) // 3) for j in range(3))
+# Frobenius coefficients for v^j and w^k, and the psi constants below: all
+# powers of W = xi^((q-1)/6), so one exponentiation.  _FROB_V[j] is
+# xi^(j(q-1)/3) = W^(2j) and _FROB_W is W.  The q^6 Frobenius is conjugation
+# on Fp12 iff xi^((q^6-1)/6) = -1, and that power is W^(1+q+...+q^5) =
+# N(W)^3, because the q-power Frobenius on Fp2 is conjugation.
 _FROB_W = _f2_pow(XI, (Q - 1) // 6)
-assert _f2_pow(XI, (Q**6 - 1) // 6) == (Q - 1, 0), "p^6 Frobenius must be conjugation"
+_FROB_V = (_F2_ONE, _f2_sqr(_FROB_W), _f2_sqr(_f2_sqr(_FROB_W)))
+assert pow(_FROB_W[0] ** 2 + _FROB_W[1] ** 2, 3, Q) == Q - 1, "q^6 Frobenius must be conjugation"
 
 
 def _f12_frob(a):
@@ -302,9 +305,9 @@ def _fp_pair(v):
 
 
 # psi(x, y) = (conj(x) c_x, conj(y) c_y) on the twist, with
-# c_x = xi^-((q-1)/3) and c_y = xi^-((q-1)/2)
+# c_x = xi^-((q-1)/3) = 1/W^2 and c_y = xi^-((q-1)/2) = 1/W^3
 _PSI_X = _f2_inv(_FROB_V[1])
-_PSI_Y = _f2_inv(_f2_pow(XI, (Q - 1) // 2))
+_PSI_Y = _f2_inv(_f2_mul(_FROB_V[1], _FROB_W))
 
 
 class _Field(NamedTuple):
@@ -944,41 +947,12 @@ def _decompress(F, data):
 g1_compress, g2_compress = partial(_compress, _G1), partial(_compress, _G2)
 g1_decompress, g2_decompress = partial(_decompress, _G1), partial(_decompress, _G2)
 
-# the definitional [r]P == O, on the variable-base chain, pins the
-# endomorphism constants of the subgroup checks; a wrong chain fails here
-# rather than in the derivation below
-for _F, _g in ((_G1, G1_GENERATOR), (_G2, G2_GENERATOR)):
-    assert _on_curve(_F, _g) and not _jac_mul(_F, _g, ORDER) and _in_subgroup(_F, _g)
-
-
-# ---------------------------------------------------------------- fixed points
-# Second, independent G2 base point: nothing-up-my-sleeve derivation from a
-# hash-seeded x coordinate, cleared to the prime-order subgroup.  Starting
-# from the *smallest* valid x would reproduce the conventional generator
-# (that is how it was derived), so the seed comes from a tagged digest and
-# the resulting point has unknown discrete log with respect to it.
-
-
-_AUX_TRIES = 64  # counter 0 succeeds
-
-
-def _derive_aux_generator():
-    import hashlib
-
-    for counter in range(_AUX_TRIES):
-        seed = hashlib.sha256(b"OTSSKE/G2AUX" + counter.to_bytes(8, "big")).digest()
-        wide = seed + hashlib.sha256(seed).digest()
-        x = (int.from_bytes(wide, "big") % Q, counter % Q)
-        y = _f2_sqrt(_rhs(_G2, x))
-        if y is not None:
-            if _is_larger(_G2, y):
-                y = _f2_neg(y)
-            p = _jac_mul(_G2, (x, y), G2_COFACTOR)
-            if p and not _jac_mul(_G2, p, ORDER) and p != G2_GENERATOR:
-                return p
-    raise RuntimeError(f"no auxiliary G2 generator in {_AUX_TRIES} tries")
-
-
-G2_AUX_GENERATOR = _derive_aux_generator()
+# The base points are pinned in params.  Each must lie on its curve and in
+# the order-r subgroup, and the subgroup check runs the Jacobian kernels and
+# the endomorphism constants, so a wrong constant or a broken kernel fails
+# the import.  The tests check [r]P == O for each and re-derive the aux one.
+for _F, _g in ((_G1, G1_GENERATOR), (_G2, G2_GENERATOR), (_G2, G2_AUX_GENERATOR)):
+    assert _g and _on_curve(_F, _g) and _in_subgroup(_F, _g)
+assert G2_AUX_GENERATOR != G2_GENERATOR
 _COMB_BASES.update((G1_GENERATOR, G2_GENERATOR, G2_AUX_GENERATOR))
 _LINE_BASES.update((G2_GENERATOR, G2_AUX_GENERATOR))

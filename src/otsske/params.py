@@ -2,9 +2,11 @@
 
 Everything that both arithmetic backends need is defined here exactly once.
 The curve family is parameterised by a single integer; the field modulus,
-group order, cofactors and Frobenius coefficients are all derived from it
-and re-verified at import, so a corrupted constant fails fast instead of
-producing silently wrong group arithmetic.
+group order and cofactors are derived from it and re-verified at import, so
+a corrupted constant fails fast instead of producing silently wrong group
+arithmetic.  The three base points are pinned literals: pure.py checks at
+import that each lies on its curve and in the order-r subgroup, and the
+tests re-derive the auxiliary one and check [r]P == O for all three.
 """
 
 from __future__ import annotations
@@ -44,6 +46,23 @@ G2_GENERATOR = (
     (
         0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801,
         0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE,
+    ),
+)
+# Second, independent G2 base point, nothing up the sleeve: a hash-seeded x
+# coordinate (tagged SHA-256 digests of b"OTSSKE/G2AUX" and counter 0), the
+# smaller root y, and the point cleared to the order-r subgroup by
+# G2_COFACTOR.  Starting from the *smallest* valid x would reproduce
+# G2_GENERATOR (that is how it was derived), so the seed comes from a digest
+# and the point has unknown discrete log with respect to it.  The tests
+# re-run the derivation (tests/test_backend.py, derive_aux_generator).
+G2_AUX_GENERATOR = (
+    (
+        0x0FD4F4D97CB3C211D2B937FD36CC1FFC1D78DC3CA1DA828A017906864D216BB1A6213A001104BEAA4C21B0E40411CFE2,
+        0x05A14FD0043630748EB46A6F6CE97692FD6A36CB73F72B2D9F4A54E765D2C356CEC290F1A632F98D993885B7F8C7F29E,
+    ),
+    (
+        0x07069F1857D155A40943B2F5F1D66623024AF82E55DFA6B733A323BB203D5C025F34B6392F62977D9A387C86FE962637,
+        0x127F9DBB7A2CC1A63884271DBCEE5A7950B79E39A29C8F7943535297AB63E6F65DD01E308D4EA3B8B5EEE992CA1C9A52,
     ),
 )
 

@@ -20,10 +20,12 @@ from otsske.params import (
     FIELD_MODULUS,
     G1_COFACTOR,
     G1_GENERATOR,
+    G2_AUX_GENERATOR,
     G2_COFACTOR,
     G2_GENERATOR,
     ORDER,
     TWIST_ORDER,
+    XI,
 )
 
 BACKENDS = available_backends()
@@ -230,19 +232,93 @@ def test_backends_agree_on_random_operations():
 
 def test_aux_generator_properties(backend):
     aux = backend.G2_AUX_GENERATOR
-    assert aux != ()
+    assert aux == G2_AUX_GENERATOR != ()
     assert aux != G2_GENERATOR
     assert backend.g2_mul(aux, ORDER) == ()
     assert load_backend("pure").g2_on_curve(aux)
 
 
+AUX_TRIES = 64  # counter 0 succeeds
+
+
+def derive_aux_generator():
+    """The derivation of params.G2_AUX_GENERATOR, as (counter, point).
+
+    For counter = 0, 1, ...: x = (SHA-256 of the seed and of its digest,
+    mod q; counter), where the seed is SHA-256 of b"OTSSKE/G2AUX" and the
+    8-byte counter.  The first x with a twist point takes its smaller root y
+    and clears the cofactor; the result must be finite, have order r and
+    differ from G2_GENERATOR.  pure's functions are looked up on the module
+    at each call, so a test can patch them.
+    """
+    pure = load_backend("pure")
+    for counter in range(AUX_TRIES):
+        seed = hashlib.sha256(b"OTSSKE/G2AUX" + counter.to_bytes(8, "big")).digest()
+        wide = seed + hashlib.sha256(seed).digest()
+        x = (int.from_bytes(wide, "big") % FIELD_MODULUS, counter % FIELD_MODULUS)
+        y = pure._f2_sqrt(pure._rhs(pure._G2, x))
+        if y is not None:
+            if pure._is_larger(pure._G2, y):
+                y = pure._f2_neg(y)
+            p = pure._jac_mul(pure._G2, (x, y), G2_COFACTOR)
+            if p and not pure._jac_mul(pure._G2, p, ORDER) and p != G2_GENERATOR:
+                return counter, p
+    raise RuntimeError(f"no auxiliary G2 generator in {AUX_TRIES} tries")
+
+
+def test_aux_generator_is_derived():
+    assert derive_aux_generator() == (0, G2_AUX_GENERATOR)
+
+
 def test_aux_generator_derivation_is_bounded(monkeypatch):
-    # with no square root to find, the import-time derivation gives up
-    # instead of looping forever
+    # with no square root to find, the derivation gives up instead of
+    # looping forever
     pure = load_backend("pure")
     monkeypatch.setattr(pure, "_f2_sqrt", lambda a: None)
     with pytest.raises(RuntimeError, match="no auxiliary G2 generator in 64 tries"):
-        pure._derive_aux_generator()
+        derive_aux_generator()
+
+
+def test_frobenius_constants_against_definition():
+    # pure computes them all from W = xi^((q-1)/6) with one exponentiation
+    pure, q = load_backend("pure"), FIELD_MODULUS
+    assert pure._FROB_V == tuple(pure._f2_pow(XI, j * (q - 1) // 3) for j in range(3))
+    assert pure._FROB_W == pure._f2_pow(XI, (q - 1) // 6)
+    assert pure._PSI_X == pure._f2_inv(pure._f2_pow(XI, (q - 1) // 3))
+    assert pure._PSI_Y == pure._f2_inv(pure._f2_pow(XI, (q - 1) // 2))
+    # the identity that the import checks as N(W)^3 == -1: the q^6
+    # Frobenius is conjugation
+    assert ((q**6 - 1) // 6).bit_length() == 2282
+    assert pure._f2_pow(XI, (q**6 - 1) // 6) == (q - 1, 0)
+    # and the Frobenius map they define is the q-th power
+    rnd = random.Random(12)
+    a = pure._gt_nest(tuple(rnd.randrange(q) for _ in range(12)))
+    assert pure._f12_frob(a) == pure._f12_pow(a, q)
+
+
+IMPORT_PROFILE = """
+import collections, os, sys
+calls = collections.Counter()
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.endswith(os.path.join("backend", "pure.py")):
+        calls[frame.f_code.co_name] += 1
+sys.setprofile(count)
+import otsske, otsske.protocol
+sys.setprofile(None)
+print(calls["_jac_mul"], calls["_f2_pow"])
+"""
+
+
+def test_import_does_no_scalar_multiplication():
+    # the import checks the pinned constants and derives none of them: no
+    # [k]P chain, and one Fp2 power for all the Frobenius constants
+    import otsske
+
+    env = dict(os.environ, PYTHONPATH=str(Path(otsske.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROFILE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_twist_order_consistency():
@@ -668,6 +744,65 @@ def test_differential_decompress(group, data):
     bit = data.draw(st.one_of(st.integers(0, 2), st.integers(0, 8 * size - 1)))
     encoding[bit // 8] ^= 0x80 >> (bit % 8)
     assert_agree(f"{group}_decompress", bytes(encoding), message=True)
+
+
+# ------------------------------------------------------------ square roots
+# Both backends take an Fp2 square root by the inverse-square-root form.  It
+# is checked against squaring, against Euler's criterion on the norm (a is a
+# square in Fp2 iff N(a) is one in Fp, since q = 3 mod 4), and against the
+# earlier algorithm below, whose root it must match up to sign.
+
+
+def reference_f2_sqrt(a):
+    """A root of a by Fp roots of N(a) and of (a0 +- s)/2, or None."""
+    q = FIELD_MODULUS
+
+    def fp_sqrt(c):
+        s = pow(c, (q + 1) // 4, q)
+        return s if s * s % q == c % q else None
+
+    a0, a1 = a
+    if a1 == 0:
+        s = fp_sqrt(a0)
+        if s is not None:
+            return (s, 0)
+        s = fp_sqrt(-a0 % q)
+        return None if s is None else (0, s)
+    s = fp_sqrt((a0 * a0 + a1 * a1) % q)
+    if s is None:
+        return None
+    inv2 = (q + 1) // 2
+    x0 = fp_sqrt((a0 + s) * inv2 % q)
+    if x0 is None:
+        x0 = fp_sqrt((a0 - s) * inv2 % q)
+        if x0 is None:
+            return None
+    return (x0, a1 * pow(2 * x0, -1, q) % q)
+
+
+F2 = st.tuples(FP, FP)
+F2_SQRT_INPUTS = st.one_of(
+    F2,
+    F2.map(lambda x: load_backend("pure")._f2_sqr(x)),  # squares
+    F2.filter(any).map(lambda x: load_backend("pure")._f2_mul(XI, load_backend("pure")._f2_sqr(x))),  # non-squares
+    st.tuples(FP, st.just(0)),
+    st.tuples(st.just(0), FP),
+    st.sampled_from([(0, 0), (1, 0), (FIELD_MODULUS - 1, 0), (0, 1), (0, FIELD_MODULUS - 1), (4, 4)]),
+)
+
+
+@given(a=F2_SQRT_INPUTS)
+@settings(max_examples=150, deadline=None)
+def test_f2_sqrt(a):
+    pure, q = load_backend("pure"), FIELD_MODULUS
+    root = pure._f2_sqrt(a)
+    expected = reference_f2_sqrt(a)
+    norm_is_square = pow((a[0] ** 2 + a[1] ** 2) % q, (q - 1) // 2, q) != q - 1
+    assert (root is not None) == (expected is not None) == norm_is_square
+    if root is not None:
+        assert pure._f2_sqr(root) == a
+        assert root in (expected, pure._f2_neg(expected))
+    assert [load_backend(name)._f2_sqrt(a) for name in BACKENDS] == [root] * len(BACKENDS)
 
 
 # --------------------------------------------------------- subgroup checks
