@@ -43,7 +43,6 @@ from .scheme import (
     index_point,
     keygen_setup,
     prp_select,
-    recompose,
     sign_compressed,
     sign_full,
     subkeys_at,

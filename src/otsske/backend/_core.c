@@ -1,13 +1,14 @@
 /*
  * Compiled BLS12-381 arithmetic backend, ``otsske.backend._core``.
  *
- * Mirrors each pure.py function that the package calls (pure.py keeps a
- * few more for the tests): the same boundary types (affine
- * integer tuples, the empty tuple for the point at infinity, flat 12-tuples
- * for GT) and the same algorithms, with 6x64-bit Montgomery field
- * arithmetic, Jacobian point kernels and the pairing in C.  Every curve
- * constant is read at import from otsske.params and otsske.backend.pure, so
- * the two backends cannot drift apart silently.  Decoding checks flags,
+ * Mirrors each pure.py function that the package calls (pure.py also
+ * keeps g2_neg and the on-curve checks, which only the tests compare
+ * against): the same boundary types (affine integer tuples, the empty
+ * tuple for the point at infinity, flat 12-tuples for GT) and the same
+ * algorithms, with 6x64-bit Montgomery field arithmetic, Jacobian point
+ * kernels and the pairing in C.  Every curve constant is read at import
+ * from otsske.params and otsske.backend.pure, so the two backends cannot
+ * drift apart silently.  Decoding checks flags,
  * range, square root and subgroup here, independently of pure.py, which the
  * tests use as the reference.
  *
@@ -1714,25 +1715,13 @@ static PyObject *miller_product(term *terms, Py_ssize_t n, int with_final)
     return gt_to_py(f);
 }
 
-static PyObject *miller_or_pairing(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                                   int with_final)
-{
-    /* miller_loop (with_final = 0) or pairing (1) of one term */
-    term t;
-    int rc;
-    if (!nargs_ok(name, nargs) || (rc = term_from_py(&t, args[0], args[1])) < 0)
-        return NULL;
-    return miller_product(&t, rc, with_final);
-}
-
-static PyObject *miller_loop(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    return miller_or_pairing("miller_loop", args, nargs, 0);
-}
-
 static PyObject *pairing(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
-    return miller_or_pairing("pairing", args, nargs, 1);
+    term t;
+    int rc;
+    if (!nargs_ok("pairing", nargs) || (rc = term_from_py(&t, args[0], args[1])) < 0)
+        return NULL;
+    return miller_product(&t, rc, 1);
 }
 
 static PyObject *multi_miller_loop(PyObject *Py_UNUSED(m), PyObject *pairs)
@@ -1786,15 +1775,6 @@ static int gt_zero(const u64 *a)
     return -1;
 }
 
-static int gt_invert(u64 *a)
-{
-    /* in place */
-    if (gt_zero(a))
-        return -1;
-    f12_inv(a, a);
-    return 0;
-}
-
 static PyObject *py_final_exp(PyObject *Py_UNUSED(m), PyObject *v)
 {
     u64 a[72];
@@ -1811,11 +1791,12 @@ static PyObject *gt_pow(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_
     PyObject *eb;
     if (!nargs_ok("gt_pow", nargs) || gt_from_py(a, args[0]) || !(eb = scalar_bytes(args[1], &neg)))
         return NULL;
-    const unsigned char *e = (const unsigned char *)PyBytes_AS_STRING(eb);
-    if (neg && gt_invert(a)) {
+    if (neg) {
         Py_DECREF(eb);
+        PyErr_SetString(PyExc_ValueError, "GT exponent must be non-negative");
         return NULL;
     }
+    const unsigned char *e = (const unsigned char *)PyBytes_AS_STRING(eb);
     set_one(acc, 72);
     for (Py_ssize_t i = 0; i < PyBytes_GET_SIZE(eb); i++)
         for (int bit = 7; bit >= 0; bit--) {
@@ -1845,12 +1826,11 @@ static PyMethodDef methods[] = {
     {"g1_decompress", g1_decompress, METH_O, "Decode and validate a G1 point (ValueError)."},
     {"g2_decompress", g2_decompress, METH_O, "Decode and validate a G2 point (ValueError)."},
     {"pairing", FASTCALL(pairing), "Ate pairing e(P, Q) as a flat 12-tuple."},
-    {"miller_loop", FASTCALL(miller_loop), "Miller loop of e(P, Q), before final_exp."},
     {"multi_miller_loop", multi_miller_loop, METH_O,
      "Product of the Miller loops of a sequence of (P, Q) pairs, with one shared loop."},
     {"final_exp", py_final_exp, METH_O, "f^((q^12 - 1) / r) for a nonzero Fp12 element f."},
     {"gt_mul", FASTCALL(gt_mul), "Product in GT."},
-    {"gt_pow", FASTCALL(gt_pow), "a^e in GT for any integer e."},
+    {"gt_pow", FASTCALL(gt_pow), "a^e in GT for an integer e >= 0."},
     {"_f2_sqrt", py_f2_sqrt, METH_O, "A square root of an Fp2 element (c0, c1), or None; for the tests."},
     {NULL, NULL, 0, NULL},
 };

@@ -205,12 +205,7 @@ def _f12_inv(a):
 
 def _f12_pow(a, e):
     result = _F12_ONE
-    if e <= 0:
-        if e == 0:
-            return result
-        a = _f12_inv(a)
-        e = -e
-    bit = 1 << (e.bit_length() - 1)
+    bit = (1 << e.bit_length()) >> 1  # 0 for e = 0
     while bit:
         result = _f12_sqr(result)
         if e & bit:
@@ -264,12 +259,11 @@ def gt_mul(a, b):
     return _gt_flatten(_f12_mul(_gt_nest(a), _gt_nest(b)))
 
 
-def gt_inv(a):
-    return _gt_flatten(_f12_inv(_gt_nest(a)))
-
-
 def gt_pow(a, e):
-    return _gt_flatten(_f12_pow(_gt_nest(a), e))
+    a, e = _gt_nest(a), index(e)
+    if e < 0:
+        raise ValueError("GT exponent must be non-negative")
+    return _gt_flatten(_f12_pow(a, e))
 
 
 # ---------------------------------------------------------------- curves
@@ -882,16 +876,12 @@ def multi_miller_loop(pairs):
     return _gt_flatten(_miller(terms)) if terms else GT_ONE
 
 
-def miller_loop(p, q2):
-    return multi_miller_loop(((p, q2),))
-
-
 def final_exp(f):
     return _gt_flatten(_final_exp(_gt_nest(f)))
 
 
 def pairing(p, q2):
-    return final_exp(miller_loop(p, q2))
+    return final_exp(multi_miller_loop(((p, q2),)))
 
 
 # ---------------------------------------------------------------- encoding

@@ -18,6 +18,12 @@ Timed regions
 * ``store_load``    decoding a store of the public key, master exponent
                     and one session (``decode_session_store``).
 * ``ecdsa.*``       P-256 keygen / SHA-256 sign / verify via OpenSSL.
+* ``backend.<name>.*``  core operations of every built backend; the
+                    ``miller_loop`` and ``miller_loop_fixed`` rows time
+                    ``multi_miller_loop`` on one term.
+
+Before its samples, each operation runs untimed: ``WARMUP`` times, or once
+for the store load and the backend rows.
 
 Absolute times are hardware- and backend-specific; the published reference
 measurements (C++/MIRACL on an i7-7820HQ, SGX build) are embedded in the
@@ -45,6 +51,7 @@ from .groups import (
     reset_pairing_counter,
     setup,
 )
+from .params import ORDER
 from .scheme import SchemeParams
 
 # Published reference timings (milliseconds), different hardware and library.
@@ -61,13 +68,13 @@ REFERENCE_MS = {
 }
 
 MESSAGE_BYTES = 16  # 128-bit attestation messages
+WARMUP = 3  # untimed calls before an operation's samples
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     params: SchemeParams
     repetitions: int = 100
-    warmup: int = 3
     seed: int | None = None
     compare_backends: bool = True
 
@@ -161,79 +168,67 @@ def _stats(samples: list[float]) -> OpStats:
     )
 
 
-def _measure(func, repetitions: int, warmup: int) -> OpStats:
-    for _ in range(warmup):
-        func()
-    samples = []
+def _samples(sample, repetitions: int, warm: int) -> list:
+    """``repetitions`` results of ``sample()``, taken with the garbage
+    collector off after ``warm`` untimed calls."""
+    for _ in range(warm):
+        sample()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(repetitions):
-            start = time.perf_counter_ns()
-            func()
-            samples.append((time.perf_counter_ns() - start) / 1e6)
+        return [sample() for _ in range(repetitions)]
     finally:
         if gc_was_enabled:
             gc.enable()
-    return _stats(samples)
 
 
-def _keygen_stats(pk, master, params, rng, repetitions: int, warmup: int) -> dict[str, OpStats]:
+def _measure(func, repetitions: int, warm: int) -> OpStats:
+    def sample() -> float:
+        start = time.perf_counter_ns()
+        func()
+        return (time.perf_counter_ns() - start) / 1e6
+
+    return _stats(_samples(sample, repetitions, warm))
+
+
+def _keygen_stats(pk, master, params, rng, repetitions: int) -> dict[str, OpStats]:
     """Phase and total wall times for session generation.
 
     Each sample is one gen_session call: its phase sink stamps the end of
     each phase, so the phases and the total come from the same run and
     total minus the phase sum is only the call's glue.
     """
-    for _ in range(warmup):
-        scheme.gen_session(pk, master, params, 0, rng)
-    v_ms: list[float] = []
-    aux_ms: list[float] = []
-    sk_ms: list[float] = []
-    total_ms: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repetitions):
-            stamps: list[int] = []
-            t0 = time.perf_counter_ns()
-            scheme.gen_session(
-                pk, master, params, 0, rng, phase_sink=lambda _phase: stamps.append(time.perf_counter_ns())
-            )
-            t4 = time.perf_counter_ns()
-            t1, t2, t3 = stamps
-            v_ms.append((t1 - t0) / 1e6)
-            aux_ms.append((t2 - t1) / 1e6)
-            sk_ms.append((t3 - t2) / 1e6)
-            total_ms.append((t4 - t0) / 1e6)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
-    return {
-        "otsske.keygen.v": _stats(v_ms),
-        "otsske.keygen.aux": _stats(aux_ms),
-        "otsske.keygen.sk": _stats(sk_ms),
-        "otsske.keygen.total": _stats(total_ms),
-    }
+    def sample() -> tuple[float, ...]:
+        stamps = [time.perf_counter_ns()]
+        scheme.gen_session(pk, master, params, 0, rng,
+                           phase_sink=lambda _phase: stamps.append(time.perf_counter_ns()))
+        stamps.append(time.perf_counter_ns())
+        t0, t1, t2, t3, t4 = stamps
+        return (t1 - t0) / 1e6, (t2 - t1) / 1e6, (t3 - t2) / 1e6, (t4 - t0) / 1e6
+
+    columns = zip(*_samples(sample, repetitions, WARMUP))
+    keys = ("otsske.keygen.v", "otsske.keygen.aux", "otsske.keygen.sk", "otsske.keygen.total")
+    return {key: _stats(list(column)) for key, column in zip(keys, columns)}
 
 
 def _ecdsa_stats(config: BenchConfig, message: bytes) -> dict[str, OpStats]:
-    reps, warm = config.repetitions, config.warmup
+    reps = config.repetitions
     algo = ec.ECDSA(hashes.SHA256())
     key = ec.generate_private_key(ec.SECP256R1())
     sig = key.sign(message, algo)
     public = key.public_key()
     return {
-        "ecdsa.keygen": _measure(lambda: ec.generate_private_key(ec.SECP256R1()), reps, warm),
-        "ecdsa.sign": _measure(lambda: key.sign(message, algo), reps, warm),
-        "ecdsa.verify": _measure(lambda: public.verify(sig, message, algo), reps, warm),
+        "ecdsa.keygen": _measure(lambda: ec.generate_private_key(ec.SECP256R1()), reps, WARMUP),
+        "ecdsa.sign": _measure(lambda: key.sign(message, algo), reps, WARMUP),
+        "ecdsa.verify": _measure(lambda: public.verify(sig, message, algo), reps, WARMUP),
     }
 
 
 def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
-    """Per-backend costs: pairing and its halves on a variable Q ([3]g),
-    the Miller loop on g2's line table, a verify's 3-term loop,
+    """Per-backend costs: pairing and its halves (a one-term Miller loop and
+    the final exponentiation) on a variable Q ([3]g), the one-term Miller
+    loop on g2's line table, a verify's 3-term loop,
     exponentiation on a variable base and on the fixed-base tables of g and
     g2, 32 multiples of the G2 generator in one ``g2_mul_many`` (a session's
     blinding points), the sum of those 32 points in one ``g2_sum`` (a
@@ -245,18 +240,18 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
         g = generator(group)
         g2 = aux_generator(group)
         g3 = g.exp(3)  # no table base
-        exponent = group.order - 3
+        exponent = ORDER - 3
         scalars = [exponent - i for i in range(32)]
         b = group.backend
         summands = b.g2_mul_many(g.second, scalars)
-        f = b.miller_loop(g.first, g3.second)
+        f = b.multi_miller_loop([(g.first, g3.second)])
         # a verify's equation: a negated G1 side, and two variable Q with g2 between them
         terms = [(b.g1_neg(g.first), g3.second), (g.first, g2.second), (g.first, g3.second)]
         g1_bytes, g2_bytes = b.g1_compress(g.first), b.g2_compress(g2.second)
         out[name] = {
             "pairing": _measure(lambda: b.pairing(g.first, g3.second), reps, 1),
-            "miller_loop": _measure(lambda: b.miller_loop(g.first, g3.second), reps, 1),
-            "miller_loop_fixed": _measure(lambda: b.miller_loop(g.first, g2.second), reps, 1),
+            "miller_loop": _measure(lambda: b.multi_miller_loop([(g.first, g3.second)]), reps, 1),
+            "miller_loop_fixed": _measure(lambda: b.multi_miller_loop([(g.first, g2.second)]), reps, 1),
             "multi_miller_loop": _measure(lambda: b.multi_miller_loop(terms), reps, 1),
             "final_exp": _measure(lambda: b.final_exp(f), reps, 1),
             "g2_exp": _measure(lambda: g3.second_only().exp(exponent), reps, 1),
@@ -280,10 +275,10 @@ def bench_run(config: BenchConfig) -> BenchReport:
     group = setup(params.security_level)
     pk, master = scheme.keygen_setup(params, rng, group=group)
     message = rng.random_bytes(MESSAGE_BYTES)
-    reps, warm = config.repetitions, config.warmup
+    reps = config.repetitions
 
     stats: dict[str, OpStats] = {}
-    stats.update(_keygen_stats(pk, master, params, rng, reps, warm))
+    stats.update(_keygen_stats(pk, master, params, rng, reps))
 
     material = scheme.gen_session(pk, master, params, 0, rng)
     signing_key = rng.random_bytes(16)
@@ -293,10 +288,10 @@ def bench_run(config: BenchConfig) -> BenchReport:
         subkeys = scheme.subkeys_at(material, selection)
         return scheme.sign_compressed(pk, params, 0, subkeys, selection, material.aux)
 
-    stats["otsske.sign"] = _measure(do_sign, reps, warm)
+    stats["otsske.sign"] = _measure(do_sign, reps, WARMUP)
     signature = do_sign()
     stats["otsske.verify"] = _measure(
-        lambda: scheme.verify_compressed(pk, params, 0, signature, message), reps, warm
+        lambda: scheme.verify_compressed(pk, params, 0, signature, message), reps, WARMUP
     )
 
     store = scheme.encode_session_store(params, pk, master, [material])

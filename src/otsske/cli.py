@@ -16,8 +16,9 @@ import click
 from . import bench as bench_mod
 from . import protocol, scheme
 from .backend import available_backends
-from .errors import DecodeError, OtsSkeError, ParameterError
+from .errors import DecodeError, ParameterError
 from .groups import DeterministicRandomness, SystemRandomness, setup
+from .params import ORDER
 from .scheme import SchemeParams
 
 _params_options = [
@@ -40,9 +41,8 @@ def params_options(func):
 
 def _build_params(radix: int, symbols: int, sessions: int, security: int) -> SchemeParams:
     try:
-        setup(security)
         return SchemeParams(sessions=sessions, symbols=symbols, radix=radix, security_level=security)
-    except (ParameterError, OtsSkeError) as exc:
+    except ParameterError as exc:
         raise click.UsageError(str(exc))
 
 
@@ -72,7 +72,7 @@ def setup_cmd(radix, symbols, sessions, security):
     group = setup(security)
     click.echo(f"t={params.radix} n={params.symbols} N={params.sessions} lambda={security}")
     click.echo(f"subkeys per session: {params.subkey_count}")
-    click.echo(f"group order bits: {group.order.bit_length()}")
+    click.echo(f"group order bits: {ORDER.bit_length()}")
     click.echo(f"backend: {group.backend_name} (available: {', '.join(available_backends())})")
 
 

@@ -89,7 +89,6 @@ class GroupParams:
     """Published pairing parameters for one security level."""
 
     security_level: int
-    order: int
     backend: ModuleType = field(compare=False)
 
     @property
@@ -100,22 +99,22 @@ class GroupParams:
         return f"GroupParams(security_level={self.security_level}, backend={self.backend_name!r})"
 
 
+def check_security_level(security_level: int) -> None:
+    """Raise :class:`UnsupportedSecurityLevelError` for a level with no curve."""
+    if security_level not in curve.SUPPORTED_SECURITY_LEVELS:
+        raise UnsupportedSecurityLevelError(
+            f"unsupported security level {security_level}; supported: {curve.SUPPORTED_SECURITY_LEVELS}"
+        )
+
+
 def setup(security_level: int, backend: str | None = None) -> GroupParams:
     """Return the fixed group parameters for a supported security level.
 
     Deterministic: the curve constants are published values, nothing is
     sampled.  Raises :class:`UnsupportedSecurityLevelError` otherwise.
     """
-    if security_level not in curve.SUPPORTED_SECURITY_LEVELS:
-        raise UnsupportedSecurityLevelError(
-            f"unsupported security level {security_level}; supported: {curve.SUPPORTED_SECURITY_LEVELS}"
-        )
-    module = backend_registry.load_backend(backend)
-    return GroupParams(
-        security_level=security_level,
-        order=curve.ORDER,
-        backend=module,
-    )
+    check_security_level(security_level)
+    return GroupParams(security_level, backend_registry.load_backend(backend))
 
 
 # -------------------------------------------------------- pairing counter
@@ -194,7 +193,7 @@ class SourceElement:
 
     def exp(self, k: Scalar) -> "SourceElement":
         b = self.params.backend
-        k %= self.params.order
+        k %= curve.ORDER
         first = b.g1_mul(self.first, k) if self.first is not None else None
         second = b.g2_mul(self.second, k) if self.second is not None else None
         return SourceElement(self.params, first, second)

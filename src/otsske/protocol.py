@@ -153,9 +153,6 @@ class AdversaryLog:
         with self._lock:
             return list(self._events)
 
-    def read_events(self) -> list[MemoryReadEvent]:
-        return [e for e in self.events if isinstance(e, MemoryReadEvent)]
-
     def session_views(self) -> dict[int, SessionView]:
         """Correlate events into one view per completed session.
 
@@ -411,15 +408,6 @@ def user_verify(pk: PublicKey, params: SchemeParams, quote: Quote, nonce: bytes)
     )
 
 
-def verify_quote_bytes(pk: PublicKey, params: SchemeParams, data: bytes, nonce: bytes) -> bool:
-    """Decode-and-verify; malformed quote encodings count as rejection."""
-    try:
-        quote = quote_decode(pk.group, data)
-    except DecodeError:
-        return False
-    return user_verify(pk, params, quote, nonce)
-
-
 class RemoteVerifier:
     """Nonce issuance plus freshness policy on top of :func:`user_verify`.
 
@@ -541,6 +529,7 @@ class ForgeryAttempt:
 
 
 _STRATEGIES = ("replay", "re-aggregation", "cross-session-substitution", "mix-and-match", "same-message-resign")
+GAME_MESSAGES = 4  # new messages the security game tries to forge per session
 
 
 def adversary_forge_attempts(
@@ -664,20 +653,16 @@ class GameReport:
         return out
 
 
-def run_security_game(
-    params: SchemeParams,
-    seed: int | bytes,
-    group: GroupParams | None = None,
-    messages_per_session: int = 4,
-) -> GameReport:
-    """Honest run over all sessions, then the forgery catalogue per session."""
-    run = run_protocol(params, seed, params.sessions, group=group)
+def run_security_game(params: SchemeParams, seed: int | bytes) -> GameReport:
+    """Honest run over all sessions, then the forgery catalogue per session
+    against each of ``GAME_MESSAGES`` new messages."""
+    run = run_protocol(params, seed, params.sessions)
     if not run.all_verified:
         raise ProtocolError("honest run failed; game preconditions not met")
     harness_rng = DeterministicRandomness(seed).fork(b"game")
     attempts: list[ForgeryAttempt] = []
     for session in range(params.sessions):
-        for index in range(messages_per_session):
+        for index in range(GAME_MESSAGES):
             target = b"forged result %d for session %d" % (index, session)
             new_message = protocol_message(
                 measure(b"malicious enclave"), measure(b"malicious app"), target

@@ -30,6 +30,7 @@ from .groups import (
     TAG_MESSAGE_HASH,
     TAG_PRP,
     aux_generator,
+    check_security_level,
     generator,
     hash_to_scalar,
     pair,
@@ -56,6 +57,7 @@ class SchemeParams:
     security_level: int = 256
 
     def __post_init__(self) -> None:
+        check_security_level(self.security_level)
         if self.sessions < 1:
             raise ParameterError("need at least one session")
         if self.symbols < 1:
@@ -301,17 +303,6 @@ def decompose(params: SchemeParams, value: int) -> tuple[int, ...]:
         digits.append(value % params.radix)
         value //= params.radix
     return tuple(digits)
-
-
-def recompose(params: SchemeParams, digits: Sequence[int]) -> int:
-    if len(digits) != params.symbols:
-        raise ParameterError("digit count must equal the symbol count")
-    value = 0
-    for digit in reversed(digits):
-        if not 0 <= digit < params.radix:
-            raise ParameterError("digit outside [0, t)")
-        value = value * params.radix + digit
-    return value
 
 
 def _selection_from_scalar(params: SchemeParams, scalar: Scalar, key: bytes) -> IndexSelection:
@@ -590,8 +581,11 @@ def encode_session_store(
 
     The public key rides along because ``h`` has no stored exponent and
     cannot be rebuilt from the master secret.  Generation transients are
-    never serialized.
+    never serialized.  Each session is stored at most once.
     """
+    sessions = [material.session for material in materials]
+    if len(set(sessions)) != len(sessions):
+        raise ParameterError("a session is stored more than once")
     fields = [encode_public_key(params, pk)]
     fields.append(master.alpha.to_bytes(32, "big"))
     fields.append(struct.pack(">Q", len(materials)))
@@ -646,7 +640,8 @@ def decode_session_store(
     them by the generator's row walk and must equal its stored encoding
     byte for byte.  A subkey swapped for any other valid point is therefore
     rejected with :class:`DecodeError`, except at n = 1, t = 2, where both
-    entries are fully decoded and nothing is derived.
+    entries are fully decoded and nothing is derived.  So is a store that
+    holds one session index twice.
     """
     reader = _FieldReader(data)
     params, pk = _read_public_key(reader.take(), backend)
@@ -663,6 +658,8 @@ def decode_session_store(
         session = reader.take_int()
         if session >= params.sessions:
             raise DecodeError("stored session index out of range")
+        if any(material.session == session for material in materials):
+            raise DecodeError(f"session {session} is stored more than once")
         aux = SourceElement.deserialize(group, reader.take(48))
         subkeys = _decode_subkeys(group, params, reader.take(96 * params.subkey_count))
         materials.append(SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux))

@@ -27,7 +27,6 @@ def small_report():
     config = bench.BenchConfig(
         params=scheme.SchemeParams(sessions=2, symbols=8, radix=4),
         repetitions=15,
-        warmup=3,
         seed=42,
         compare_backends=True,
     )
@@ -95,7 +94,6 @@ class TestMeasurements:
         config = bench.BenchConfig(
             params=scheme.SchemeParams(sessions=1, symbols=4, radix=2),
             repetitions=1,
-            warmup=0,
             seed=1,
             compare_backends=False,
         )

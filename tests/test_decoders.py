@@ -7,13 +7,14 @@ exception other than :class:`DecodeError` fails the test.
 """
 
 import functools
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otsske import protocol, scheme
 from otsske.backend import available_backends
-from otsske.errors import DecodeError
+from otsske.errors import DecodeError, ParameterError
 from otsske.groups import DeterministicRandomness, SourceElement, setup
 from otsske.params import G1_GENERATOR, G2_GENERATOR
 
@@ -176,3 +177,24 @@ def test_two_session_store_round_trips(backend, shape):
     for other in BACKENDS:
         assert two_session_store(other, *shape)[1] == data
         assert scheme.decode_session_store(data, backend=other)[3] == materials
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_that_repeats_a_session_is_refused(backend):
+    # two one-time keys under one session label, which the co-processor's
+    # counter rules out: the encoder refuses them, and so does the decoder
+    group, table = encodings(backend)
+    _, (params, pk, master, [material]), data = table["session_store"]
+    other = scheme.gen_session(pk, master, params, material.session, DeterministicRandomness(b"again"))
+    assert other != material
+    with pytest.raises(ParameterError, match="a session is stored more than once"):
+        scheme.encode_session_store(params, pk, master, [material, other])
+    # the store written by hand: its key and exponent, a count of 2, both records
+    record = 16 + (8 + 48) + (8 + 96 * params.subkey_count)
+    head = data[: -record - 16]
+    second = scheme.encode_session_store(params, pk, master, [other])[-record:]
+    assert scheme.decode_session_store(head + scheme._pack_fields([struct.pack(">Q", 1)]) + second,
+                                       backend=backend)[3] == [other]
+    forged = head + scheme._pack_fields([struct.pack(">Q", 2)]) + data[-record:] + second
+    with pytest.raises(DecodeError, match=f"session {material.session} is stored more than once"):
+        scheme.decode_session_store(forged, backend=backend)

@@ -31,7 +31,6 @@ class TestSetup:
     def test_supported_levels(self):
         for level in (128, 256):
             params = setup(level)
-            assert params.order.bit_length() >= 255
             assert params.security_level == level
 
     def test_unsupported_level(self):

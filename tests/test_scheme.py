@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from otsske import scheme
 from otsske.backend import available_backends, load_backend
-from otsske.errors import DecodeError, ParameterError, RepresentationError
+from otsske.errors import DecodeError, ParameterError, RepresentationError, UnsupportedSecurityLevelError
 from otsske.groups import (
     DeterministicRandomness,
     pairing_counter,
@@ -81,6 +81,11 @@ class TestSchemeParams:
 
         with pytest.raises(ParameterError):
             SchemeParams(sessions=2, symbols=2**62, radix=Radix(3))
+
+    def test_rejects_unsupported_security_level(self):
+        # no curve is configured for it, so a key written at it could not be read back
+        with pytest.raises(UnsupportedSecurityLevelError, match="unsupported security level 999"):
+            SchemeParams(sessions=2, symbols=2, radix=2, security_level=999)
 
 
 class TestKeygen:
@@ -257,12 +262,6 @@ class TestIndexCoding:
         assert scheme.decompose(SchemeParams(1, 3, 2), 5) == (1, 0, 1)
         assert scheme.decompose(SchemeParams(1, 3, 2), 0) == (0, 0, 0)
 
-    @given(st.integers(min_value=0, max_value=4**6 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_decompose_recompose_roundtrip(self, value):
-        params = SchemeParams(sessions=1, symbols=6, radix=4)
-        assert scheme.recompose(params, scheme.decompose(params, value)) == value
-
     @given(st.tuples(st.integers(0, 3), st.integers(0, 4**6 - 1),
                      st.integers(0, 3), st.integers(0, 4**6 - 1)))
     @settings(max_examples=100, deadline=None)
@@ -296,7 +295,7 @@ class TestSelection:
 
     def test_explicit_digit_mapping(self):
         params = SchemeParams(sessions=1, symbols=3, radix=4)
-        value = scheme.recompose(params, [2, 1, 0])
+        value = 2 + 1 * 4 + 0 * 16  # little-endian digits (2, 1, 0)
         sel = scheme._selection_from_scalar(params, value, b"")
         assert sel.indices == (2, 5, 8)
 
@@ -424,7 +423,7 @@ class TestSignatures:
         subkeys = scheme.subkeys_at(material, selection)
         calls = {}
         for name in ("g1_add", "g2_add", "g2_add_many", "g2_sum", "g1_mul", "g2_mul", "g2_mul_many",
-                     "pairing", "miller_loop", "multi_miller_loop", "final_exp"):
+                     "pairing", "multi_miller_loop", "final_exp"):
             def spy(*args, real=getattr(group.backend, name), name=name):
                 calls[name] = calls.get(name, 0) + 1
                 return real(*args)
