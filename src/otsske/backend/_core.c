@@ -678,6 +678,21 @@ INLINE void jac_mul(const field *F, u64 *r, const u64 *p, const unsigned char *k
     memcpy(r, acc, 24 * n);
 }
 
+INLINE void jac_mul_binary(const field *F, u64 *r, const u64 *p, const unsigned char *k, Py_ssize_t len)
+{
+    /* double-and-add over the big-endian scalar bytes k[0..len), as
+     * pure._jac_times; r may alias p */
+    u64 base[36];
+    memcpy(base, p, 24 * F->n);
+    jac_set_infinity(F, r);
+    for (Py_ssize_t i = 0; i < len; i++)
+        for (int bit = 7; bit >= 0; bit--) {
+            jac_double(F, r, r);
+            if ((k[i] >> bit) & 1)
+                jac_add(F, r, r, base);
+        }
+}
+
 INLINE void curve_rhs(const field *F, u64 *r, const u64 *x)
 {
     /* x^3 + b */
@@ -686,6 +701,8 @@ INLINE void curve_rhs(const field *F, u64 *r, const u64 *x)
     F->add(r, r, F->b);
 }
 
+static u64 X_ABS;                /* |x| */
+static unsigned char X_BYTES[8]; /* |x|, big-endian */
 static int X_BIT_COUNT;
 static unsigned char X_BITS[64]; /* |x| below its leading bit, high to low */
 
@@ -698,15 +715,8 @@ INLINE int jac_in_subgroup(const field *F, const u64 *p)
     const int n = F->n;
     u64 t[36], e[24], z2[12], u[12];
     memcpy(t, p, 24 * n);
-    for (int c = 0; c < F->chains; c++) {
-        u64 base[36];
-        memcpy(base, t, 24 * n);
-        for (int i = 0; i < X_BIT_COUNT; i++) {
-            jac_double(F, t, t);
-            if (X_BITS[i])
-                jac_add(F, t, t, base);
-        }
-    }
+    for (int c = 0; c < F->chains; c++)
+        jac_mul_binary(F, t, t, X_BYTES, sizeof X_BYTES);
     if (F->is_zero(t + 2 * n))
         return 0;
     F->endo(e, p);
@@ -721,24 +731,28 @@ INLINE int jac_in_subgroup(const field *F, const u64 *p)
 }
 
 /* ------------------------------------------------------ fixed-base combs */
-/* Lim-Lee combs for the constant generators, as pure._comb_table and
- * pure._comb_mul, built at init.  Each base has order r, so [k]P is read
- * from k mod r as w = COMB_TEETH rows of d = COMB_COLS bits: column j
- * gathers bit j of every row into an index u, and entry u is the affine sum
- * of [2^(i d)]P over the set bits i of u, so a multiplication is d
- * doublings and at most d mixed additions. */
+/* GLS combs for the constant generators, as pure._comb_tables and
+ * pure._comb_mul, built at init.  Each base has order r, on which -endo acts
+ * as [m] with m = |x|^chains, so k mod r is read as dims = 4 / chains digits
+ * a_i < m in base m, and [k]P is the sum of [a_i](-endo)^i(P).  Each digit
+ * is read as w = COMB_TEETH rows of d = cols bits: column j gathers bit j of
+ * every row into an index u, and entry u of table i is the affine sum of
+ * [2^(l d)](-endo)^i(P) over the set bits l of u.  The digits share one
+ * doubling chain, so a multiplication is d doublings (11 on G2, 22 on G1)
+ * and at most d * dims mixed additions. */
 
 #define COMB_TEETH 6 /* w, as pure._COMB_TEETH */
 #define COMB_SIZE (1 << COMB_TEETH)
+#define COMB_DIMS 4 /* the most digits: G2's, in base |x| */
 
 typedef struct {
     const field *F;
-    u64 base[24];           /* affine P, Montgomery: the lookup key */
-    u64 tab[COMB_SIZE][24]; /* affine entries, Montgomery; entry 0 unused */
+    int dims, cols;                    /* digits of k mod r, and d */
+    u64 base[24];                      /* affine P, Montgomery: the lookup key */
+    u64 tab[COMB_DIMS][COMB_SIZE][24]; /* affine entries, Montgomery; entry 0 unused */
 } comb;
 
 static comb COMB_G1, COMB_G2, COMB_AUX;
-static int COMB_COLS; /* d = ceil(bits of r / w) */
 
 static void *new_array(Py_ssize_t count, size_t size)
 {
@@ -787,18 +801,21 @@ static int batch_to_affine(const field *F, u64 (*out)[24], u64 (*in)[36], Py_ssi
 
 static int comb_build(const field *F, comb *c, const u64 *p)
 {
-    /* p affine, Montgomery.  The rows [2^(i d)]P are made affine with one
+    /* p affine, Montgomery.  The rows [2^(l d)]P are made affine with one
      * inversion, then entry u = entry (u without its top bit) + row (top
-     * bit), never infinity or a doubling, and every entry with one more. */
+     * bit), never infinity or a doubling, and every entry with one more.
+     * Table i + 1 is -endo of table i, entry by entry. */
     const int n = F->n;
     u64 jac[COMB_SIZE][36], rows[COMB_TEETH][24];
     c->F = F;
+    c->dims = 4 / F->chains;
+    c->cols = ((X_BIT_COUNT + 1) * F->chains + COMB_TEETH - 1) / COMB_TEETH;
     memcpy(c->base, p, 16 * n);
     memcpy(jac[0], p, 16 * n);
     set_one(jac[0] + 2 * n, n);
     for (int i = 1; i < COMB_TEETH; i++) {
         memcpy(jac[i], jac[i - 1], 24 * n);
-        for (int j = 0; j < COMB_COLS; j++)
+        for (int j = 0; j < c->cols; j++)
             jac_double(F, jac[i], jac[i]);
     }
     if (batch_to_affine(F, rows, jac, COMB_TEETH))
@@ -812,7 +829,14 @@ static int comb_build(const field *F, comb *c, const u64 *p)
             set_one(jac[u] + 2 * n, n);
         }
     }
-    return batch_to_affine(F, c->tab + 1, jac + 1, COMB_SIZE - 1);
+    if (batch_to_affine(F, c->tab[0] + 1, jac + 1, COMB_SIZE - 1))
+        return -1;
+    for (int i = 1; i < c->dims; i++)
+        for (int u = 1; u < COMB_SIZE; u++) {
+            F->endo(c->tab[i][u], c->tab[i - 1][u]);
+            F->neg(c->tab[i][u] + n, c->tab[i][u] + n);
+        }
+    return 0;
 }
 
 INLINE const comb *comb_for(const field *F, const u64 *a)
@@ -825,19 +849,45 @@ INLINE const comb *comb_for(const field *F, const u64 *a)
     return NULL;
 }
 
+static u64 div_x(u64 *k)
+{
+    /* k = k div |x| for a 4-limb k; returns k mod |x| */
+    unsigned __int128 rem = 0;
+    for (int i = 3; i >= 0; i--) {
+        unsigned __int128 cur = rem << 64 | k[i];
+        k[i] = (u64)(cur / X_ABS);
+        rem = cur % X_ABS;
+    }
+    return (u64)rem;
+}
+
 INLINE void comb_mul(const field *F, u64 *r, const comb *c, const u64 *k)
 {
-    /* [k]P for k < 2^(w d) in plain limbs */
+    /* [k]P for k < r in plain limbs: four digits in base |x|, taken in
+     * groups of chains as the digits in base m (128 bits on G1) */
+    u64 q[4], e[4], digit[COMB_DIMS][3] = {{0}};
+    memcpy(q, k, sizeof q);
+    for (int i = 0; i < 4; i++)
+        e[i] = div_x(q);
+    for (int i = 0; i < c->dims; i++) {
+        unsigned __int128 a = 0;
+        for (int j = F->chains - 1; j >= 0; j--)
+            a = a * X_ABS + e[i * F->chains + j];
+        digit[i][0] = (u64)a;
+        digit[i][1] = (u64)(a >> 64);
+    }
     jac_set_infinity(F, r);
-    for (int j = COMB_COLS - 1; j >= 0; j--) {
-        int u = 0;
+    for (int j = c->cols - 1; j >= 0; j--) {
         jac_double(F, r, r);
-        for (int i = 0; i < COMB_TEETH; i++) {
-            int bit = i * COMB_COLS + j;
-            u |= (int)((k[bit >> 6] >> (bit & 63)) & 1) << i;
+        for (int i = 0; i < c->dims; i++) {
+            int u = 0;
+            for (int t = 0; t < COMB_TEETH; t++) {
+                int bit = t * c->cols + j;
+                u |= (int)((digit[i][bit >> 6] >> (bit & 63)) & 1) << t;
+            }
+            if (u)
+                jac_madd(F, r, r, c->tab[i][u]);
         }
-        if (u)
-            jac_madd(F, r, r, c->tab[u]);
     }
 }
 
@@ -1100,7 +1150,6 @@ static void cyc_pow(u64 *r, const u64 *a, const u64 *e, int bits)
     memcpy(r, acc, 576);
 }
 
-static u64 X_ABS;      /* |x| */
 static u64 CHAIN[6];    /* params.HARD_CHAIN */
 static int CHAIN_BITS;
 
@@ -1523,6 +1572,37 @@ done:
     return out;
 }
 
+INLINE PyObject *group_steps(const field *F, PyObject *p, PyObject *t, PyObject *count)
+{
+    /* (P, [t]P, ..., [t^(count-1)]P) as pure._steps: one Jacobian chain of
+     * double-and-add steps, made affine with one inversion; the point is
+     * read first, then t, then count */
+    u64 a[36], (*jac)[36] = NULL;
+    int neg, tp = point_from_py(F, a, p);
+    PyObject *tb = tp < 0 ? NULL : scalar_bytes(t, &neg), *out = NULL;
+    Py_ssize_t len = tb ? PyNumber_AsSsize_t(count, PyExc_OverflowError) : -1;
+    if (len < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "count must be non-negative");
+        goto done;
+    }
+    if (!(jac = new_array(len, sizeof *jac)))
+        goto done;
+    if (len)
+        memcpy(jac[0], a, sizeof a);
+    for (Py_ssize_t i = 1; i < len; i++) {
+        memcpy(jac[i], jac[i - 1], sizeof a);
+        if (neg)
+            F->neg(jac[i] + F->n, jac[i] + F->n);
+        jac_mul_binary(F, jac[i], jac[i], (const unsigned char *)PyBytes_AS_STRING(tb), PyBytes_GET_SIZE(tb));
+    }
+    out = points_to_py(F, jac, len);
+done:
+    PyMem_Free(jac);
+    Py_XDECREF(tb);
+    return out;
+}
+
 INLINE PyObject *group_in_subgroup(const field *F, PyObject *p)
 {
     u64 a[36];
@@ -1642,11 +1722,11 @@ static PyObject *gt_to_py(const u64 *a)
 
 /* ------------------------------------------------------------- public API */
 
-static int nargs_ok(const char *name, Py_ssize_t nargs)
+static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
-    if (nargs == 2)
+    if (nargs == want)
         return 1;
-    PyErr_Format(PyExc_TypeError, "%s() takes exactly 2 arguments (%zd given)", name, nargs);
+    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)", name, want, nargs);
     return 0;
 }
 
@@ -1656,7 +1736,7 @@ static int nargs_ok(const char *name, Py_ssize_t nargs)
 #define BINARY(name, impl, F)                                                                  \
     static PyObject *name(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)    \
     {                                                                                          \
-        return nargs_ok(#name, nargs) ? impl(F, args[0], args[1]) : NULL;                      \
+        return nargs_ok(#name, nargs, 2) ? impl(F, args[0], args[1]) : NULL;                   \
     }
 
 BINARY(g1_add, group_add, &G1)
@@ -1666,6 +1746,12 @@ BINARY(g2_mul, group_mul, &G2)
 BINARY(g2_add_many, group_add_many, &G2)
 BINARY(g2_mul_many, group_mul_many, &G2)
 UNARY(g2_sum, group_sum, &G2)
+
+static PyObject *g2_steps(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    return nargs_ok("g2_steps", nargs, 3) ? group_steps(&G2, args[0], args[1], args[2]) : NULL;
+}
+
 UNARY(g1_neg, group_neg, &G1)
 UNARY(g1_in_subgroup, group_in_subgroup, &G1)
 UNARY(g2_in_subgroup, group_in_subgroup, &G2)
@@ -1719,7 +1805,7 @@ static PyObject *pairing(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize
 {
     term t;
     int rc;
-    if (!nargs_ok("pairing", nargs) || (rc = term_from_py(&t, args[0], args[1])) < 0)
+    if (!nargs_ok("pairing", nargs, 2) || (rc = term_from_py(&t, args[0], args[1])) < 0)
         return NULL;
     return miller_product(&t, rc, 1);
 }
@@ -1759,7 +1845,7 @@ done:
 static PyObject *gt_mul(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
     u64 a[72], b[72];
-    if (!nargs_ok("gt_mul", nargs) || gt_from_py(a, args[0]) || gt_from_py(b, args[1]))
+    if (!nargs_ok("gt_mul", nargs, 2) || gt_from_py(a, args[0]) || gt_from_py(b, args[1]))
         return NULL;
     f12_mul(a, a, b);
     return gt_to_py(a);
@@ -1789,7 +1875,7 @@ static PyObject *gt_pow(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_
     u64 a[72], acc[72];
     int neg;
     PyObject *eb;
-    if (!nargs_ok("gt_pow", nargs) || gt_from_py(a, args[0]) || !(eb = scalar_bytes(args[1], &neg)))
+    if (!nargs_ok("gt_pow", nargs, 2) || gt_from_py(a, args[0]) || !(eb = scalar_bytes(args[1], &neg)))
         return NULL;
     if (neg) {
         Py_DECREF(eb);
@@ -1818,6 +1904,7 @@ static PyMethodDef methods[] = {
     {"g2_add_many", FASTCALL(g2_add_many), "[P_i + Q_i] for two G2 sequences of equal length, with one inversion."},
     {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2, with one inversion."},
     {"g2_sum", g2_sum, METH_O, "The sum of a sequence of G2 points, with one inversion."},
+    {"g2_steps", FASTCALL(g2_steps), "[P, [t]P, ..., [t^(count-1)]P] in G2, with one inversion."},
     {"g1_neg", g1_neg, METH_O, "-P in G1."},
     {"g1_in_subgroup", g1_in_subgroup, METH_O, "Whether an on-curve G1 point has order r: phi(P) == -[x^2]P."},
     {"g2_in_subgroup", g2_in_subgroup, METH_O, "Whether an on-curve G2 point has order r: psi(P) == [x]P."},
@@ -1934,6 +2021,8 @@ static int init_pairing(PyObject *params)
     if (PyErr_Occurred() || !xv || limbs_attr(CHAIN, params, "HARD_CHAIN", 6))
         return -1;
     X_ABS = xv;
+    for (int i = 0; i < 8; i++)
+        X_BYTES[i] = (unsigned char)(xv >> (56 - 8 * i));
     X_BIT_COUNT = 63 - __builtin_clzll(xv);
     for (int i = 0; i < X_BIT_COUNT; i++)
         X_BITS[i] = (xv >> (X_BIT_COUNT - 1 - i)) & 1;
@@ -1955,12 +2044,11 @@ static int base_from_py(const field *F, u64 *r, PyObject *mod, const char *name)
 static int init_tables(PyObject *params)
 {
     /* the combs of the three generators and the line tables of the G2 ones */
-    u64 g1[12], g2[24], aux[24], r[6];
+    u64 g1[12], g2[24], aux[24];
     ORDER_PY = PyObject_GetAttrString(params, "ORDER");
-    if (!ORDER_PY || limbs_from_py(r, ORDER_PY, 6) || base_from_py(&G1, g1, params, "G1_GENERATOR")
+    if (!ORDER_PY || base_from_py(&G1, g1, params, "G1_GENERATOR")
         || base_from_py(&G2, g2, params, "G2_GENERATOR") || base_from_py(&G2, aux, params, "G2_AUX_GENERATOR"))
         return -1;
-    COMB_COLS = (bit_length(r) + COMB_TEETH - 1) / COMB_TEETH;
     if (comb_build(&G1, &COMB_G1, g1) || comb_build(&G2, &COMB_G2, g2) || comb_build(&G2, &COMB_AUX, aux))
         return -1;
     if (lines_build(g2, aux)) {

@@ -591,23 +591,36 @@ def _batch_to_affine(F, points):
     return out
 
 
+def _jac_times(F, p, bits):
+    """[k]P for a Jacobian P and k > 0 whose binary digits below the leading
+    one are bits, by double-and-add."""
+    t = p
+    for bit in bits:
+        t = _jac_double(F, t)
+        if bit == "1":
+            t = _jac_add(F, t, p)
+    return t
+
+
+def _neg_endo(F, p):
+    """-endo(P) for an affine point P, which is [m]P on the subgroup."""
+    x, y = F.endo(p)
+    return (x, F.neg(y))
+
+
 def _jac_in_subgroup(F, p):
     # For P on the curve: -endo(P) == [|X|^chains]P, by double-and-add over
     # |X| (63 doublings and 5 additions per chain) and one comparison with
     # the affine -endo(P) scaled by Z^2 and Z^3.
     t = (p[0], p[1], F.one)
     for _ in range(F.chains):
-        base = t
-        for bit in _X_BITS:
-            t = _jac_double(F, t)
-            if bit == "1":
-                t = _jac_add(F, t, base)
+        t = _jac_times(F, t, _X_BITS)
     x, y, z = t
     if z == F.zero:
         return False
-    ex, ey = F.endo(p)
+    ex, ey = _neg_endo(F, p)
     z2 = F.sqr(z)
-    return F.mul(ex, z2) == x and F.mul(F.neg(ey), F.mul(z2, z)) == y
+    return F.mul(ex, z2) == x and F.mul(ey, F.mul(z2, z)) == y
 
 
 # ---------------------------------------------------------------- subgroups
@@ -617,7 +630,8 @@ def _jac_in_subgroup(F, p):
 # 6 instead of [r]P with the 255-bit r.  For on-curve points each test holds
 # exactly on the subgroup; the tests check both against [r]P == O.
 
-_X_BITS = bin(abs(X_PARAM))[3:]
+_X_ABS = abs(X_PARAM)
+_X_BITS = bin(_X_ABS)[3:]
 
 def _in_subgroup(F, p):
     """Whether an on-curve point is in the order-r subgroup: -endo(P) == [|X|^chains]P."""
@@ -629,29 +643,44 @@ g1_in_subgroup, g2_in_subgroup = partial(_in_subgroup, _G1), partial(_in_subgrou
 
 
 # ---------------------------------------------------------------- fixed bases
-# Lim-Lee comb (CRYPTO 1994) for the constant generators, registered in
-# _COMB_BASES once they are known.  Each has order r, so [k]P = [k mod r]P,
-# and k mod r < 2^(w d) is read as w rows of d bits: column j gathers bit j of
-# every row into an index u, and the table holds, at u, the affine sum of
-# [2^(i d)]P over the set bits i of u.  A multiplication is then d doublings
-# and at most d mixed additions, with one inversion at the end.  Several
-# multiplications of one base run side by side in affine coordinates
-# instead: each column is one doubling and one addition of every chain, and
-# each of those shares one inversion across the chains, which in CPython
-# costs less than the Jacobian formulas' extra multiplications.
+# GLS combs (Galbraith-Lin-Scott, EUROCRYPT 2009, over the comb of Lim-Lee,
+# CRYPTO 1994) for the constant generators, registered in _COMB_BASES once
+# they are known.  Each has order r, on which -endo acts as [m] with
+# m = |X|^chains, the identity the subgroup check tests.  So k mod r < m^dims
+# (r = X^4 - X^2 + 1 < |X|^4, dims = 4 / chains) has digits a_i < m in base
+# m, and [k]P is the sum of [a_i](-endo)^i(P).  A digit a_i < 2^(w d) is read
+# as w rows of d bits: column j gathers bit j of every row into an index u,
+# and table i holds, at u, the affine sum of [2^(l d)](-endo)^i(P) over the
+# set bits l of u.  The digits' combs share one doubling chain, so a
+# multiplication is d doublings and at most d * dims mixed additions, with
+# one inversion at the end: d = 11 on G2 and 22 on G1, against the 43 of a
+# comb on all 255 bits.  Several multiplications of one base run side by
+# side in affine coordinates instead: each column is one doubling and dims
+# additions of every chain, and each of those shares one inversion across
+# the chains, which in CPython costs less than the Jacobian formulas' extra
+# multiplications.
 
 _COMB_TEETH = 6  # w
-_COMB_COLS = -(-ORDER.bit_length() // _COMB_TEETH)  # d
 _COMB_BASES = set()
 
 
 @cache
-def _comb_table(F, p):
-    """The 2^w affine comb entries of P, built on first use (infinity at index 0)."""
+def _comb_shape(F):
+    """(m, dims, d): the radix |X|^chains, the digits of k mod r in base m,
+    and the columns of a digit's comb."""
+    m = _X_ABS**F.chains
+    return m, 4 // F.chains, -(-m.bit_length() // _COMB_TEETH)
+
+
+@cache
+def _comb_tables(F, p):
+    """The dims comb tables of P, built on first use: 2^w affine entries
+    each, infinity at index 0, and table i + 1 is -endo of table i."""
+    _, dims, d = _comb_shape(F)
     rows = [(p[0], p[1], F.one)]
     for _ in range(_COMB_TEETH - 1):
         t = rows[-1]
-        for _ in range(_COMB_COLS):
+        for _ in range(d):
             t = _jac_double(F, t)
         rows.append(t)
     rows = _batch_to_affine(F, rows)
@@ -662,34 +691,45 @@ def _comb_table(F, p):
         top = u.bit_length() - 1
         rest = u ^ (1 << top)
         table.append(_jac_madd(F, table[rest], rows[top]) if rest else (*rows[top], F.one))
-    return [INFINITY] + _batch_to_affine(F, table[1:])
+    tables = [[INFINITY] + _batch_to_affine(F, table[1:])]
+    while len(tables) < dims:
+        tables.append([INFINITY] + [_neg_endo(F, e) for e in tables[-1][1:]])
+    return tables
 
 
-def _comb_columns(k):
-    """The table index u of each column of 0 <= k < 2^(w d), column d - 1 first."""
-    mask = (1 << _COMB_COLS) - 1
-    # the rows as d-digit binary strings, row w - 1 first: a column's digits
-    # then read as u, high bit first
-    rows = [format((k >> (i * _COMB_COLS)) & mask, f"0{_COMB_COLS}b") for i in reversed(range(_COMB_TEETH))]
-    return [int("".join(column), 2) for column in zip(*rows)]
+def _comb_columns(F, k):
+    """The table indices of each column of 0 <= k < r, column d - 1 first:
+    per column, one index per digit of k in base m."""
+    m, dims, d = _comb_shape(F)
+    mask = (1 << d) - 1
+    digits = []
+    for _ in range(dims):
+        k, a = divmod(k, m)
+        # the rows of a as d-digit binary strings, row w - 1 first: a
+        # column's digits then read as u, high bit first
+        rows = [format((a >> (i * d)) & mask, f"0{d}b") for i in reversed(range(_COMB_TEETH))]
+        digits.append([int("".join(column), 2) for column in zip(*rows)])
+    return list(zip(*digits))
 
 
-def _comb_mul(F, table, k):
-    """[k]P for 0 <= k < 2^(w d), from P's comb table."""
+def _comb_mul(F, tables, k):
+    """[k]P for 0 <= k < r, from P's comb tables."""
     acc = (F.one, F.one, F.zero)
-    for u in _comb_columns(k):
+    for us in _comb_columns(F, k):
         acc = _jac_double(F, acc)
-        if u:
-            acc = _jac_madd(F, acc, table[u])
+        for table, u in zip(tables, us):
+            if u:
+                acc = _jac_madd(F, acc, table[u])
     return _jac_to_affine(F, acc)
 
 
-def _comb_mul_many(F, table, ks):
-    """[k]P for each 0 <= k < 2^(w d), the chains side by side in affine coordinates."""
+def _comb_mul_many(F, tables, ks):
+    """[k]P for each 0 <= k < r, the chains side by side in affine coordinates."""
     accs = [INFINITY] * len(ks)
-    for us in zip(*map(_comb_columns, ks)):
+    for column in zip(*(_comb_columns(F, k) for k in ks)):
         accs = _sums(F, accs, accs)
-        accs = _sums(F, accs, [table[u] for u in us])
+        for i, table in enumerate(tables):
+            accs = _sums(F, accs, [table[us[i]] for us in column])
     return accs
 
 
@@ -698,7 +738,7 @@ def _mul(F, p, k):
     k = index(k)
     p = _point(F, p)
     if p in _COMB_BASES:
-        return _comb_mul(F, _comb_table(F, p), k % ORDER)
+        return _comb_mul(F, _comb_tables(F, p), k % ORDER)
     return _jac_mul(F, p, k)
 
 
@@ -708,12 +748,28 @@ def _mul_many(F, p, ks):
     p = _point(F, p)
     ks = [index(k) for k in ks]
     if p in _COMB_BASES:
-        return _comb_mul_many(F, _comb_table(F, p), [k % ORDER for k in ks])
+        return _comb_mul_many(F, _comb_tables(F, p), [k % ORDER for k in ks])
     return [_jac_mul(F, p, k) for k in ks]
+
+
+def _steps(F, p, t, count):
+    """(P, [t]P, [t^2]P, ..., [t^(count-1)]P) for any integer t: one
+    Jacobian chain of double-and-add steps, made affine with one inversion."""
+    p, t, count = _point(F, p), index(t), index(count)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    chain = [(p[0], p[1], F.one) if p else (F.one, F.one, F.zero)]
+    bits = bin(abs(t))[3:]
+    while len(chain) < count:
+        x, y, z = chain[-1]
+        chain.append(_jac_times(F, (x, F.neg(y) if t < 0 else y, z), bits) if t else (F.one, F.one, F.zero))
+    finite = iter(_batch_to_affine(F, [q for q in chain if q[2] != F.zero]))
+    return [next(finite) if q[2] != F.zero else INFINITY for q in chain[:count]]
 
 
 g1_mul, g2_mul = partial(_mul, _G1), partial(_mul, _G2)
 g2_mul_many = partial(_mul_many, _G2)
+g2_steps = partial(_steps, _G2)
 
 
 # ---------------------------------------------------------------- pairing

@@ -9,8 +9,9 @@ Timed regions
                     g^(alpha r n).
 * ``keygen.aux``    the session's aux value g^r.
 * ``keygen.sk``     filling the n x t subkey matrix: h^r, the n row heads
-                    (one ``g2_add_many``) and the row walk (n - 1 steps
-                    times t, then t - 1 ``g2_add_many`` calls).
+                    (one ``g2_add_many``) and the row walk (the n row
+                    steps in one ``g2_steps`` chain, then t - 1
+                    ``g2_add_many`` calls).
 * ``keygen.total``  one full session generation (the three phases plus glue).
 * ``sign``          subset selection + compressed signing: one ``g2_sum``
                     of the n selected subkeys (zero pairings).

@@ -208,15 +208,13 @@ def _walk_rows(
     """Rows of a subkey matrix: row j is head_j + b*S_j for b in [0, t),
     with S_0 = step and S_(j+1) = t*S_j.
 
-    The rows advance side by side, one column per ``g2_add_many`` call, so a
-    column's n additions share one inversion.  Session generation and store
-    loading both build their rows here, so a loaded matrix is rebuilt
-    exactly as it was generated.
+    The n steps come from one ``g2_steps`` chain, and the rows advance side
+    by side, one column per ``g2_add_many`` call: each call shares one
+    inversion.  Session generation and store loading both build their rows
+    here, so a loaded matrix is rebuilt exactly as it was generated.
     """
     backend = group.backend
-    steps = [step]
-    for _ in range(len(heads) - 1):
-        steps.append(backend.g2_mul(steps[-1], t))
+    steps = backend.g2_steps(step, t, len(heads))
     columns = [list(heads)]
     for _ in range(t - 1):
         columns.append(backend.g2_add_many(columns[-1], steps))
@@ -581,9 +579,13 @@ def encode_session_store(
 
     The public key rides along because ``h`` has no stored exponent and
     cannot be rebuilt from the master secret.  Generation transients are
-    never serialized.  Each session is stored at most once.
+    never serialized.  Each session is stored at most once, and only one
+    that ``params`` has room for.
     """
     sessions = [material.session for material in materials]
+    for session in sessions:
+        if not 0 <= session < params.sessions:
+            raise ParameterError(f"session {session} outside [0, {params.sessions})")
     if len(set(sessions)) != len(sessions):
         raise ParameterError("a session is stored more than once")
     fields = [encode_public_key(params, pk)]

@@ -25,6 +25,7 @@ from otsske.params import (
     G2_GENERATOR,
     ORDER,
     TWIST_ORDER,
+    X,
     XI,
 )
 
@@ -60,7 +61,7 @@ def traced_names():
 TRACED = traced_names()
 # groups.py, scheme.py and bench.py read these
 READ = ("NAME", "GT_ONE", "G2_AUX_GENERATOR", "g1_add", "g2_add", "g1_mul", "g2_mul", "g1_neg",
-        "g2_add_many", "g2_mul_many", "g2_sum", "g1_compress", "g2_compress", "g1_decompress",
+        "g2_add_many", "g2_mul_many", "g2_sum", "g2_steps", "g1_compress", "g2_compress", "g1_decompress",
         "g2_decompress", "g1_in_subgroup", "g2_in_subgroup", "pairing", "multi_miller_loop", "final_exp")
 # what only the tests call: gt_pow on both backends, and pure's references
 PURE_REFERENCES = ("g2_neg", "g1_on_curve", "g2_on_curve")
@@ -919,6 +920,61 @@ def test_table_base_mul_against_definition(base, k):
         assert getattr(load_backend(name), f"{group}_mul")(p, k) == expected, (name, base, k)
 
 
+# The GLS comb reads k mod r as digits in base m, m = |X| on G2 and X^2 on
+# G1: its edge scalars are the digit boundaries.
+RADIX = {"g1": X**2, "g2": abs(X)}
+
+
+@functools.cache
+def digit_boundary_case(base):
+    """The digit-boundary scalars of a comb base, and [k]P for each by affine_mul."""
+    group, p = TABLE_BASES[base]
+    m = RADIX[group]
+    ks = [0, 1, m - 1, m, m + 1, m**2 - 1, m**2, m**3, ORDER - 1, ORDER, ORDER + 1, 2**255 - 1]
+    ks += [-1, -m, -(m**3), -(2**255 - 1)]
+    return ks, [affine_mul(group, p, k) for k in ks]
+
+
+@pytest.mark.parametrize("base", TABLE_BASES)
+def test_comb_digit_boundaries_against_definition(backend, base):
+    group, p = TABLE_BASES[base]
+    ks, expected = digit_boundary_case(base)
+    assert [getattr(backend, f"{group}_mul")(p, k) for k in ks] == expected
+    if group == "g2":
+        # the side-by-side path reads the same digits
+        assert backend.g2_mul_many(p, ks) == expected
+
+
+def test_comb_runs_d_columns(monkeypatch):
+    # one doubling per column, shared by every digit's comb: d = 11 on G2
+    # and 22 on G1 (6 teeth on 64- and 128-bit digits), and on the
+    # side-by-side path one batched doubling and one batched addition per
+    # digit in each column
+    pure = load_backend("pure")
+    for group, p in TABLE_BASES.values():
+        getattr(pure, f"{group}_mul")(p, 1)  # the tables are built on first use
+    calls = {}
+
+    def counted(name):
+        real = getattr(pure, name)
+
+        def spy(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(pure, name, spy)
+
+    counted("_jac_double")
+    counted("_sums")
+    for group, p in TABLE_BASES.values():
+        calls.clear()
+        getattr(pure, f"{group}_mul")(p, ORDER - 1)
+        assert calls == {"_jac_double": {"g1": 22, "g2": 11}[group]}
+    calls.clear()
+    pure.g2_mul_many(G2_GENERATOR, [ORDER - 1, 5])
+    assert calls == {"_sums": 11 * (1 + 4)}
+
+
 def rebuilt(item, kind):
     """item with every tuple replaced by a list, or with fresh int objects."""
     if isinstance(item, int):
@@ -1009,12 +1065,13 @@ def test_subgroup_check_against_definition(group, kind, data):
 
 
 # ------------------------------------------------------------ batched G2
-# g2_mul_many, g2_add_many and g2_sum share one inversion across their
-# elements.  Each must equal one g2_mul or g2_add per element (g2_sum: the
-# left fold of g2_add over its points) in both backends, and the two
-# backends must refuse the same input with the same exception.
+# g2_mul_many, g2_add_many, g2_sum and g2_steps share one inversion across
+# their elements.  Each must equal one g2_mul or g2_add per element (g2_sum:
+# the left fold of g2_add over its points; g2_steps: g2_mul by t, repeated)
+# in both backends, and the two backends must refuse the same input with
+# the same exception.
 
-BATCH = ("g2_mul_many", "g2_add_many", "g2_sum")
+BATCH = ("g2_mul_many", "g2_add_many", "g2_sum", "g2_steps")
 BATCH_SCALARS = st.lists(
     st.one_of(st.sampled_from([0, 1, -1, ORDER, -ORDER, ORDER + 1, 2 * ORDER, -ORDER - 5]),
               st.integers(-(2**256), 2**256)),
@@ -1032,6 +1089,27 @@ def test_g2_mul_many_against_g2_mul(data, ks):
             b = load_backend(name)
             assert b.g2_mul_many(p, ks) == [b.g2_mul(p, k) for k in ks], (name, p, ks)
         assert_agree("g2_mul_many", p, ks)
+
+
+STEP_FACTORS = st.one_of(st.sampled_from([0, 1, -1, 2, 4, -4, 65536, ORDER, ORDER + 1]),
+                         st.integers(-(2**70), 2**70))
+
+
+def repeated_mul(b, p, t, count):
+    out = [p]
+    while len(out) < count:
+        out.append(b.g2_mul(out[-1], t))
+    return out[:count]
+
+
+@given(data=st.data(), t=STEP_FACTORS, count=st.integers(0, 5))
+@settings(max_examples=10, deadline=None)
+def test_g2_steps_against_g2_mul(data, t, count):
+    # a comb base, a subgroup point, a curve point outside the subgroup, and infinity
+    for p in (G2_GENERATOR, point("g2", data.draw(NONZERO)), curve_point("g2", data.draw(st.tuples(FP, FP))), ()):
+        for name in BACKENDS:
+            b = load_backend(name)
+            assert b.g2_steps(p, t, count) == repeated_mul(b, p, t, count), (name, p, t, count)
 
 
 @given(data=st.data())
@@ -1102,12 +1180,17 @@ def test_g2_batches_reject_malformed(data):
         assert_agree("g2_mul_many", bad, [3, 1.5], message=True)
         assert_agree("g2_sum", [p, bad, p], message=True)
         assert_agree("g2_sum", [bad], message=True)
+        # the point is read before t and count
+        assert_agree("g2_steps", bad, 2, 3, message=True)
+        assert_agree("g2_steps", bad, 1.5, -1, message=True)
     for args in (([p], []), ([], [p]), ([p, p], [p]), (5, [p]), ([p], None)):
         assert_agree("g2_add_many", *args, message=True)
     for ks in (5, None, [1, "2"], [2**300, None]):
         assert_agree("g2_mul_many", p, ks, message=True)
     for ps in (5, None, "ab", p):
         assert_agree("g2_sum", ps, message=True)
+    for t, count in ((1.5, 2), (None, 2), (2, 1.5), (2, "3"), (2, -1), (0, -1), (1.5, -1)):
+        assert_agree("g2_steps", p, t, count, message=True)
 
 
 @functools.cache
@@ -1129,12 +1212,13 @@ def test_g2_batches_of_any_length(backend, count):
     assert backend.g2_mul_many(point("g2", 7), small) == small_points  # no table: a chain per scalar
     assert backend.g2_add_many(points, points[::-1]) == sums
     assert backend.g2_sum(points) == total
+    assert backend.g2_steps(G2_GENERATOR, 3, count) == [point("g2", pow(3, i, ORDER)) for i in range(count)]
 
 
 def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
     # perfbench's tracer times the public functions by name, so a batch must
     # not show up as calls of them
-    p, p10 = point("g2", 5), point("g2", 10)
+    p, p10, p20 = point("g2", 5), point("g2", 10), point("g2", 20)
     minus_p = load_backend("pure").g2_neg(p)
 
     def forbidden(*args):
@@ -1147,3 +1231,5 @@ def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
     assert backend.g2_mul_many(p, [2]) == [p10]
     assert backend.g2_add_many([p, p, ()], [p, (), ()]) == [p10, p, ()]
     assert backend.g2_sum([p, (), p, minus_p, p]) == p10
+    assert backend.g2_steps(p, 2, 3) == [p, p10, p20]
+    assert backend.g2_steps(p10, -2, 2) == [p10, load_backend("pure").g2_neg(p20)]

@@ -6,6 +6,7 @@ are truncated, extended or have one byte changed, on every backend; any
 exception other than :class:`DecodeError` fails the test.
 """
 
+import dataclasses
 import functools
 import struct
 
@@ -198,3 +199,37 @@ def test_store_that_repeats_a_session_is_refused(backend):
     forged = head + scheme._pack_fields([struct.pack(">Q", 2)]) + data[-record:] + second
     with pytest.raises(DecodeError, match=f"session {material.session} is stored more than once"):
         scheme.decode_session_store(forged, backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_of_a_session_outside_the_params_is_refused(backend):
+    # session 1 under parameters with room for session 0 alone: the decoder
+    # would refuse the store, so the encoder does not write it
+    group, table = encodings(backend)
+    _, (params, pk, master, [material]), _ = table["session_store"]
+    narrow = scheme.SchemeParams(sessions=1, symbols=params.symbols, radix=params.radix)
+    with pytest.raises(ParameterError, match=r"^session 1 outside \[0, 1\)$"):
+        scheme.encode_session_store(narrow, pk, master, [material])
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"t{t}n{n}" for t, n in SHAPES])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_with_an_infinite_row_step(backend, shape):
+    # entry (0, 1) equal to its head makes the first row step, and with it
+    # every row step, infinity, so every row must repeat its head.  With
+    # that swap alone a store is rejected, unless the swapped entry is all
+    # that its rows hold past their heads (t = 2, n = 1); a store whose rows
+    # all repeat their heads decodes.
+    (params, pk, master, materials), data = two_session_store(backend, *shape)
+    flat = len(data) - 96 * params.subkey_count  # the last session's matrix
+    swapped = data[: flat + 96] + data[flat : flat + 96] + data[flat + 192 :]
+    if shape == (2, 1):
+        head = materials[1].subkeys[0][0]
+        assert scheme.decode_session_store(swapped, backend=backend)[3][1].subkeys == ((head, head),)
+    else:
+        with pytest.raises(DecodeError, match="does not continue its row"):
+            scheme.decode_session_store(swapped, backend=backend)
+    repeated = [dataclasses.replace(m, subkeys=tuple((row[0],) * params.radix for row in m.subkeys))
+                for m in materials]
+    data = scheme.encode_session_store(params, pk, master, repeated)
+    assert scheme.decode_session_store(data, backend=backend)[3] == repeated

@@ -217,6 +217,28 @@ class TestSessionStructure:
         store = scheme.encode_session_store(params, pk, master, materials)
         assert hashlib.sha256(store).hexdigest() == STORE_SHA256
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_row_steps_are_one_g2_steps_call(self, backend, monkeypatch):
+        """At t=4, n=32 a session computes its 32 row steps in one
+        ``g2_steps`` call, and so does the store loader per session: the
+        one ``g2_mul`` left in generation is h^r."""
+        params = SchemeParams(sessions=2, symbols=32, radix=4)
+        group = setup(256, backend=backend)
+        pk, master = scheme.keygen_setup(params, DeterministicRandomness(14), group=group)
+        calls = []
+        for name in ("g2_steps", "g2_mul"):
+            def spy(*args, real=getattr(group.backend, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(group.backend, name, spy)
+        material = scheme.gen_session(pk, master, params, 1, DeterministicRandomness(15))
+        assert sorted(calls) == ["g2_mul", "g2_steps"]
+        store = scheme.encode_session_store(params, pk, master, [material])
+        calls.clear()
+        assert scheme.decode_session_store(store, backend=backend)[3] == [material]
+        assert calls.count("g2_steps") == 1
+
     def test_aggregate_requires_full_subset(self, toy_params, toy_keys):
         material = make_session(toy_params, toy_keys)
         with pytest.raises(ParameterError):
