@@ -1760,6 +1760,73 @@ UNARY(g2_compress, group_compress, &G2)
 UNARY(g1_decompress, group_decompress, &G1)
 UNARY(g2_decompress, group_decompress, &G2)
 
+/* A comb of any G2 point of order r, as a Python object: g2_table builds it
+ * with comb_build and g2_table_mul reads it with comb_mul, as group_mul
+ * reads a generator's comb.  A public key holds the tables of its own two
+ * G2 points this way, and they are freed with it.  The object cannot be
+ * made from Python, so every table was built from a checked point. */
+typedef struct {
+    PyObject_HEAD
+    int finite; /* 0 for the table of infinity, whose multiples are all infinity */
+    comb c;
+} table_object;
+
+static PyTypeObject TableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "otsske.backend._core._G2Table",
+    .tp_basicsize = sizeof(table_object),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The comb tables of one G2 point of order r, as g2_table builds them.",
+};
+
+INLINE int on_curve(const field *F, const u64 *p)
+{
+    u64 y2[12], rhs[12];
+    F->mul(y2, p + F->n, p + F->n);
+    curve_rhs(F, rhs, p);
+    return !memcmp(y2, rhs, 8 * F->n);
+}
+
+static PyObject *g2_table(PyObject *Py_UNUSED(m), PyObject *p)
+{
+    /* as pure.g2_table: a point off the curve or outside the subgroup is refused */
+    u64 a[36];
+    int tp = point_from_py(&G2, a, p);
+    if (tp < 0)
+        return NULL;
+    if (tp && !(on_curve(&G2, a) && jac_in_subgroup(&G2, a)))
+        return PyErr_Format(PyExc_ValueError, "point not in the prime-order subgroup");
+    table_object *t = PyObject_New(table_object, &TableType);
+    if (!t)
+        return NULL;
+    t->finite = tp;
+    if (tp && comb_build(&G2, &t->c, a)) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    return (PyObject *)t;
+}
+
+static PyObject *g2_table_mul(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    /* [k]P for any integer k from the table of P: the comb on k mod r */
+    u64 r[36];
+    if (!nargs_ok("g2_table_mul", nargs, 2))
+        return NULL;
+    if (!PyObject_TypeCheck(args[0], &TableType))
+        return PyErr_Format(PyExc_TypeError, "expected a G2 table, not %.200s", Py_TYPE(args[0])->tp_name);
+    table_object *t = (table_object *)args[0];
+    PyObject *v = PyNumber_Index(args[1]), *out = NULL;
+    if (!v)
+        return NULL;
+    if (!t->finite)
+        out = Py_NewRef(INF);
+    else if (!mul_into(&G2, r, NULL, &t->c, v))
+        out = point_to_py(&G2, r);
+    Py_DECREF(v);
+    return out;
+}
+
 static PyObject *py_f2_sqrt(PyObject *self, PyObject *arg)
 {
     /* f2_sqrt on an Fp2 element (c0, c1), for the differential tests */
@@ -1905,6 +1972,8 @@ static PyMethodDef methods[] = {
     {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2, with one inversion."},
     {"g2_sum", g2_sum, METH_O, "The sum of a sequence of G2 points, with one inversion."},
     {"g2_steps", FASTCALL(g2_steps), "[P, [t]P, ..., [t^(count-1)]P] in G2, with one inversion."},
+    {"g2_table", g2_table, METH_O, "The comb tables of a G2 point of order r, for g2_table_mul (ValueError)."},
+    {"g2_table_mul", FASTCALL(g2_table_mul), "[k]P for any integer k, from the table of P."},
     {"g1_neg", g1_neg, METH_O, "-P in G1."},
     {"g1_in_subgroup", g1_in_subgroup, METH_O, "Whether an on-curve G1 point has order r: phi(P) == -[x^2]P."},
     {"g2_in_subgroup", g2_in_subgroup, METH_O, "Whether an on-curve G2 point has order r: psi(P) == [x]P."},
@@ -2058,26 +2127,36 @@ static int init_tables(PyObject *params)
     return 0;
 }
 
-static int self_check(PyObject *m, PyObject *params)
+static int self_check(PyObject *params)
 {
-    /* import-time sanity: non-degenerate pairing of order r */
-    PyObject *args[2] = {PyObject_GetAttrString(params, "G1_GENERATOR"),
-                         PyObject_GetAttrString(params, "G2_GENERATOR")};
-    PyObject *order = PyObject_GetAttrString(params, "ORDER"), *e = NULL, *er = NULL;
+    /* import-time sanity: e(G1, G2), on the generator's line table and
+     * through the final exponentiation, must hash to params.PAIRING_SHA256,
+     * a value the tests check is not 1 and has order r */
+    term t;
+    u64 f[72];
+    unsigned char raw[576];
+    PyObject *g1 = PyObject_GetAttrString(params, "G1_GENERATOR");
+    PyObject *g2 = g1 ? PyObject_GetAttrString(params, "G2_GENERATOR") : NULL;
+    PyObject *pinned = g2 ? PyObject_GetAttrString(params, "PAIRING_SHA256") : NULL;
+    PyObject *hashlib = pinned ? PyImport_ImportModule("hashlib") : NULL, *hash = NULL, *digest = NULL;
     int ok = 0;
-    if (args[0] && args[1] && order && (e = pairing(m, args, 2))) {
-        PyObject *pow_args[2] = {e, order};
-        if ((er = gt_pow(m, pow_args, 2)))
-            ok = PyObject_RichCompareBool(e, GT_ONE, Py_NE) == 1
-                 && PyObject_RichCompareBool(er, GT_ONE, Py_EQ) == 1;
+    if (hashlib && term_from_py(&t, g1, g2) == 1 && !miller(f, &t, 1)) {
+        final_exp(f, f);
+        from_mont(f, f, 72);
+        for (int i = 0; i < 12; i++)
+            limbs_to_be(raw + 48 * i, f + 6 * i);
+        if ((hash = PyObject_CallMethod(hashlib, "sha256", "y#", (const char *)raw, (Py_ssize_t)sizeof raw)))
+            digest = PyObject_CallMethod(hash, "hexdigest", NULL);
+        ok = digest && PyObject_RichCompareBool(digest, pinned, Py_EQ) == 1;
     }
     if (!ok && !PyErr_Occurred())
         PyErr_SetString(PyExc_AssertionError, "compiled pairing self-check failed");
-    Py_XDECREF(args[0]);
-    Py_XDECREF(args[1]);
-    Py_XDECREF(order);
-    Py_XDECREF(e);
-    Py_XDECREF(er);
+    Py_XDECREF(g1);
+    Py_XDECREF(g2);
+    Py_XDECREF(pinned);
+    Py_XDECREF(hashlib);
+    Py_XDECREF(hash);
+    Py_XDECREF(digest);
     return ok ? 0 : -1;
 }
 
@@ -2094,14 +2173,14 @@ PyMODINIT_FUNC PyInit__core(void)
     PyObject *m = PyModule_Create(&module);
     PyObject *params = m ? PyImport_ImportModule("otsske.params") : NULL;
     PyObject *pure = params ? PyImport_ImportModule("otsske.backend.pure") : NULL;
-    int ok = pure && !init_boundary() && !init_field(params) && !init_frobenius(pure)
-             && !init_pairing(params) && !init_tables(params);
+    int ok = pure && !PyType_Ready(&TableType) && !init_boundary() && !init_field(params)
+             && !init_frobenius(pure) && !init_pairing(params) && !init_tables(params);
     if (ok) {
         GT_ONE = PyObject_GetAttrString(pure, "GT_ONE");
         PyObject *aux = PyObject_GetAttrString(params, "G2_AUX_GENERATOR");
         ok = GT_ONE && aux && !PyModule_AddStringConstant(m, "NAME", "native")
              && !PyModule_AddObjectRef(m, "GT_ONE", GT_ONE)
-             && !PyModule_AddObjectRef(m, "G2_AUX_GENERATOR", aux) && !self_check(m, params);
+             && !PyModule_AddObjectRef(m, "G2_AUX_GENERATOR", aux) && !self_check(params);
         Py_XDECREF(aux);
     }
     Py_XDECREF(params);

@@ -645,19 +645,21 @@ g1_in_subgroup, g2_in_subgroup = partial(_in_subgroup, _G1), partial(_in_subgrou
 # ---------------------------------------------------------------- fixed bases
 # GLS combs (Galbraith-Lin-Scott, EUROCRYPT 2009, over the comb of Lim-Lee,
 # CRYPTO 1994) for the constant generators, registered in _COMB_BASES once
-# they are known.  Each has order r, on which -endo acts as [m] with
-# m = |X|^chains, the identity the subgroup check tests.  So k mod r < m^dims
-# (r = X^4 - X^2 + 1 < |X|^4, dims = 4 / chains) has digits a_i < m in base
-# m, and [k]P is the sum of [a_i](-endo)^i(P).  A digit a_i < 2^(w d) is read
-# as w rows of d bits: column j gathers bit j of every row into an index u,
-# and table i holds, at u, the affine sum of [2^(l d)](-endo)^i(P) over the
-# set bits l of u.  The digits' combs share one doubling chain, so a
-# multiplication is d doublings and at most d * dims mixed additions, with
-# one inversion at the end: d = 11 on G2 and 22 on G1, against the 43 of a
-# comb on all 255 bits.  Several multiplications of one base run side by
-# side in affine coordinates instead: each column is one doubling and dims
-# additions of every chain, and each of those shares one inversion across
-# the chains, which in CPython costs less than the Jacobian formulas' extra
+# they are known, and for any G2 point of order r given to g2_table (a
+# public key's h and g1, whose tables the key holds).  On a point of order
+# r, -endo acts as [m] with m = |X|^chains, the identity the subgroup check
+# tests.  So k mod r < m^dims (r = X^4 - X^2 + 1 < |X|^4, dims = 4 /
+# chains) has digits a_i < m in base m, and [k]P is the sum of
+# [a_i](-endo)^i(P).  A digit a_i < 2^(w d) is read as w rows of d bits:
+# column j gathers bit j of every row into an index u, and table i holds,
+# at u, the affine sum of [2^(l d)](-endo)^i(P) over the set bits l of u.
+# The digits' combs share one doubling chain, so a multiplication is d
+# doublings and at most d * dims mixed additions, with one inversion at the
+# end: d = 11 on G2 and 22 on G1, against the 43 of a comb on all 255 bits.
+# Several multiplications of one base run side by side in affine
+# coordinates instead: each column is one doubling and dims additions of
+# every chain, and each of those shares one inversion across the chains,
+# which in CPython costs less than the Jacobian formulas' extra
 # multiplications.
 
 _COMB_TEETH = 6  # w
@@ -672,9 +674,8 @@ def _comb_shape(F):
     return m, 4 // F.chains, -(-m.bit_length() // _COMB_TEETH)
 
 
-@cache
-def _comb_tables(F, p):
-    """The dims comb tables of P, built on first use: 2^w affine entries
+def _comb_build(F, p):
+    """The dims comb tables of a finite P of order r: 2^w affine entries
     each, infinity at index 0, and table i + 1 is -endo of table i."""
     _, dims, d = _comb_shape(F)
     rows = [(p[0], p[1], F.one)]
@@ -695,6 +696,13 @@ def _comb_tables(F, p):
     while len(tables) < dims:
         tables.append([INFINITY] + [_neg_endo(F, e) for e in tables[-1][1:]])
     return tables
+
+
+@cache
+def _comb_tables(F, p):
+    """A generator's comb tables, built on its first multiplication and kept
+    for the process.  Any other point's tables live in its _G2Table."""
+    return _comb_build(F, p)
 
 
 def _comb_columns(F, k):
@@ -770,6 +778,34 @@ def _steps(F, p, t, count):
 g1_mul, g2_mul = partial(_mul, _G1), partial(_mul, _G2)
 g2_mul_many = partial(_mul_many, _G2)
 g2_steps = partial(_steps, _G2)
+
+
+class _G2Table:
+    """The comb tables of one G2 point of order r, as g2_table builds them;
+    None for the point at infinity.  They are freed with the object."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables):
+        self.tables = tables
+
+
+def g2_table(p):
+    """The comb tables of a G2 point of order r, for g2_table_mul: the
+    generators' fixed-base path for a point that is not a constant.  A point
+    off the curve or outside the subgroup raises ValueError."""
+    p = _point(_G2, p)
+    if p and not (_G2.sqr(p[1]) == _rhs(_G2, p[0]) and _jac_in_subgroup(_G2, p)):
+        raise ValueError("point not in the prime-order subgroup")
+    return _G2Table(_comb_build(_G2, p) if p else None)
+
+
+def g2_table_mul(table, k):
+    """[k]P for any integer k, from the _G2Table of P."""
+    if not isinstance(table, _G2Table):
+        raise TypeError(f"expected a G2 table, not {type(table).__name__}")
+    k = index(k)
+    return _comb_mul(_G2, table.tables, k % ORDER) if table.tables else INFINITY
 
 
 # ---------------------------------------------------------------- pairing

@@ -8,14 +8,16 @@ Timed regions
                     term g^(alpha r i t^n), and the first row step
                     g^(alpha r n).
 * ``keygen.aux``    the session's aux value g^r.
-* ``keygen.sk``     filling the n x t subkey matrix: h^r, the n row heads
+* ``keygen.sk``     filling the n x t subkey matrix: h^r (on the key's
+                    comb table of h), the n row heads
                     (one ``g2_add_many``) and the row walk (the n row
                     steps in one ``g2_steps`` chain, then t - 1
                     ``g2_add_many`` calls).
 * ``keygen.total``  one full session generation (the three phases plus glue).
 * ``sign``          subset selection + compressed signing: one ``g2_sum``
                     of the n selected subkeys (zero pairings).
-* ``verify``        compressed verification (exactly three pairings).
+* ``verify``        compressed verification (exactly three pairings),
+                    with g1^(k n) on the key's comb table of g1.
 * ``store_load``    decoding a store of the public key, master exponent
                     and one session (``decode_session_store``).
 * ``ecdsa.*``       P-256 keygen / SHA-256 sign / verify via OpenSSL.
@@ -24,7 +26,8 @@ Timed regions
                     ``multi_miller_loop`` on one term.
 
 Before its samples, each operation runs untimed: ``WARMUP`` times, or once
-for the store load and the backend rows.
+for the store load and the backend rows.  So the key's two comb tables,
+built on first use, are built before the keygen and verify samples.
 
 Absolute times are hardware- and backend-specific; the published reference
 measurements (C++/MIRACL on an i7-7820HQ, SGX build) are embedded in the
@@ -231,9 +234,12 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
     the final exponentiation) on a variable Q ([3]g), the one-term Miller
     loop on g2's line table, a verify's 3-term loop,
     exponentiation on a variable base and on the fixed-base tables of g and
-    g2, 32 multiples of the G2 generator in one ``g2_mul_many`` (a session's
-    blinding points), the sum of those 32 points in one ``g2_sum`` (a
-    compressed sign at n = 32), decoding and the subgroup check alone."""
+    g2, building a comb table for the variable G2 point (``g2_table``, as a
+    key does for h and g1) and a 255-bit multiplication on it
+    (``g2_table_mul``, against ``g2_exp``), 32 multiples of the G2 generator
+    in one ``g2_mul_many`` (a session's blinding points), the sum of those
+    32 points in one ``g2_sum`` (a compressed sign at n = 32), decoding and
+    the subgroup check alone."""
     out: dict[str, dict[str, OpStats]] = {}
     reps = min(config.repetitions, 20)
     for name in available_backends():
@@ -249,6 +255,7 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
         # a verify's equation: a negated G1 side, and two variable Q with g2 between them
         terms = [(b.g1_neg(g.first), g3.second), (g.first, g2.second), (g.first, g3.second)]
         g1_bytes, g2_bytes = b.g1_compress(g.first), b.g2_compress(g2.second)
+        table = b.g2_table(g3.second)
         out[name] = {
             "pairing": _measure(lambda: b.pairing(g.first, g3.second), reps, 1),
             "miller_loop": _measure(lambda: b.multi_miller_loop([(g.first, g3.second)]), reps, 1),
@@ -259,6 +266,8 @@ def _backend_core_stats(config: BenchConfig) -> dict[str, dict[str, OpStats]]:
             "g1_exp": _measure(lambda: g3.first_only().exp(exponent), reps, 1),
             "g2_exp_fixed": _measure(lambda: g.second_only().exp(exponent), reps, 1),
             "g1_exp_fixed": _measure(lambda: g.first_only().exp(exponent), reps, 1),
+            "g2_table": _measure(lambda: b.g2_table(g3.second), reps, 1),
+            "g2_table_mul": _measure(lambda: b.g2_table_mul(table, exponent), reps, 1),
             "g2_mul_many": _measure(lambda: b.g2_mul_many(g.second, scalars), reps, 1),
             "g2_sum": _measure(lambda: b.g2_sum(summands), reps, 1),
             "g1_decompress": _measure(lambda: b.g1_decompress(g1_bytes), reps, 1),

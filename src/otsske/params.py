@@ -103,6 +103,13 @@ assert (X - 1) ** 2 % 3 == 0
 HARD_CHAIN = (X - 1) ** 2 // 3
 assert HARD_EXPONENT == HARD_CHAIN * (X + _Q) * (X**2 + _Q**2 - 1) + 1
 
+# SHA-256 of the pairing e(G1_GENERATOR, G2_GENERATOR): its 12 GT
+# coefficients, each as 48 big-endian bytes, in the backends' flat order.
+# The compiled backend checks its own pairing against it at import; the
+# tests check that the value is not 1, has order r and is what pure.py
+# computes.
+PAIRING_SHA256 = "4b4c07e7d5136bb2947bab11cf26a740cd2aeef4baf3e6f773bfadb5e505f8b4"
+
 # Security levels supported by this parameter set.  Both map onto the same
 # curve: the group order is a 255-bit prime, which is what the 256-bit
 # classical level requires of the scalar field, and the curve is the

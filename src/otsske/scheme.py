@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import DecodeError, ParameterError, RepresentationError
@@ -86,6 +87,11 @@ class PublicKey:
 
     Only ``g1`` (dual) and ``h`` (second group only) are key material; the
     base points ``g`` and ``g2`` are fixed constants of the group.
+
+    Every session multiplies ``h`` by its r, and every verify multiplies
+    ``g1``'s second side by an index.  So the key builds a fixed-base comb
+    table for each of the two points on its first use of it, and keeps it
+    for as long as the key lives.
     """
 
     group: GroupParams
@@ -99,6 +105,28 @@ class PublicKey:
     @property
     def g2(self) -> SourceElement:
         return aux_generator(self.group)
+
+    @cached_property
+    def _h_table(self):
+        return self.group.backend.g2_table(self.h.second)
+
+    @cached_property
+    def _g1_table(self):
+        return self.group.backend.g2_table(self.g1.second)
+
+    @cached_property
+    def _multiples(self) -> dict[int, tuple[tuple, tuple]]:
+        return {}
+
+    def _verify_constants(self, n: int) -> tuple[tuple, tuple]:
+        """([n]g1 on the first side, [n]h): a compressed verify's constants
+        for n symbols, computed once per n."""
+        multiples = self._multiples.get(n)
+        if multiples is None:
+            backend = self.group.backend
+            multiples = (backend.g1_mul(self.g1.first, n), backend.g2_table_mul(self._h_table, n))
+            self._multiples[n] = multiples
+        return multiples
 
 
 @dataclass(frozen=True)
@@ -169,8 +197,11 @@ def keygen_setup(
 
 
 def index_point(pk: PublicKey, k: Scalar) -> SourceElement:
-    """Map an index scalar into the second source group: g1^k * h."""
-    return pk.g1.second_only().exp(k).mul(pk.h)
+    """Map an index scalar into the second source group: g1^k * h, with
+    g1^k on the key's comb table of g1."""
+    backend = pk.group.backend
+    point = backend.g2_add(backend.g2_table_mul(pk._g1_table, k), pk.h.second)
+    return SourceElement(pk.group, None, point)
 
 
 def _session_randomness(params: SchemeParams, rng) -> tuple[Scalar, tuple[Scalar, ...]]:
@@ -233,13 +264,13 @@ def _subkey_matrix(
 
     Requires pk.g1 = g^alpha for alpha = master.alpha.  Then every g1 power
     is a generator multiple that ``_generator_terms`` already folded into
-    ``blinding`` (the offset v_j) and ``step`` (g^(alpha r n)), so the one
-    variable-base multiplication left is h^r: row j starts at
-    C * blinding_j with C = g2^a * h^r, and walking b in order turns each row
-    into t-1 group additions instead of t exponentiations.
+    ``blinding`` (the offset v_j) and ``step`` (g^(alpha r n)), and h^r is
+    read from the key's comb table of h: row j starts at C * blinding_j with
+    C = g2^a * h^r, and walking b in order turns each row into t-1 group
+    additions instead of t exponentiations.
     """
     backend = pk.group.backend
-    c = backend.g2_add(master.g2_alpha.second, backend.g2_mul(pk.h.second, r))
+    c = backend.g2_add(master.g2_alpha.second, backend.g2_table_mul(pk._h_table, r))
     heads = backend.g2_add_many([c] * len(blinding), blinding)
     return _walk_rows(pk.group, heads, step, t)
 
@@ -263,7 +294,8 @@ def gen_session(
     ``phase_sink``, when given, is called with the name of each phase as it
     ends: ``"v"`` (drawing r and the betas, then the n offset blinding
     points and the first row step, all on the G2 generator's comb),
-    ``"aux"`` (g^r) and ``"sk"`` (h^r, the row heads and the row walk).
+    ``"aux"`` (g^r) and ``"sk"`` (h^r on the key's table of h, the row
+    heads and the row walk).
     The benchmark times the phases of a call with it, so that the phase
     times and the call's total come from the same run.
     """
@@ -438,17 +470,21 @@ def verify_compressed(
 ) -> bool:
     """Check e(g, z) = e(g1, g2^n) * e(y, (g1^k h)^n); exactly 3 pairings.
 
-    The factor e(g1, g2^n) is evaluated as e(g1^n, g2): a multiplication
-    by n on the first-group side, and a right argument that is the constant
-    g2, whose Miller-loop lines the backend reads from a table.
+    The factor e(g1, g2^n) is evaluated as e(g1^n, g2): a right argument
+    that is the constant g2, whose Miller-loop lines the backend reads from
+    a table.  (g1^k h)^n is g1^(k n) h^n, with g1^(k n) on the key's comb
+    table of g1.  The key computes g1^n and h^n once per n.
     """
     if not 0 <= session < params.sessions:
         return False
     n = params.symbols
     sel = _selection_for(params, sig, message, selection)
     k = encode_index(params, session, sel.value)
+    g1_n, h_n = pk._verify_constants(n)
+    group = pk.group
+    index_n = group.backend.g2_add(group.backend.g2_table_mul(pk._g1_table, k * n), h_n)
     lhs = pair(pk.g, sig.z)
-    rhs = pair(pk.g1.first_only().exp(n), pk.g2).mul(pair(sig.y, index_point(pk, k).exp(n)))
+    rhs = pair(SourceElement(group, g1_n, None), pk.g2).mul(pair(sig.y, SourceElement(group, None, index_n)))
     return lhs == rhs
 
 
@@ -541,8 +577,8 @@ def encode_public_key(params: SchemeParams, pk: PublicKey) -> bytes:
     return _pack_fields(fields)
 
 
-def _read_public_key(data: bytes, backend: str | None) -> tuple[SchemeParams, PublicKey]:
-    """Parse a public key, checking each point but not g1's sides against each other."""
+def _read_public_key(data: bytes, backend: str | None) -> tuple[SchemeParams, GroupParams, bytes, bytes]:
+    """Parse a public key's parameters; its g1 and h fields are returned undecoded."""
     reader = _FieldReader(data)
     security, sessions, symbols, radix = (reader.take_int() for _ in range(4))
     try:
@@ -552,8 +588,7 @@ def _read_public_key(data: bytes, backend: str | None) -> tuple[SchemeParams, Pu
         raise DecodeError(str(exc)) from exc
     g1, h = reader.take(144), reader.take(96)
     reader.finish()
-    pk = PublicKey(group, SourceElement.deserialize(group, g1), SourceElement.deserialize(group, h))
-    return params, pk
+    return params, group, g1, h
 
 
 def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemeParams, PublicKey]:
@@ -563,7 +598,8 @@ def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemePa
     the first on the generator's Miller-loop line table, and one final
     exponentiation.
     """
-    params, pk = _read_public_key(data, backend)
+    params, group, g1, h = _read_public_key(data, backend)
+    pk = PublicKey(group, SourceElement.deserialize(group, g1), SourceElement.deserialize(group, h))
     if pair(pk.g1, pk.g) != pair(pk.g, pk.g1):
         raise DecodeError("the two sides of g1 disagree")
     return params, pk
@@ -635,25 +671,27 @@ def decode_session_store(
 ) -> tuple[SchemeParams, PublicKey, MasterSecret, list[SessionKeyMaterial]]:
     """Decode a store written by ``encode_session_store``.
 
-    The embedded key's g1 is checked as g1 == g^alpha on both sides for the
-    stored exponent alpha, which needs no pairing.  Per session, the aux
-    value, the n row heads (j, 0) and the entry (0, 1) are fully decoded
-    (square root and subgroup check); every other subkey is derived from
-    them by the generator's row walk and must equal its stored encoding
-    byte for byte.  A subkey swapped for any other valid point is therefore
-    rejected with :class:`DecodeError`, except at n = 1, t = 2, where both
-    entries are fully decoded and nothing is derived.  So is a store that
-    holds one session index twice.
+    The embedded key's g1 field must equal the encoding of g^alpha, byte for
+    byte, for the stored exponent alpha: g1 is computed, never decoded, so
+    the check needs no square root, subgroup check or pairing.  Per
+    session, the aux value, the n row heads (j, 0) and the entry (0, 1) are
+    fully decoded (square root and subgroup check); every other subkey is
+    derived from them by the generator's row walk and must equal its stored
+    encoding byte for byte.  A subkey swapped for any other valid point is
+    therefore rejected with :class:`DecodeError`, except at n = 1, t = 2,
+    where both entries are fully decoded and nothing is derived.  So is a
+    store that holds one session index twice.
     """
     reader = _FieldReader(data)
-    params, pk = _read_public_key(reader.take(), backend)
-    group = pk.group
+    params, group, g1_bytes, h = _read_public_key(reader.take(), backend)
     alpha = int.from_bytes(reader.take(32), "big")
     if not 0 < alpha < ORDER:
         raise DecodeError("master exponent out of range")
     # g1 = g^alpha on both sides, or the stored key and exponent disagree
-    if pk.g.exp(alpha) != pk.g1:
+    g1 = generator(group).exp(alpha)
+    if g1.serialize() != g1_bytes:
         raise DecodeError("master exponent does not match the public key")
+    pk = PublicKey(group, g1, SourceElement.deserialize(group, h))
     master = MasterSecret(alpha, pk.g2.exp(alpha))
     materials = []
     for _ in range(reader.take_int()):

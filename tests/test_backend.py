@@ -24,6 +24,7 @@ from otsske.params import (
     G2_COFACTOR,
     G2_GENERATOR,
     ORDER,
+    PAIRING_SHA256,
     TWIST_ORDER,
     X,
     XI,
@@ -61,8 +62,9 @@ def traced_names():
 TRACED = traced_names()
 # groups.py, scheme.py and bench.py read these
 READ = ("NAME", "GT_ONE", "G2_AUX_GENERATOR", "g1_add", "g2_add", "g1_mul", "g2_mul", "g1_neg",
-        "g2_add_many", "g2_mul_many", "g2_sum", "g2_steps", "g1_compress", "g2_compress", "g1_decompress",
-        "g2_decompress", "g1_in_subgroup", "g2_in_subgroup", "pairing", "multi_miller_loop", "final_exp")
+        "g2_add_many", "g2_mul_many", "g2_sum", "g2_steps", "g2_table", "g2_table_mul", "g1_compress",
+        "g2_compress", "g1_decompress", "g2_decompress", "g1_in_subgroup", "g2_in_subgroup", "pairing",
+        "multi_miller_loop", "final_exp")
 # what only the tests call: gt_pow on both backends, and pure's references
 PURE_REFERENCES = ("g2_neg", "g1_on_curve", "g2_on_curve")
 TEST_REFERENCES = ("gt_pow",) + PURE_REFERENCES
@@ -94,6 +96,27 @@ def test_native_exports_are_a_subset_of_pure():
     exported = {name for name in dir(native)
                 if not name.startswith("_") and callable(getattr(native, name))}
     assert exported - set(dir(pure)) == set()
+
+
+def test_native_init_refuses_a_pairing_off_its_pinned_digest(tmp_path):
+    # the compiled core, imported next to a params.py whose pinned digest of
+    # e(G1, G2) is changed, fails its self-check, and the package uses pure
+    native = require("native")
+    src = Path(__file__).resolve().parent.parent / "src" / "otsske"
+    shutil.copytree(src, tmp_path / "otsske", ignore=shutil.ignore_patterns("__pycache__"))
+    params = tmp_path / "otsske" / "params.py"
+    params.write_text(params.read_text().replace(PAIRING_SHA256, hashlib.sha256(b"stale").hexdigest()))
+    assert Path(native.__file__).name in os.listdir(tmp_path / "otsske" / "backend")
+    code = "import otsske.backend as b; print(b.available_backends()); print(b.NATIVE_STATUS)"
+    env = {k: v for k, v in os.environ.items() if k != "OTSSKE_BACKEND"}
+    env["PYTHONPATH"] = str(tmp_path)
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "('pure',)",
+        "native backend failed its init, using pure: AssertionError: compiled pairing self-check failed",
+    ]
 
 
 def test_failed_native_init_falls_back_to_pure(tmp_path):
@@ -182,6 +205,11 @@ class TestPairing:
         e = backend.pairing(G1_GENERATOR, G2_GENERATOR)
         assert e != backend.GT_ONE
         assert backend.gt_pow(e, ORDER) == backend.GT_ONE
+
+    def test_pinned_pairing_digest(self, backend):
+        # the value the compiled core checks its own pairing against at import
+        e = backend.pairing(G1_GENERATOR, G2_GENERATOR)
+        assert hashlib.sha256(b"".join(c.to_bytes(48, "big") for c in e)).hexdigest() == PAIRING_SHA256
 
     def test_multiplicative_in_second_argument(self, backend):
         qa = backend.g2_mul(G2_GENERATOR, 111)
@@ -996,6 +1024,59 @@ def test_table_base_found_by_value(backend, base):
         assert mul(q, k + ORDER) == mul(q, k - ORDER) == expected
 
 
+# ------------------------------------------------------------ per-point tables
+# g2_table builds the comb of any G2 point of order r, and g2_table_mul
+# reads it: a public key's h and g1 take the generators' fixed-base path
+# this way.  A table's multiples must be g2_mul's, at the digit boundaries
+# of base m = |X|, around r, at 2^255 - 1 and on negative scalars.
+
+M = abs(X)
+TABLE_SCALARS = [0, 1, M - 1, M, M + 1, ORDER - 1, ORDER, 2**255 - 1, -1, -M, -(ORDER + 1), -(2**255 - 1)]
+
+
+def table_mul(b, p, k):
+    return b.g2_table_mul(b.g2_table(p), k)
+
+
+def agree_on(fn, *args):
+    """fn(backend, *args) has one outcome, message included, on both backends."""
+    native, pure = load_backend("native"), load_backend("pure")
+    assert outcome(fn, (native, *args), True) == outcome(fn, (pure, *args), True), args
+
+
+@given(a=NONZERO, k=MUL_SCALARS)
+@settings(max_examples=5, deadline=None)
+def test_table_mul_against_g2_mul(a, k):
+    p = point("g2", a)
+    for name in BACKENDS:
+        b = load_backend(name)
+        table, scalars = b.g2_table(p), TABLE_SCALARS + [k]
+        assert [b.g2_table_mul(table, c) for c in scalars] == [b.g2_mul(p, c) for c in scalars], name
+
+
+def test_table_of_infinity_and_refused_points(backend):
+    assert [table_mul(backend, (), k) for k in (0, 1, ORDER - 1)] == [(), (), ()]
+    outside = curve_point("g2", (5, 0))  # on the twist, but not of order r
+    assert affine_mul("g2", outside, ORDER) != ()
+    off_curve = replaced(G2_GENERATOR, (1, 0), 5)
+    for p in (outside, off_curve):
+        with pytest.raises(ValueError, match="^point not in the prime-order subgroup$"):
+            backend.g2_table(p)
+
+
+def test_table_refuses_what_is_not_a_table():
+    # the other backend's table too: both name it _G2Table
+    p = point("g2", 5)
+    for not_table in (5, None, (), p, [p], "ab", b"\x01"):
+        assert_agree("g2_table_mul", not_table, 3, message=True)
+    native, pure = load_backend("native"), load_backend("pure")
+    for b, other in ((native, pure), (pure, native)):
+        with pytest.raises(TypeError, match="^expected a G2 table, not _G2Table$"):
+            b.g2_table_mul(other.g2_table(p), 1)
+    for k in (1.5, None, "3", [1]):
+        agree_on(table_mul, p, k)
+
+
 def scalars_with_top_nibble(top, rnd):
     """A 253-bit scalar whose largest 4-bit window is top, at a random place."""
     nibs = [1] + [rnd.randrange(top + 1) for _ in range(63)]
@@ -1072,6 +1153,7 @@ def test_subgroup_check_against_definition(group, kind, data):
 # the same exception.
 
 BATCH = ("g2_mul_many", "g2_add_many", "g2_sum", "g2_steps")
+TABLE = ("g2_table", "g2_table_mul")
 BATCH_SCALARS = st.lists(
     st.one_of(st.sampled_from([0, 1, -1, ORDER, -ORDER, ORDER + 1, 2 * ORDER, -ORDER - 5]),
               st.integers(-(2**256), 2**256)),
@@ -1183,6 +1265,8 @@ def test_g2_batches_reject_malformed(data):
         # the point is read before t and count
         assert_agree("g2_steps", bad, 2, 3, message=True)
         assert_agree("g2_steps", bad, 1.5, -1, message=True)
+        # a table's point is checked as every other point is
+        agree_on(table_mul, bad, 5)
     for args in (([p], []), ([], [p]), ([p, p], [p]), (5, [p]), ([p], None)):
         assert_agree("g2_add_many", *args, message=True)
     for ks in (5, None, [1, "2"], [2**300, None]):
@@ -1216,8 +1300,8 @@ def test_g2_batches_of_any_length(backend, count):
 
 
 def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
-    # perfbench's tracer times the public functions by name, so a batch must
-    # not show up as calls of them
+    # perfbench's tracer times the public functions by name, so a batch, or a
+    # per-point table, must not show up as calls of them
     p, p10, p20 = point("g2", 5), point("g2", 10), point("g2", 20)
     minus_p = load_backend("pure").g2_neg(p)
 
@@ -1225,7 +1309,7 @@ def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
         raise AssertionError("a batch called a public backend function")
 
     for name in TRACED + READ:
-        if callable(getattr(backend, name)) and name not in BATCH:
+        if callable(getattr(backend, name)) and name not in BATCH + TABLE:
             monkeypatch.setattr(backend, name, forbidden)
     assert backend.g2_mul_many(G2_GENERATOR, [5, -5, 0]) == [p, minus_p, ()]
     assert backend.g2_mul_many(p, [2]) == [p10]
@@ -1233,3 +1317,4 @@ def test_g2_batches_call_no_public_backend_function(backend, monkeypatch):
     assert backend.g2_sum([p, (), p, minus_p, p]) == p10
     assert backend.g2_steps(p, 2, 3) == [p, p10, p20]
     assert backend.g2_steps(p10, -2, 2) == [p10, load_backend("pure").g2_neg(p20)]
+    assert backend.g2_table_mul(backend.g2_table(p), -4) == load_backend("pure").g2_neg(p20)

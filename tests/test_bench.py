@@ -65,7 +65,8 @@ class TestReportSchema:
         assert "pure" in backends
         for name in backends:
             for op in ("pairing", "miller_loop", "miller_loop_fixed", "multi_miller_loop", "final_exp",
-                       "g1_exp", "g2_exp", "g1_exp_fixed", "g2_exp_fixed", "g2_mul_many", "g2_sum",
+                       "g1_exp", "g2_exp", "g1_exp_fixed", "g2_exp_fixed", "g2_table", "g2_table_mul",
+                       "g2_mul_many", "g2_sum",
                        "g1_decompress", "g2_decompress", "g1_in_subgroup", "g2_in_subgroup"):
                 assert f"backend.{name}.{op}_ms" in kv
 

@@ -122,6 +122,36 @@ def test_store_whose_exponent_disagrees_with_the_key_is_rejected(backend, sides)
     assert scheme.decode_session_store(data, backend=backend)[1] == honest
 
 
+def g1_field_changes(group, pk):
+    """Replacements for a key's 144-byte g1 field: valid dual points other
+    than g1 (g1 negated on one or both sides, the generator, infinity), and
+    encodings that do not decode (no compression flag, an x at or above q,
+    a G2 x = 5 whose points lie outside the subgroup, a sign flag set on
+    infinity)."""
+    b = group.backend
+    g1, g = pk.g1.serialize(), pk.g.serialize()
+    minus = SourceElement(group, b.g1_neg(pk.g1.first), pk.g1.second_only().exp(-1).second).serialize()
+    infinity = bytes([0xC0]) + bytes(47) + bytes([0xC0]) + bytes(95)
+    return [
+        minus, minus[:48] + g1[48:], g1[:48] + minus[48:], g, infinity,
+        bytes([g1[0] & 0x7F]) + g1[1:], bytes([0x9F]) + b"\xff" * 47 + g1[48:],
+        g1[:48] + bytes([g1[48] & 0xE0]) + bytes(94) + b"\x05", bytes([0xE0]) + bytes(47) + g1[48:],
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_whose_g1_field_is_changed_is_rejected(backend):
+    # the loader compares the field with the encoding of g^alpha, byte for byte
+    group, table = encodings(backend)
+    _, (params, pk, master, materials), store = table["session_store"]
+    g1 = pk.g1.serialize()
+    assert store.count(g1) == 1
+    for field in g1_field_changes(group, pk):
+        assert field != g1 and len(field) == 144
+        with pytest.raises(DecodeError, match="master exponent does not match the public key"):
+            scheme.decode_session_store(store.replace(g1, field), backend=backend)
+
+
 @pytest.mark.parametrize("sides", [(5, 7), (7, 5), (7, 7)])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_public_key_whose_g1_sides_disagree_is_rejected(backend, sides):

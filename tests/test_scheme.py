@@ -1,8 +1,10 @@
 """Signature-scheme tests: oracles first, then behaviour and codecs."""
 
 import dataclasses
+import gc
 import hashlib
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,77 @@ class TestIndexPoint:
         assert lhs == rhs
 
 
+class TestKeyTables:
+    """A public key's comb tables of h and of g1's second side: built on
+    first use, kept for the key's life, and read instead of a variable-base
+    G2 multiplication by session generation and verification."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_built_on_first_use(self, backend):
+        params = SchemeParams(sessions=2, symbols=4, radix=2)
+        pk, master = scheme.keygen_setup(params, DeterministicRandomness(16), group=setup(256, backend=backend))
+        assert {"_h_table", "_g1_table"}.isdisjoint(vars(pk))
+        material = make_session(params, (pk, master))
+        assert "_h_table" in vars(pk) and "_g1_table" not in vars(pk)
+        selection = scheme.prp_select(params, b"\x01" * 16, b"m")
+        sig = scheme.sign_compressed(pk, params, 0, scheme.subkeys_at(material, selection), selection, material.aux)
+        assert scheme.verify_compressed(pk, params, 0, sig, b"m")
+        assert "_g1_table" in vars(pk)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_no_variable_base_g2_multiplication(self, backend, monkeypatch):
+        """``gen_session`` multiplies no G2 point but the generator (its row
+        walk's ``g2_steps`` multiplies by t only), and a compressed verify
+        makes no G2 multiplication but one table read once its key has
+        verified before."""
+        params = SchemeParams(sessions=2, symbols=32, radix=4)
+        group = setup(256, backend=backend)
+        b = group.backend
+        pk, master = scheme.keygen_setup(params, DeterministicRandomness(19), group=group)
+        calls = []
+        for name in ("g2_mul", "g2_mul_many", "g2_table", "g2_table_mul"):
+            def spy(*args, real=getattr(b, name), name=name):
+                base = args[0] if name in ("g2_mul", "g2_mul_many") else None
+                calls.append((name, "generator" if base == G2_GENERATOR else base))
+                return real(*args)
+
+            monkeypatch.setattr(b, name, spy)
+        material = make_session(params, (pk, master), session=1)
+        assert sorted(calls) == [("g2_mul_many", "generator"), ("g2_table", None), ("g2_table_mul", None)]
+        calls.clear()
+        make_session(params, (pk, master), session=0)
+        assert sorted(calls) == [("g2_mul_many", "generator"), ("g2_table_mul", None)]
+        selection = scheme.prp_select(params, b"\x03" * 16, b"spied")
+        sig = scheme.sign_compressed(pk, params, 1, scheme.subkeys_at(material, selection), selection, material.aux)
+        calls.clear()
+        assert scheme.verify_compressed(pk, params, 1, sig, b"spied")
+        assert sorted(calls) == [("g2_table", None), ("g2_table_mul", None), ("g2_table_mul", None)]
+        for message in (b"spied", b"other"):
+            calls.clear()
+            assert scheme.verify_compressed(pk, params, 1, sig, message) is (message == b"spied")
+            assert calls == [("g2_table_mul", None)]
+
+    def test_tables_live_and_die_with_their_key(self):
+        """In pure, 50 keys' tables leave the generators' table cache as it
+        was, and go with their keys: a new key per round cannot grow memory."""
+        pure = load_backend("pure")
+        group = setup(256, backend="pure")
+        params = SchemeParams(sessions=2, symbols=2, radix=2)
+        rng = DeterministicRandomness(20)
+        scheme.keygen_setup(params, rng, group=group)  # the generators' tables
+        cached = pure._comb_tables.cache_info().currsize
+        keys = []
+        for _ in range(50):
+            pk, _ = scheme.keygen_setup(params, rng, group=group)
+            assert scheme.index_point(pk, 3) == pk.g1.exp(3).second_only().mul(pk.h)
+            assert pk._verify_constants(2)[1] == pk.h.exp(2).second
+            keys.append(weakref.ref(pk))
+        del pk
+        assert pure._comb_tables.cache_info().currsize == cached
+        gc.collect()
+        assert [key for key in keys if key() is not None] == []
+
+
 # SHA-256 of the store that test_session_store_golden builds
 STORE_SHA256 = "02109fc739c8f859b870705f86de53285defaa159cafd1dcdf2b1a489432208e"
 
@@ -220,8 +293,8 @@ class TestSessionStructure:
     @pytest.mark.parametrize("backend", available_backends())
     def test_row_steps_are_one_g2_steps_call(self, backend, monkeypatch):
         """At t=4, n=32 a session computes its 32 row steps in one
-        ``g2_steps`` call, and so does the store loader per session: the
-        one ``g2_mul`` left in generation is h^r."""
+        ``g2_steps`` call, and so does the store loader per session.
+        Generation makes no ``g2_mul``: h^r is read from the key's table."""
         params = SchemeParams(sessions=2, symbols=32, radix=4)
         group = setup(256, backend=backend)
         pk, master = scheme.keygen_setup(params, DeterministicRandomness(14), group=group)
@@ -233,7 +306,7 @@ class TestSessionStructure:
 
             monkeypatch.setattr(group.backend, name, spy)
         material = scheme.gen_session(pk, master, params, 1, DeterministicRandomness(15))
-        assert sorted(calls) == ["g2_mul", "g2_steps"]
+        assert calls == ["g2_steps"]
         store = scheme.encode_session_store(params, pk, master, [material])
         calls.clear()
         assert scheme.decode_session_store(store, backend=backend)[3] == [material]
