@@ -795,7 +795,7 @@ def g2_table(p):
     generators' fixed-base path for a point that is not a constant.  A point
     off the curve or outside the subgroup raises ValueError."""
     p = _point(_G2, p)
-    if p and not (_G2.sqr(p[1]) == _rhs(_G2, p[0]) and _jac_in_subgroup(_G2, p)):
+    if p and not (_on_curve(_G2, p) and _jac_in_subgroup(_G2, p)):
         raise ValueError("point not in the prime-order subgroup")
     return _G2Table(_comb_build(_G2, p) if p else None)
 

@@ -114,20 +114,6 @@ class PublicKey:
     def _g1_table(self):
         return self.group.backend.g2_table(self.g1.second)
 
-    @cached_property
-    def _multiples(self) -> dict[int, tuple[tuple, tuple]]:
-        return {}
-
-    def _verify_constants(self, n: int) -> tuple[tuple, tuple]:
-        """([n]g1 on the first side, [n]h): a compressed verify's constants
-        for n symbols, computed once per n."""
-        multiples = self._multiples.get(n)
-        if multiples is None:
-            backend = self.group.backend
-            multiples = (backend.g1_mul(self.g1.first, n), backend.g2_table_mul(self._h_table, n))
-            self._multiples[n] = multiples
-        return multiples
-
 
 @dataclass(frozen=True)
 class MasterSecret:
@@ -470,21 +456,22 @@ def verify_compressed(
 ) -> bool:
     """Check e(g, z) = e(g1, g2^n) * e(y, (g1^k h)^n); exactly 3 pairings.
 
-    The factor e(g1, g2^n) is evaluated as e(g1^n, g2): a right argument
-    that is the constant g2, whose Miller-loop lines the backend reads from
-    a table.  (g1^k h)^n is g1^(k n) h^n, with g1^(k n) on the key's comb
-    table of g1.  The key computes g1^n and h^n once per n.
+    The factor e(g1, g2^n) is evaluated as e(g1^n, g2): a multiplication
+    by n on the first-group side, and a right argument that is the constant
+    g2, whose Miller-loop lines the backend reads from a table.  (g1^k h)^n
+    is g1^(k n) h^n: g1^(k n) on the key's comb table of g1, and h^n, a
+    multiplication by n alone, on a window chain, so that a key that only
+    verifies never builds h's table.
     """
     if not 0 <= session < params.sessions:
         return False
     n = params.symbols
     sel = _selection_for(params, sig, message, selection)
     k = encode_index(params, session, sel.value)
-    g1_n, h_n = pk._verify_constants(n)
-    group = pk.group
-    index_n = group.backend.g2_add(group.backend.g2_table_mul(pk._g1_table, k * n), h_n)
+    backend = pk.group.backend
+    index_n = backend.g2_add(backend.g2_table_mul(pk._g1_table, k * n), backend.g2_mul(pk.h.second, n))
     lhs = pair(pk.g, sig.z)
-    rhs = pair(SourceElement(group, g1_n, None), pk.g2).mul(pair(sig.y, SourceElement(group, None, index_n)))
+    rhs = pair(pk.g1.first_only().exp(n), pk.g2).mul(pair(sig.y, SourceElement(pk.group, None, index_n)))
     return lhs == rhs
 
 

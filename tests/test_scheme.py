@@ -166,13 +166,17 @@ class TestKeyTables:
         sig = scheme.sign_compressed(pk, params, 0, scheme.subkeys_at(material, selection), selection, material.aux)
         assert scheme.verify_compressed(pk, params, 0, sig, b"m")
         assert "_g1_table" in vars(pk)
+        # a key that only verifies, as a decoded one, never builds h's table
+        _, verifier_pk = scheme.decode_public_key(scheme.encode_public_key(params, pk), backend)
+        assert scheme.verify_compressed(verifier_pk, params, 0, sig, b"m")
+        assert "_g1_table" in vars(verifier_pk) and "_h_table" not in vars(verifier_pk)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_no_variable_base_g2_multiplication(self, backend, monkeypatch):
         """``gen_session`` multiplies no G2 point but the generator (its row
         walk's ``g2_steps`` multiplies by t only), and a compressed verify
-        makes no G2 multiplication but one table read once its key has
-        verified before."""
+        makes one table read and no variable-base G2 multiplication but
+        h's by n once its key has verified before."""
         params = SchemeParams(sessions=2, symbols=32, radix=4)
         group = setup(256, backend=backend)
         b = group.backend
@@ -181,7 +185,8 @@ class TestKeyTables:
         for name in ("g2_mul", "g2_mul_many", "g2_table", "g2_table_mul"):
             def spy(*args, real=getattr(b, name), name=name):
                 base = args[0] if name in ("g2_mul", "g2_mul_many") else None
-                calls.append((name, "generator" if base == G2_GENERATOR else base))
+                base = {G2_GENERATOR: "generator", pk.h.second: "h"}.get(base, base)
+                calls.append((name, base, args[1]) if name == "g2_mul" else (name, base))
                 return real(*args)
 
             monkeypatch.setattr(b, name, spy)
@@ -194,11 +199,11 @@ class TestKeyTables:
         sig = scheme.sign_compressed(pk, params, 1, scheme.subkeys_at(material, selection), selection, material.aux)
         calls.clear()
         assert scheme.verify_compressed(pk, params, 1, sig, b"spied")
-        assert sorted(calls) == [("g2_table", None), ("g2_table_mul", None), ("g2_table_mul", None)]
+        assert sorted(calls) == [("g2_mul", "h", params.symbols), ("g2_table", None), ("g2_table_mul", None)]
         for message in (b"spied", b"other"):
             calls.clear()
             assert scheme.verify_compressed(pk, params, 1, sig, message) is (message == b"spied")
-            assert calls == [("g2_table_mul", None)]
+            assert calls == [("g2_table_mul", None), ("g2_mul", "h", params.symbols)]
 
     def test_tables_live_and_die_with_their_key(self):
         """In pure, 50 keys' tables leave the generators' table cache as it
@@ -213,7 +218,7 @@ class TestKeyTables:
         for _ in range(50):
             pk, _ = scheme.keygen_setup(params, rng, group=group)
             assert scheme.index_point(pk, 3) == pk.g1.exp(3).second_only().mul(pk.h)
-            assert pk._verify_constants(2)[1] == pk.h.exp(2).second
+            assert pure.g2_table_mul(pk._h_table, 2) == pk.h.exp(2).second
             keys.append(weakref.ref(pk))
         del pk
         assert pure._comb_tables.cache_info().currsize == cached
