@@ -319,7 +319,6 @@ class _Field(NamedTuple):
     sqr: Callable
     muls: Callable  # times a small integer
     neg: Callable
-    inv: Callable
     norm: Callable  # N(a), in Fp
     inv_by_norm: Callable  # 1/a from a and 1/N(a)
     sqrt: Callable  # a square root, or None if there is none
@@ -343,7 +342,6 @@ _G1 = _Field(
     sqr=lambda a: a * a % Q,
     muls=lambda a, s: a * s % Q,
     neg=lambda a: -a % Q,
-    inv=lambda a: pow(a, -1, Q),
     norm=lambda a: a,
     inv_by_norm=lambda a, s: s,
     sqrt=_fp_sqrt,
@@ -358,7 +356,7 @@ _G1 = _Field(
     chains=2,
 )
 _G2 = _Field(
-    _f2_add, _f2_sub, _f2_mul, _f2_sqr, _f2_muls, _f2_neg, _f2_inv,
+    _f2_add, _f2_sub, _f2_mul, _f2_sqr, _f2_muls, _f2_neg,
     norm=lambda a: (a[0] * a[0] + a[1] * a[1]) % Q,
     inv_by_norm=lambda a, s: (a[0] * s % Q, -a[1] * s % Q),  # conj(a) / N(a)
     sqrt=_f2_sqrt, zero=_F2_ZERO, one=_F2_ONE, b=B_TWIST,
@@ -418,14 +416,6 @@ def _third_point(F, p, s, lam):
     return (x3, F.sub(F.mul(lam, F.sub(x1, x3)), y1))
 
 
-def _add(F, p, s):
-    p, s = _point(F, p), _point(F, s)
-    if not p or not s:
-        return p or s
-    slope = _slope(F, p, s)
-    return _third_point(F, p, s, F.mul(slope[0], F.inv(slope[1]))) if slope else INFINITY
-
-
 def _sums(F, ps, qs):
     """P_i + Q_i for parsed affine points, with one inversion for all the slopes."""
     out = list(ps)
@@ -441,6 +431,11 @@ def _sums(F, ps, qs):
     for i, (num, _), inv in zip(todo, slopes, _batch_inv(F, [den for _, den in slopes])):
         out[i] = _third_point(F, ps[i], qs[i], F.mul(num, inv))
     return out
+
+
+def _add(F, p, s):
+    """P + S: the one-pair case of _sums."""
+    return _sums(F, [_point(F, p)], [_point(F, s)])[0]
 
 
 def _add_many(F, ps, qs):
@@ -570,24 +565,21 @@ def _jac_mul(F, p, k):
             acc = _jac_double(F, acc)
         if nib:
             acc = _jac_add(F, acc, table[nib])
-    return _jac_to_affine(F, acc)
-
-
-def _jac_to_affine(F, p):
-    x, y, z = p
-    if z == F.zero:
-        return INFINITY
-    zi = F.inv(z)
-    zi2 = F.sqr(zi)
-    return (F.mul(x, zi2), F.mul(y, F.mul(zi2, zi)))
+    return _batch_to_affine(F, [acc])[0]
 
 
 def _batch_to_affine(F, points):
-    """The affine forms of finite Jacobian points, with one inversion."""
+    """The affine forms of Jacobian points, with one inversion for all the
+    finite ones; Z = 0 is the point at infinity."""
+    inverses = iter(_batch_inv(F, [z for _, _, z in points if z != F.zero]))
     out = []
-    for (x, y, _), zi in zip(points, _batch_inv(F, [z for _, _, z in points])):
-        zi2 = F.sqr(zi)
-        out.append((F.mul(x, zi2), F.mul(y, F.mul(zi2, zi))))
+    for x, y, z in points:
+        if z == F.zero:
+            out.append(INFINITY)
+        else:
+            zi = next(inverses)
+            zi2 = F.sqr(zi)
+            out.append((F.mul(x, zi2), F.mul(y, F.mul(zi2, zi))))
     return out
 
 
@@ -728,7 +720,7 @@ def _comb_mul(F, tables, k):
         for table, u in zip(tables, us):
             if u:
                 acc = _jac_madd(F, acc, table[u])
-    return _jac_to_affine(F, acc)
+    return _batch_to_affine(F, [acc])[0]
 
 
 def _comb_mul_many(F, tables, ks):
@@ -771,8 +763,7 @@ def _steps(F, p, t, count):
     while len(chain) < count:
         x, y, z = chain[-1]
         chain.append(_jac_times(F, (x, F.neg(y) if t < 0 else y, z), bits) if t else (F.one, F.one, F.zero))
-    finite = iter(_batch_to_affine(F, [q for q in chain if q[2] != F.zero]))
-    return [next(finite) if q[2] != F.zero else INFINITY for q in chain[:count]]
+    return _batch_to_affine(F, chain[:count])
 
 
 g1_mul, g2_mul = partial(_mul, _G1), partial(_mul, _G2)
@@ -781,8 +772,8 @@ g2_steps = partial(_steps, _G2)
 
 
 class _G2Table:
-    """The comb tables of one G2 point of order r, as g2_table builds them;
-    None for the point at infinity.  They are freed with the object."""
+    """The comb tables of one finite G2 point of order r, as g2_table builds
+    them.  They are freed with the object."""
 
     __slots__ = ("tables",)
 
@@ -792,20 +783,22 @@ class _G2Table:
 
 def g2_table(p):
     """The comb tables of a G2 point of order r, for g2_table_mul: the
-    generators' fixed-base path for a point that is not a constant.  A point
-    off the curve or outside the subgroup raises ValueError."""
+    generators' fixed-base path for a point that is not a constant.  The
+    point at infinity, and a point off the curve or outside the subgroup,
+    raise ValueError."""
     p = _point(_G2, p)
-    if p and not (_on_curve(_G2, p) and _jac_in_subgroup(_G2, p)):
+    if not p:
+        raise ValueError("the point at infinity has no comb table")
+    if not (_on_curve(_G2, p) and _jac_in_subgroup(_G2, p)):
         raise ValueError("point not in the prime-order subgroup")
-    return _G2Table(_comb_build(_G2, p) if p else None)
+    return _G2Table(_comb_build(_G2, p))
 
 
 def g2_table_mul(table, k):
     """[k]P for any integer k, from the _G2Table of P."""
     if not isinstance(table, _G2Table):
         raise TypeError(f"expected a G2 table, not {type(table).__name__}")
-    k = index(k)
-    return _comb_mul(_G2, table.tables, k % ORDER) if table.tables else INFINITY
+    return _comb_mul(_G2, table.tables, index(k) % ORDER)
 
 
 # ---------------------------------------------------------------- pairing

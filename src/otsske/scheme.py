@@ -564,8 +564,11 @@ def encode_public_key(params: SchemeParams, pk: PublicKey) -> bytes:
     return _pack_fields(fields)
 
 
-def _read_public_key(data: bytes, backend: str | None) -> tuple[SchemeParams, GroupParams, bytes, bytes]:
-    """Parse a public key's parameters; its g1 and h fields are returned undecoded."""
+def _read_public_key(
+    data: bytes, backend: str | None
+) -> tuple[SchemeParams, GroupParams, bytes, SourceElement]:
+    """Parse a public key's parameters and decode its h, which must not be
+    the identity; the g1 field is returned undecoded."""
     reader = _FieldReader(data)
     security, sessions, symbols, radix = (reader.take_int() for _ in range(4))
     try:
@@ -575,18 +578,25 @@ def _read_public_key(data: bytes, backend: str | None) -> tuple[SchemeParams, Gr
         raise DecodeError(str(exc)) from exc
     g1, h = reader.take(144), reader.take(96)
     reader.finish()
+    h = SourceElement.deserialize(group, h)
+    if h.is_identity():
+        raise DecodeError("h is the identity")
     return params, group, g1, h
 
 
 def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemeParams, PublicKey]:
-    """Decode a public key whose g1 = (G1^a, G2^c) has a = c.
+    """Decode a public key whose g1 = (G1^a, G2^c) has a = c != 0 and whose
+    h is not the identity.
 
-    The sides are compared as e(g1_1, G2) == e(G1, g1_2): two pairing terms,
-    the first on the generator's Miller-loop line table, and one final
-    exponentiation.
+    With g1 the identity, y = g and z = h^n verify for every message and
+    session, so such a key is refused.  The sides are compared as
+    e(g1_1, G2) == e(G1, g1_2): two pairing terms, the first on the
+    generator's Miller-loop line table, and one final exponentiation.
     """
     params, group, g1, h = _read_public_key(data, backend)
-    pk = PublicKey(group, SourceElement.deserialize(group, g1), SourceElement.deserialize(group, h))
+    pk = PublicKey(group, SourceElement.deserialize(group, g1), h)
+    if pk.g1.is_identity():
+        raise DecodeError("g1 is the identity")
     if pair(pk.g1, pk.g) != pair(pk.g, pk.g1):
         raise DecodeError("the two sides of g1 disagree")
     return params, pk
@@ -667,7 +677,8 @@ def decode_session_store(
     encoding byte for byte.  A subkey swapped for any other valid point is
     therefore rejected with :class:`DecodeError`, except at n = 1, t = 2,
     where both entries are fully decoded and nothing is derived.  So is a
-    store that holds one session index twice.
+    store that holds one session index twice, and one whose h is the
+    identity.
     """
     reader = _FieldReader(data)
     params, group, g1_bytes, h = _read_public_key(reader.take(), backend)
@@ -678,7 +689,7 @@ def decode_session_store(
     g1 = generator(group).exp(alpha)
     if g1.serialize() != g1_bytes:
         raise DecodeError("master exponent does not match the public key")
-    pk = PublicKey(group, g1, SourceElement.deserialize(group, h))
+    pk = PublicKey(group, g1, h)
     master = MasterSecret(alpha, pk.g2.exp(alpha))
     materials = []
     for _ in range(reader.take_int()):

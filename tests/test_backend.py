@@ -5,9 +5,11 @@ import hashlib
 import importlib.util
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,17 @@ def test_both_backends_available():
     # the compiled core is expected to build in this environment
     assert "pure" in BACKENDS
     assert "native" in BACKENDS
+
+
+def test_core_compiles_without_warnings():
+    # the build's compiler, with every -Wall -Wextra warning as an error
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not shutil.which(cc[0]):
+        pytest.skip(f"no compiler {cc[0]}")
+    source = Path(__file__).resolve().parent.parent / "src" / "otsske" / "backend" / "_core.c"
+    cmd = cc + ["-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", sysconfig.get_paths()["include"], str(source)]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def traced_names():
@@ -1055,7 +1068,9 @@ def test_table_mul_against_g2_mul(a, k):
 
 
 def test_table_of_infinity_and_refused_points(backend):
-    assert [table_mul(backend, (), k) for k in (0, 1, ORDER - 1)] == [(), (), ()]
+    # a public key's h and g1 are never infinity, so neither is a table's point
+    with pytest.raises(ValueError, match="^the point at infinity has no comb table$"):
+        backend.g2_table(())
     outside = curve_point("g2", (5, 0))  # on the twist, but not of order r
     assert affine_mul("g2", outside, ORDER) != ()
     off_curve = replaced(G2_GENERATOR, (1, 0), 5)

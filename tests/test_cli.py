@@ -3,7 +3,9 @@
 import pytest
 from click.testing import CliRunner
 
+from otsske import scheme
 from otsske.cli import main
+from otsske.groups import DeterministicRandomness, SourceElement
 
 TOY = ["--t", "2", "--n", "8", "--N", "2"]
 
@@ -88,6 +90,23 @@ class TestSignVerifyPipeline:
                                  "--in", str(msg), "--sig", str(msg)])
         assert result.exit_code == 2
         assert "malformed" in result.output
+
+    def test_key_whose_g1_is_the_identity_exits_two(self, runner, tmp_path):
+        # y = g, z = h^n would verify under it for every message and session
+        params = scheme.SchemeParams(sessions=2, symbols=8, radix=2)
+        pk, _ = scheme.keygen_setup(params, DeterministicRandomness(14))
+        group = pk.group
+        key = tmp_path / "key.pub"
+        key.write_bytes(scheme.encode_public_key(params, scheme.PublicKey(group, SourceElement(group, (), ()), pk.h)))
+        forged = scheme.CompressedSignature(y=pk.g.first_only(), z=pk.h.exp(params.symbols), key=b"k")
+        sig = tmp_path / "sig.bin"
+        sig.write_bytes(scheme.encode_signature(forged))
+        msg = tmp_path / "msg.bin"
+        msg.write_bytes(b"payload")
+        result = invoke(runner, ["verify", "--key", str(key), "--session", "1",
+                                 "--in", str(msg), "--sig", str(sig)])
+        assert result.exit_code == 2
+        assert "malformed key file: g1 is the identity" in result.output
 
     def test_missing_file_exits_two(self, runner, tmp_path):
         result = invoke(runner, ["sign", "--key", str(tmp_path / "nope"), "--in",

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from otsske import protocol, scheme
 from otsske.backend import available_backends
 from otsske.errors import DecodeError, ParameterError
-from otsske.groups import DeterministicRandomness, SourceElement, setup
+from otsske.groups import DeterministicRandomness, SourceElement, pair, setup
 from otsske.params import G1_GENERATOR, G2_GENERATOR
 
 BACKENDS = available_backends()
@@ -167,6 +167,45 @@ def test_public_key_whose_g1_sides_disagree_is_rejected(backend, sides):
             scheme.decode_public_key(data, backend=backend)
     else:
         assert scheme.decode_public_key(data, backend=backend)[1].g1 == g1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_public_key_whose_h_is_the_identity_is_refused(backend):
+    # h is checked before g1, so it is named beside an identity g1 too
+    group, table = encodings(backend)
+    _, (params, pk), _ = table["public_key"]
+    h = SourceElement(group, None, ())
+    for g1 in (pk.g1, SourceElement(group, (), ())):
+        data = scheme.encode_public_key(params, scheme.PublicKey(group, g1, h))
+        with pytest.raises(DecodeError, match="^h is the identity$"):
+            scheme.decode_public_key(data, backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_whose_h_is_the_identity_is_refused(backend):
+    group, table = encodings(backend)
+    _, (params, pk, master, materials), _ = table["session_store"]
+    degenerate = scheme.PublicKey(group, pk.g1, SourceElement(group, None, ()))
+    data = scheme.encode_session_store(params, degenerate, master, materials)
+    with pytest.raises(DecodeError, match="^h is the identity$"):
+        scheme.decode_session_store(data, backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_forgery_under_an_identity_g1_is_refused_at_decode(backend):
+    # with g1 = O, y = g and z = h^n meet verify's equation
+    # e(g, z) == e(g1^n, g2) e(y, (g1^k h)^n) for every index k, so for
+    # every message and session: the key must not decode
+    group, table = encodings(backend)
+    _, (params, pk), _ = table["public_key"]
+    n, identity = params.symbols, SourceElement(group, (), ())
+    y, z = pk.g.first_only(), pk.h.exp(n)
+    for k in (0, 1, 2**64 + 5):
+        index = identity.second_only().exp(k).mul(pk.h).exp(n)
+        assert pair(pk.g, z) == pair(identity.first_only().exp(n), pk.g2).mul(pair(y, index))
+    data = scheme.encode_public_key(params, scheme.PublicKey(group, identity, pk.h))
+    with pytest.raises(DecodeError, match="^g1 is the identity$"):
+        scheme.decode_public_key(data, backend=backend)
 
 
 @pytest.mark.parametrize("entry", [(1, 1), (1, 0), (0, 1), (0, 0)])

@@ -768,3 +768,75 @@ class TestCodecs:
         blob = scheme.encode_session_store(toy_params, pk, master, materials)
         with pytest.raises(DecodeError):
             scheme.decode_session_store(blob[: len(blob) // 2])
+
+
+class TestOneTimeBudget:
+    """Positive controls for the forgery game: soundness rests on each
+    session signing once.  Every aggregate of a session is H + [B]S_0, for
+    the sum H of its row heads, its first row step S_0 and the selection
+    value B.  So two compressed signatures of one session give
+    S_0 = [(B1 - B2)^-1](z1 - z2), and with it any message's signature for
+    that session.  One signature gives nothing past a selection collision,
+    and S_0 binds its own session alone.  The material comes from scheme
+    calls, not from the co-processor, whose budget refuses a second read."""
+
+    NEW = [b"new message %d" % i for i in range(8)]
+
+    @staticmethod
+    def signatures(params, keys, session, messages):
+        """Compressed signatures of one session, as (selection value, signature)."""
+        pk, _ = keys
+        material = make_session(params, keys, session, seed=40 + session)
+        out = []
+        for i, message in enumerate(messages):
+            selection = scheme.prp_select(params, b"signer %d" % i, message)
+            subkeys = scheme.subkeys_at(material, selection)
+            out.append((selection.value, scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux)))
+        return material, out
+
+    @staticmethod
+    def reuse_forger(signed):
+        """(y, H, S_0) of a session from two of its signatures."""
+        (b1, first), (b2, second) = signed
+        s0 = first.z.mul(second.z.exp(-1)).exp(pow(b1 - b2, -1, ORDER))
+        return first.y, first.z.mul(s0.exp(-b1)), s0
+
+    @staticmethod
+    def forge(params, forger, message):
+        y, head, s0 = forger
+        selection = scheme.prp_select(params, b"forger", message)
+        return CompressedSignature(y=y, z=head.mul(s0.exp(selection.value)), key=selection.key)
+
+    def test_two_signatures_of_a_session_forge_every_message(self, medium_params, medium_keys):
+        pk, _ = medium_keys
+        material, signed = self.signatures(medium_params, medium_keys, 0, [b"first", b"second"])
+        forger = self.reuse_forger(signed)
+        # the recovered S_0 is the session's first row step
+        assert forger[2] == material.subkeys[0][1].mul(material.subkeys[0][0].exp(-1))
+        forged = [self.forge(medium_params, forger, m) for m in self.NEW]
+        assert [scheme.verify_compressed(pk, medium_params, 0, s, m) for s, m in zip(forged, self.NEW)] == [True] * 8
+
+    def test_one_signature_forges_nothing_past_a_collision(self, medium_params, medium_keys):
+        # the forger replays z, or scales it by B'/B as if H were the identity;
+        # either verifies only where the new selection value equals B
+        pk, _ = medium_keys
+        _, [(b, signed)] = self.signatures(medium_params, medium_keys, 0, [b"only"])
+        assert scheme.verify_compressed(pk, medium_params, 0, signed, b"only")
+        for message in self.NEW:
+            selection = scheme.prp_select(medium_params, b"forger", message)
+            collides = selection.value == b
+            for z in (signed.z, signed.z.exp(selection.value * pow(b, -1, ORDER))):
+                attempt = CompressedSignature(y=signed.y, z=z, key=selection.key)
+                assert scheme.verify_compressed(pk, medium_params, 0, attempt, message) == collides
+
+    def test_a_sessions_step_forges_nothing_for_another_session(self, medium_params, medium_keys):
+        pk, _ = medium_keys
+        _, signed0 = self.signatures(medium_params, medium_keys, 0, [b"first", b"second"])
+        y0, head0, s0 = self.reuse_forger(signed0)
+        _, [(b1, signed1)] = self.signatures(medium_params, medium_keys, 1, [b"other"])
+        # session 1's own signature, moved along session 0's step
+        head1 = signed1.z.mul(s0.exp(-b1))
+        for message in self.NEW[:4]:
+            for forger in ((y0, head0, s0), (signed1.y, head1, s0)):
+                forged = self.forge(medium_params, forger, message)
+                assert not scheme.verify_compressed(pk, medium_params, 1, forged, message)
