@@ -1914,30 +1914,6 @@ static PyObject *py_final_exp(PyObject *Py_UNUSED(m), PyObject *v)
     return gt_to_py(a);
 }
 
-static PyObject *gt_pow(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 a[72], acc[72];
-    int neg;
-    PyObject *eb;
-    if (!nargs_ok("gt_pow", nargs, 2) || gt_from_py(a, args[0]) || !(eb = scalar_bytes(args[1], &neg)))
-        return NULL;
-    if (neg) {
-        Py_DECREF(eb);
-        PyErr_SetString(PyExc_ValueError, "GT exponent must be non-negative");
-        return NULL;
-    }
-    const unsigned char *e = (const unsigned char *)PyBytes_AS_STRING(eb);
-    set_one(acc, 72);
-    for (Py_ssize_t i = 0; i < PyBytes_GET_SIZE(eb); i++)
-        for (int bit = 7; bit >= 0; bit--) {
-            f12_sqr(acc, acc);
-            if ((e[i] >> bit) & 1)
-                f12_mul(acc, acc, a);
-        }
-    Py_DECREF(eb);
-    return gt_to_py(acc);
-}
-
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static PyMethodDef methods[] = {
@@ -1963,7 +1939,6 @@ static PyMethodDef methods[] = {
      "Product of the Miller loops of a sequence of (P, Q) pairs, with one shared loop."},
     {"final_exp", py_final_exp, METH_O, "f^((q^12 - 1) / r) for a nonzero Fp12 element f."},
     {"gt_mul", FASTCALL(gt_mul), "Product in GT."},
-    {"gt_pow", FASTCALL(gt_pow), "a^e in GT for an integer e >= 0."},
     {"_f2_sqrt", py_f2_sqrt, METH_O, "A square root of an Fp2 element (c0, c1), or None; for the tests."},
     {NULL, NULL, 0, NULL},
 };

@@ -17,7 +17,8 @@ Timed regions
 * ``sign``          subset selection + compressed signing: one ``g2_sum``
                     of the n selected subkeys (zero pairings).
 * ``verify``        compressed verification (exactly three pairings),
-                    with g1^(k n) on the key's comb table of g1.
+                    with the index point g1^k h on the key's comb table
+                    of g1 and y raised to n.
 * ``store_load``    decoding a store of the public key, master exponent
                     and one session (``decode_session_store``).
 * ``ecdsa.*``       P-256 keygen / SHA-256 sign / verify via OpenSSL.

@@ -1,13 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error.
-Every subcommand is deterministic under ``--seed`` (or with
-``OTSSKE_DETERMINISTIC=1``, which forces seed 0 when none is given).
+Every subcommand is deterministic under ``--seed``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -47,8 +45,6 @@ def _build_params(radix: int, symbols: int, sessions: int, security: int) -> Sch
 
 
 def _rng(seed: int | None):
-    if seed is None and os.environ.get("OTSSKE_DETERMINISTIC") == "1":
-        seed = 0
     return DeterministicRandomness(seed) if seed is not None else SystemRandomness()
 
 

@@ -489,9 +489,8 @@ def run_protocol(
     nonces: list[bytes] = []
     for index in range(sessions):
         coproc.generate_next(keygen_rng)
-        nonce = verifier.new_nonce(request_rng)
-        result = b"app result %d" % index
-        request = AttestationRequest(nonce=nonce, result=result, app_mr=enclave_mr)
+        request = verifier.make_request(request_rng, b"app result %d" % index, enclave_mr)
+        nonce = request.nonce
         transcript.append(("REQ", nonce.hex()))
         quote = enclave.handle(coproc, request, log=log)
         encoded = quote_encode(quote)

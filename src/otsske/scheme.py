@@ -191,8 +191,9 @@ def index_point(pk: PublicKey, k: Scalar) -> SourceElement:
 
 
 def _session_randomness(params: SchemeParams, rng) -> tuple[Scalar, tuple[Scalar, ...]]:
-    # draw order is fixed: r first, then the n-1 free beta values
-    r = random_scalar(rng)
+    # draw order is fixed: r first, then the n-1 free beta values; r = 0
+    # would make aux the identity and every subset's sum the same point
+    r = random_nonzero_scalar(rng)
     betas = [random_scalar(rng) for _ in range(params.symbols - 1)]
     betas.append(-sum(betas) % ORDER)
     return r, tuple(betas)
@@ -456,22 +457,19 @@ def verify_compressed(
 ) -> bool:
     """Check e(g, z) = e(g1, g2^n) * e(y, (g1^k h)^n); exactly 3 pairings.
 
-    The factor e(g1, g2^n) is evaluated as e(g1^n, g2): a multiplication
-    by n on the first-group side, and a right argument that is the constant
-    g2, whose Miller-loop lines the backend reads from a table.  (g1^k h)^n
-    is g1^(k n) h^n: g1^(k n) on the key's comb table of g1, and h^n, a
-    multiplication by n alone, on a window chain, so that a key that only
-    verifies never builds h's table.
+    By bilinearity the check runs as e(g, z) = e(g1^n, g2) * e(y^n, g1^k h):
+    both multiplications by n are on the first-group side, the right
+    argument g2 is a constant whose Miller-loop lines the backend reads
+    from a table, and g1^k h is ``index_point``.  An identity y, which no
+    honest session has, is rejected before any pairing.
     """
-    if not 0 <= session < params.sessions:
+    if not 0 <= session < params.sessions or sig.y.is_identity():
         return False
     n = params.symbols
     sel = _selection_for(params, sig, message, selection)
     k = encode_index(params, session, sel.value)
-    backend = pk.group.backend
-    index_n = backend.g2_add(backend.g2_table_mul(pk._g1_table, k * n), backend.g2_mul(pk.h.second, n))
     lhs = pair(pk.g, sig.z)
-    rhs = pair(pk.g1.first_only().exp(n), pk.g2).mul(pair(sig.y, SourceElement(pk.group, None, index_n)))
+    rhs = pair(pk.g1.first_only().exp(n), pk.g2).mul(pair(sig.y.exp(n), index_point(pk, k)))
     return lhs == rhs
 
 
@@ -677,8 +675,8 @@ def decode_session_store(
     encoding byte for byte.  A subkey swapped for any other valid point is
     therefore rejected with :class:`DecodeError`, except at n = 1, t = 2,
     where both entries are fully decoded and nothing is derived.  So is a
-    store that holds one session index twice, and one whose h is the
-    identity.
+    store that holds one session index twice, one whose h is the identity,
+    and one with an identity aux.
     """
     reader = _FieldReader(data)
     params, group, g1_bytes, h = _read_public_key(reader.take(), backend)
@@ -699,6 +697,8 @@ def decode_session_store(
         if any(material.session == session for material in materials):
             raise DecodeError(f"session {session} is stored more than once")
         aux = SourceElement.deserialize(group, reader.take(48))
+        if aux.is_identity():
+            raise DecodeError(f"session {session}'s aux is the identity")
         subkeys = _decode_subkeys(group, params, reader.take(96 * params.subkey_count))
         materials.append(SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux))
     reader.finish()

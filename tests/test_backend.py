@@ -78,9 +78,8 @@ READ = ("NAME", "GT_ONE", "G2_AUX_GENERATOR", "g1_add", "g2_add", "g1_mul", "g2_
         "g2_add_many", "g2_mul_many", "g2_sum", "g2_steps", "g2_table", "g2_table_mul", "g1_compress",
         "g2_compress", "g1_decompress", "g2_decompress", "g1_in_subgroup", "g2_in_subgroup", "pairing",
         "multi_miller_loop", "final_exp")
-# what only the tests call: gt_pow on both backends, and pure's references
-PURE_REFERENCES = ("g2_neg", "g1_on_curve", "g2_on_curve")
-TEST_REFERENCES = ("gt_pow",) + PURE_REFERENCES
+# what only the tests call: pure's references
+PURE_REFERENCES = ("gt_pow", "g2_neg", "g1_on_curve", "g2_on_curve")
 
 
 def test_backend_surface(backend):
@@ -98,7 +97,7 @@ def public_callables(b):
 
 def test_backend_exports_only_what_is_called(backend):
     # every public callable is read by the package, traced by perfbench or a test reference
-    expected = {name for name in READ + TRACED + TEST_REFERENCES if not name.isupper()}
+    expected = {name for name in READ + TRACED + PURE_REFERENCES if not name.isupper()}
     if backend.NAME != "pure":
         expected -= set(PURE_REFERENCES)
     assert public_callables(backend) == expected
@@ -204,7 +203,6 @@ class TestGroupLaws:
 class TestPairing:
     def test_bilinearity(self, backend):
         rnd = random.Random(9)
-        base = backend.pairing(G1_GENERATOR, G2_GENERATOR)
         trials = 100 if backend.NAME == "native" else 4
         for _ in range(trials):
             a = rnd.randrange(1, ORDER)
@@ -212,12 +210,12 @@ class TestPairing:
             lhs = backend.pairing(
                 backend.g1_mul(G1_GENERATOR, a), backend.g2_mul(G2_GENERATOR, b)
             )
-            assert lhs == backend.gt_pow(base, a * b % ORDER)
+            assert lhs == backend.pairing(backend.g1_mul(G1_GENERATOR, a * b % ORDER), G2_GENERATOR)
 
     def test_non_degenerate_order_r(self, backend):
         e = backend.pairing(G1_GENERATOR, G2_GENERATOR)
         assert e != backend.GT_ONE
-        assert backend.gt_pow(e, ORDER) == backend.GT_ONE
+        assert load_backend("pure").gt_pow(e, ORDER) == backend.GT_ONE
 
     def test_pinned_pairing_digest(self, backend):
         # the value the compiled core checks its own pairing against at import
@@ -237,11 +235,24 @@ class TestPairing:
         assert backend.pairing((), G2_GENERATOR) == backend.GT_ONE
         assert backend.pairing(G1_GENERATOR, ()) == backend.GT_ONE
 
+    @pytest.mark.parametrize("backend", [load_backend("pure")], ids=["pure"])
     def test_gt_pow_refuses_negative_exponents(self, backend):
         e = backend.pairing(G1_GENERATOR, G2_GENERATOR)
         for exponent in (-1, -ORDER):
             with pytest.raises(ValueError, match="^GT exponent must be non-negative$"):
                 backend.gt_pow(e, exponent)
+
+
+@functools.cache
+def final_exp_definitions():
+    """(f, f^((q^12 - 1) / r)) for a Miller-loop output and two arbitrary
+    Fp12 elements, each power taken once with pure's gt_pow."""
+    pure, rnd = load_backend("pure"), random.Random(11)
+    p = pure.g1_mul(G1_GENERATOR, 987654321)
+    q = pure.g2_mul(G2_GENERATOR, 123456789)
+    inputs = [pure.multi_miller_loop([(p, q)])]
+    inputs += [tuple(rnd.randrange(1, FIELD_MODULUS) for _ in range(12)) for _ in range(2)]
+    return [(f, pure.gt_pow(f, (FIELD_MODULUS**12 - 1) // ORDER)) for f in inputs]
 
 
 def test_final_exponentiation_against_definition(backend):
@@ -251,13 +262,8 @@ def test_final_exponentiation_against_definition(backend):
     subgroup, so the chain must agree on arbitrary elements too, not only on
     Miller-loop outputs.
     """
-    rnd = random.Random(11)
-    p = backend.g1_mul(G1_GENERATOR, 987654321)
-    q = backend.g2_mul(G2_GENERATOR, 123456789)
-    inputs = [backend.multi_miller_loop([(p, q)])]
-    inputs += [tuple(rnd.randrange(1, FIELD_MODULUS) for _ in range(12)) for _ in range(2)]
-    for f in inputs:
-        assert backend.final_exp(f) == backend.gt_pow(f, (FIELD_MODULUS**12 - 1) // ORDER)
+    for f, power in final_exp_definitions():
+        assert backend.final_exp(f) == power
 
 
 def test_pairing_is_final_exp_of_miller_loop(backend):
@@ -284,9 +290,6 @@ def test_backends_agree_on_random_operations():
     p = pure.g1_mul(G1_GENERATOR, 31337)
     q = pure.g2_mul(G2_GENERATOR, 42424242)
     assert fast.pairing(p, q) == pure.pairing(p, q)
-    e = pure.pairing(p, q)
-    k = rnd.randrange(ORDER)
-    assert fast.gt_pow(e, k) == pure.gt_pow(e, k)
 
 
 def test_aux_generator_properties(backend):
@@ -506,13 +509,8 @@ def point(group, a):
     return getattr(load_backend("native"), f"{group}_mul")(GROUPS[group][1], a)
 
 
-@functools.cache
-def gt_base():
-    return load_backend("native").pairing(G1_GENERATOR, G2_GENERATOR)
-
-
 GT_ELEMENTS = st.one_of(
-    st.builds(lambda a: load_backend("native").gt_pow(gt_base(), a), EXPONENTS),
+    st.builds(lambda a: load_backend("native").pairing(G1_GENERATOR, point("g2", a)), EXPONENTS),
     st.just((0,) * 12),
     st.tuples(*[FP] * 12),  # arbitrary Fp12 elements
 )
@@ -619,19 +617,17 @@ def test_differential_point_ops(group, data):
             assert_agree(f"{group}_{op}", bad, message=True)
 
 
-@given(a=GT_ELEMENTS, b=GT_ELEMENTS, e=SCALARS)
+@given(a=GT_ELEMENTS, b=GT_ELEMENTS)
 @settings(max_examples=30, deadline=None)
-def test_differential_gt(a, b, e):
+def test_differential_gt(a, b):
     assert_agree("gt_mul", a, b)
-    assert_agree("gt_pow", a, e)
     assert_agree("final_exp", a)
 
 
 @given(bad=BAD_GT_ELEMENTS, good=GT_ELEMENTS)
 @settings(max_examples=30, deadline=None)
 def test_differential_gt_rejects_malformed(bad, good):
-    for name, args in (("gt_mul", (bad, good)), ("gt_mul", (good, bad)), ("gt_pow", (bad, 3)),
-                       ("final_exp", (bad,))):
+    for name, args in (("gt_mul", (bad, good)), ("gt_mul", (good, bad)), ("final_exp", (bad,))):
         assert_agree(name, *args, message=True)
 
 

@@ -193,16 +193,6 @@ class TestDemo:
                                  "--sessions", "1", "--seed", str(seed)])
         assert result.exit_code == 0, result.output
 
-    def test_env_forces_seeded_mode(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setenv("OTSSKE_DETERMINISTIC", "1")
-        outs = []
-        for name in ("x.txt", "y.txt"):
-            out = tmp_path / name
-            # no --seed given: the env pins it to 0
-            invoke(runner, ["keygen", *TOY, "--out", str(tmp_path / name)])
-            outs.append((tmp_path / name).read_bytes())
-        assert outs[0] == outs[1]
-
 
 class TestGame:
     def test_sound_run_exits_zero(self, runner, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import struct
 import weakref
 
@@ -14,6 +15,7 @@ from otsske.backend import available_backends, load_backend
 from otsske.errors import DecodeError, ParameterError, RepresentationError, UnsupportedSecurityLevelError
 from otsske.groups import (
     DeterministicRandomness,
+    pair,
     pairing_counter,
     reset_pairing_counter,
     setup,
@@ -175,8 +177,7 @@ class TestKeyTables:
     def test_no_variable_base_g2_multiplication(self, backend, monkeypatch):
         """``gen_session`` multiplies no G2 point but the generator (its row
         walk's ``g2_steps`` multiplies by t only), and a compressed verify
-        makes one table read and no variable-base G2 multiplication but
-        h's by n once its key has verified before."""
+        makes one table read and no other G2 multiplication."""
         params = SchemeParams(sessions=2, symbols=32, radix=4)
         group = setup(256, backend=backend)
         b = group.backend
@@ -199,11 +200,11 @@ class TestKeyTables:
         sig = scheme.sign_compressed(pk, params, 1, scheme.subkeys_at(material, selection), selection, material.aux)
         calls.clear()
         assert scheme.verify_compressed(pk, params, 1, sig, b"spied")
-        assert sorted(calls) == [("g2_mul", "h", params.symbols), ("g2_table", None), ("g2_table_mul", None)]
+        assert sorted(calls) == [("g2_table", None), ("g2_table_mul", None)]
         for message in (b"spied", b"other"):
             calls.clear()
             assert scheme.verify_compressed(pk, params, 1, sig, message) is (message == b"spied")
-            assert calls == [("g2_table_mul", None), ("g2_mul", "h", params.symbols)]
+            assert calls == [("g2_table_mul", None)]
 
     def test_tables_live_and_die_with_their_key(self):
         """In pure, 50 keys' tables leave the generators' table cache as it
@@ -559,6 +560,39 @@ class TestSignatures:
         assert scheme.verify_full(pk, medium_params, 1, full, message)
         assert scheme.verify_compressed(pk, medium_params, 1, comp, message)
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_compressed_verdict_matches_its_definition(self, backend):
+        """verify_compressed's verdict is that of e(g, z) == e(g1, g2^n) *
+        e(y, (g1^k h)^n), written with plain exp and mul: n on the G2 side,
+        and no comb or line table."""
+        params = SchemeParams(sessions=3, symbols=8, radix=4)
+        pk, master = scheme.keygen_setup(params, DeterministicRandomness(23), group=setup(256, backend=backend))
+        n = params.symbols
+
+        def definition(session, sig, message):
+            k = scheme.encode_index(params, session, scheme.prp_select(params, sig.key, message).value)
+            index_n = pk.g1.second_only().exp(k).mul(pk.h).exp(n)
+            return pair(pk.g, sig.z) == pair(pk.g1, pk.g2.exp(n)).mul(pair(sig.y, index_n))
+
+        selection = scheme.prp_select(params, b"key", b"signed")
+        assert selection.value != scheme.prp_select(params, b"key", b"other").value
+        sigs = []
+        for session in (1, 2):
+            material = make_session(params, (pk, master), session=session, seed=60 + session)
+            subkeys = scheme.subkeys_at(material, selection)
+            sigs.append(scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux))
+        honest, other = sigs
+        cases = [
+            (1, honest, b"signed", True),
+            (1, honest, b"other", False),
+            (2, honest, b"signed", False),
+            (1, CompressedSignature(y=other.y, z=honest.z, key=honest.key), b"signed", False),
+            (1, CompressedSignature(y=honest.y, z=other.z, key=honest.key), b"signed", False),
+        ]
+        for session, sig, message, verdict in cases:
+            assert scheme.verify_compressed(pk, params, session, sig, message) is verdict
+            assert definition(session, sig, message) is verdict
+
     def test_degenerate_randomness_resampled(self, medium_params, medium_keys, signed, monkeypatch):
         """Force the first draw into s + u = 0; the signer must retry.
 
@@ -620,6 +654,65 @@ class TestSignatures:
         assert not scheme.verify_full(pk, medium_params, 1, sig, message)
         assert pairing_counter() == 0, "degenerate case must be rejected before pairing"
         assert pairing_work == {"terms": [], "fixed": [], "final_exps": 0}
+
+
+class TestNoIdentityAux:
+    """A session with r = 0 would have aux = O, and every subset of it
+    would sum to g2^(alpha n).  Then y = O, z = g2^(alpha n) would verify
+    for every message of every session.  So r is drawn nonzero, a store
+    with an identity aux is refused, and a compressed verify rejects
+    y = O before any pairing."""
+
+    PARAMS = SchemeParams(sessions=2, symbols=4, radix=2)
+
+    def keys(self, backend):
+        return scheme.keygen_setup(self.PARAMS, DeterministicRandomness(24), group=setup(256, backend=backend))
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_a_zero_first_draw_is_drawn_again(self, backend):
+        class ZeroFirst:
+            """Zero bytes for the first draw, then the stream seeded 25."""
+
+            def __init__(self):
+                self.rest, self.first = DeterministicRandomness(25), True
+
+            def random_bytes(self, n):
+                if self.first:
+                    self.first = False
+                    return bytes(n)
+                return self.rest.random_bytes(n)
+
+        pk, master = self.keys(backend)
+        material = scheme.gen_session(pk, master, self.PARAMS, 0, ZeroFirst())
+        assert not material.aux.is_identity()
+        # r is the stream's first scalar: nothing else moved
+        assert material == scheme.gen_session(pk, master, self.PARAMS, 0, DeterministicRandomness(25))
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_a_store_with_an_identity_aux_is_refused(self, backend):
+        pk, master = self.keys(backend)
+        material = scheme.gen_session(pk, master, self.PARAMS, 1, DeterministicRandomness(26))
+        degenerate = dataclasses.replace(material, aux=material.aux.exp(0))
+        store = scheme.encode_session_store(self.PARAMS, pk, master, [degenerate])
+        with pytest.raises(DecodeError, match="aux is the identity"):
+            scheme.decode_session_store(store, backend)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_an_identity_y_is_rejected_before_pairing(self, backend, pairing_work):
+        pk, master = self.keys(backend)
+        n = self.PARAMS.symbols
+        z = master.g2_alpha.exp(n)
+        sig = CompressedSignature(y=pk.g.first_only().exp(0), z=z, key=b"forger")
+        reset_pairing_counter()
+        for session in range(self.PARAMS.sessions):
+            for message in (b"one", b"two"):
+                assert not scheme.verify_compressed(pk, self.PARAMS, session, sig, message)
+                data = scheme.encode_signature(sig)
+                assert not scheme.verify_signature_bytes(pk, self.PARAMS, session, data, message)
+        assert pairing_counter() == 0
+        assert pairing_work == {"terms": [], "fixed": [], "final_exps": 0}
+        # the guard is load-bearing: with y = O the equation holds
+        assert pair(pk.g, z) == pair(pk.g1.first_only().exp(n), pk.g2)
 
 
 class TestRoundTripProperty:
@@ -777,8 +870,11 @@ class TestOneTimeBudget:
     value B.  So two compressed signatures of one session give
     S_0 = [(B1 - B2)^-1](z1 - z2), and with it any message's signature for
     that session.  One signature gives nothing past a selection collision,
-    and S_0 binds its own session alone.  The material comes from scheme
-    calls, not from the co-processor, whose budget refuses a second read."""
+    and S_0 binds its own session alone.  k signatures of a session sign
+    exactly the messages whose selection their subsets cover, and a whole
+    leaked matrix signs for its own session alone.  The material comes
+    from scheme calls, not from the co-processor, whose budget refuses a
+    second read."""
 
     NEW = [b"new message %d" % i for i in range(8)]
 
@@ -839,4 +935,69 @@ class TestOneTimeBudget:
         for message in self.NEW[:4]:
             for forger in ((y0, head0, s0), (signed1.y, head1, s0)):
                 forged = self.forge(medium_params, forger, message)
+                assert not scheme.verify_compressed(pk, medium_params, 1, forged, message)
+
+    def test_union_forger_covers_at_the_predicted_rate(self, group):
+        """k leaked reads of one session cover a new selection when every
+        position's new digit is among the digits read there.  At t = 2,
+        n = 4 that has probability (1 - (1 - 1/t)^k)^n, averaged over the
+        leaked selections too, so each trial draws fresh leaked and new
+        messages.  Coverage comes from prp_select alone; then forgeries
+        built from the read subkeys verify exactly where they are covered."""
+        params = SchemeParams(sessions=2, symbols=4, radix=2)
+        n, t, trials = params.symbols, params.radix, 256
+        pk, master = scheme.keygen_setup(params, DeterministicRandomness(27), group=group)
+        material = make_session(params, (pk, master), session=1, seed=28)
+
+        def select(*label):
+            message = b" ".join(b"%d" % part for part in label)
+            return message, scheme.prp_select(params, b"union", message)
+
+        def digits_read(leaked):
+            return [{selection.digits[j] for _, selection in leaked} for j in range(n)]
+
+        examples = {True: [], False: []}
+        for k in range(1, 7):
+            covered = 0
+            for trial in range(trials):
+                leaked = [select(k, trial, i) for i in range(k)]
+                message, new = select(k, trial)
+                hit = all(b in held for b, held in zip(new.digits, digits_read(leaked)))
+                covered += hit
+                if len(examples[hit]) < 2:
+                    examples[hit].append((leaked, message, new))
+            p = (1 - (1 - 1 / t) ** k) ** n
+            assert abs(covered - trials * p) <= 4 * math.sqrt(trials * p * (1 - p)), (k, covered)
+        for hit, cases in examples.items():
+            for leaked, message, new in cases:
+                read = {}
+                for _, selection in leaked:
+                    for j, subkey in enumerate(scheme.subkeys_at(material, selection)):
+                        read[j, selection.digits[j]] = subkey
+                # an uncovered position takes the other digit, the one read there
+                picked = [read[j, b] if (j, b) in read else read[j, 1 - b] for j, b in enumerate(new.digits)]
+                forged = CompressedSignature(y=material.aux, z=scheme.aggregate(params, picked), key=new.key)
+                assert scheme.verify_compressed(pk, params, 1, forged, message) is hit
+
+    def test_a_leaked_matrix_forges_nothing_for_another_session(self, medium_params, medium_keys):
+        """Session 0's whole matrix and aux sign any message for session 0,
+        and, with one signature of session 1, nothing for session 1: not
+        with session 0's aux, not with session 1's y, and not by moving
+        session 1's signature along session 0's matrix."""
+        pk, _ = medium_keys
+        leaked, _ = self.signatures(medium_params, medium_keys, 0, [])
+        _, [(_, signed1)] = self.signatures(medium_params, medium_keys, 1, [b"other"])
+
+        def leaked_sum(selection):
+            return scheme.aggregate(medium_params, scheme.subkeys_at(leaked, selection))
+
+        signed1_sum = leaked_sum(scheme.prp_select(medium_params, signed1.key, b"other"))
+        for message in self.NEW[:4]:
+            selection = scheme.prp_select(medium_params, b"forger", message)
+            z0 = leaked_sum(selection)
+            own = CompressedSignature(y=leaked.aux, z=z0, key=selection.key)
+            assert scheme.verify_compressed(pk, medium_params, 0, own, message)
+            moved = signed1.z.mul(z0).mul(signed1_sum.exp(-1))
+            for y, z in ((leaked.aux, z0), (signed1.y, z0), (signed1.y, moved)):
+                forged = CompressedSignature(y=y, z=z, key=selection.key)
                 assert not scheme.verify_compressed(pk, medium_params, 1, forged, message)
