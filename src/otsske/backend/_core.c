@@ -2129,11 +2129,8 @@ PyMODINIT_FUNC PyInit__core(void)
              && !init_frobenius(pure) && !init_pairing(params) && !init_tables(params);
     if (ok) {
         GT_ONE = PyObject_GetAttrString(pure, "GT_ONE");
-        PyObject *aux = PyObject_GetAttrString(params, "G2_AUX_GENERATOR");
-        ok = GT_ONE && aux && !PyModule_AddStringConstant(m, "NAME", "native")
-             && !PyModule_AddObjectRef(m, "GT_ONE", GT_ONE)
-             && !PyModule_AddObjectRef(m, "G2_AUX_GENERATOR", aux) && !self_check(params);
-        Py_XDECREF(aux);
+        ok = GT_ONE && !PyModule_AddStringConstant(m, "NAME", "native")
+             && !PyModule_AddObjectRef(m, "GT_ONE", GT_ONE) && !self_check(params);
     }
     Py_XDECREF(params);
     Py_XDECREF(pure);

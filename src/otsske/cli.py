@@ -23,7 +23,6 @@ _params_options = [
     click.option("--t", "radix", type=int, default=4, show_default=True, help="subkeys per symbol position"),
     click.option("--n", "symbols", type=int, default=32, show_default=True, help="symbol positions per message"),
     click.option("--N", "sessions", type=int, default=8, show_default=True, help="provisioned signing sessions"),
-    click.option("--lambda", "security", type=int, default=256, show_default=True, help="security level in bits"),
 ]
 
 
@@ -37,9 +36,9 @@ def params_options(func):
     return func
 
 
-def _build_params(radix: int, symbols: int, sessions: int, security: int) -> SchemeParams:
+def _build_params(radix: int, symbols: int, sessions: int) -> SchemeParams:
     try:
-        return SchemeParams(sessions=sessions, symbols=symbols, radix=radix, security_level=security)
+        return SchemeParams(sessions=sessions, symbols=symbols, radix=radix)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
 
@@ -62,11 +61,11 @@ def main() -> None:
 
 @main.command("setup")
 @params_options
-def setup_cmd(radix, symbols, sessions, security):
+def setup_cmd(radix, symbols, sessions):
     """Validate parameters and print the group configuration."""
-    params = _build_params(radix, symbols, sessions, security)
-    group = setup(security)
-    click.echo(f"t={params.radix} n={params.symbols} N={params.sessions} lambda={security}")
+    params = _build_params(radix, symbols, sessions)
+    group = setup(params.security_level)
+    click.echo(f"t={params.radix} n={params.symbols} N={params.sessions} lambda={params.security_level}")
     click.echo(f"subkeys per session: {params.subkey_count}")
     click.echo(f"group order bits: {ORDER.bit_length()}")
     click.echo(f"backend: {group.backend_name} (available: {', '.join(available_backends())})")
@@ -76,9 +75,9 @@ def setup_cmd(radix, symbols, sessions, security):
 @params_options
 @click.option("--seed", type=_SEED, default=None, help="deterministic mode")
 @click.option("--out", "out_path", required=True, help="secret store path; public key goes to <out>.pub")
-def keygen(radix, symbols, sessions, security, seed, out_path):
+def keygen(radix, symbols, sessions, seed, out_path):
     """Generate the public key and all N sessions of signing material."""
-    params = _build_params(radix, symbols, sessions, security)
+    params = _build_params(radix, symbols, sessions)
     rng = _rng(seed)
     pk, master = scheme.keygen_setup(params, rng)
     materials = [
@@ -142,12 +141,13 @@ def verify(key_path, session, in_path, sig_path):
 @click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--sessions", "session_count", type=int, default=3, show_default=True)
 @click.option("--out", "out_path", default=None, help="transcript file (stdout otherwise)")
-def demo(radix, symbols, sessions, security, seed, session_count, out_path):
+def demo(radix, symbols, sessions, seed, session_count, out_path):
     """Run the full attestation flow in-process and emit a transcript."""
-    params = _build_params(radix, symbols, sessions, security)
-    if session_count > params.sessions:
-        raise click.UsageError(f"--sessions {session_count} exceeds provisioned N={params.sessions}")
-    run = protocol.run_protocol(params, seed, session_count)
+    params = _build_params(radix, symbols, sessions)
+    try:
+        run = protocol.run_protocol(params, seed, session_count)
+    except ParameterError as exc:
+        raise click.UsageError(f"--sessions: {exc}")
     text = run.transcript_text()
     if out_path:
         Path(out_path).write_text(text)
@@ -162,9 +162,9 @@ def demo(radix, symbols, sessions, security, seed, session_count, out_path):
 @params_options
 @click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", "out_path", default=None, help="report file (stdout otherwise)")
-def game(radix, symbols, sessions, security, seed, out_path):
+def game(radix, symbols, sessions, seed, out_path):
     """Run the key-exposure forgery harness over a full honest run."""
-    params = _build_params(radix, symbols, sessions, security)
+    params = _build_params(radix, symbols, sessions)
     report = protocol.run_security_game(params, seed)
     lines = report.lines()
     news = report.new_message_attempts
@@ -189,9 +189,9 @@ def game(radix, symbols, sessions, security, seed, out_path):
 @click.option("--seed", type=_SEED, default=None)
 @click.option("--out", "out_path", default=None, help="key=value report file")
 @click.option("--no-backend-compare", is_flag=True, default=False, help="skip per-backend core timings")
-def bench_cmd(radix, symbols, sessions, security, reps, seed, out_path, no_backend_compare):
+def bench_cmd(radix, symbols, sessions, reps, seed, out_path, no_backend_compare):
     """Time all operation classes and write the benchmark report."""
-    params = _build_params(radix, symbols, sessions, security)
+    params = _build_params(radix, symbols, sessions)
     try:
         config = bench_mod.BenchConfig(
             params=params,

@@ -293,7 +293,7 @@ def generator(params: GroupParams) -> SourceElement:
 
 def aux_generator(params: GroupParams) -> SourceElement:
     """Independent second-group base point with unknown discrete log."""
-    return SourceElement(params, None, params.backend.G2_AUX_GENERATOR)
+    return SourceElement(params, None, curve.G2_AUX_GENERATOR)
 
 
 # ------------------------------------------------------------- hashing

@@ -55,6 +55,8 @@ from .scheme import (
 
 QUOTE_VERSION = 1
 NONCE_BYTES = 16
+# version, counter, signer and application measurements, result length
+_QUOTE_HEADER = struct.Struct(">BQ32s32sQ")
 
 
 # ------------------------------------------------------------ measurements
@@ -91,8 +93,7 @@ def selector_input(nonce: bytes, message: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class SessionKeyEvent:
-    counter: int  # 1-based protocol label
-    session: int  # 0-based scheme index
+    session: int  # 0-based scheme index; its quote's label is session + 1
     aux: SourceElement
 
 
@@ -122,7 +123,6 @@ class SessionView:
     """Everything the observer has collected about one signing session."""
 
     session: int
-    counter: int
     aux: SourceElement
     x: bytes
     caller: Measurement
@@ -176,7 +176,6 @@ class AdversaryLog:
             read = reads[session]
             views[session] = SessionView(
                 session=session,
-                counter=quote.counter,
                 aux=aux_by_session[session].aux,
                 x=read.x,
                 caller=read.caller,
@@ -254,28 +253,23 @@ class CoProcessor:
         self._ready: deque[tuple[int, ObliviousBuffer, SourceElement]] = deque()
         self.log = log
 
-    @property
-    def exhausted(self) -> bool:
-        return self.counter >= self.params.sessions
-
     def generate_next(self, rng) -> int:
         """Generate the next session, load its buffer, publish its aux.
 
         The session waits, oldest first, for :meth:`fetch_session`, so a
-        caller may generate several ahead.  Raises :class:`SessionBudgetError`
-        once all sessions are spent, leaving the state untouched.
+        caller may generate several ahead.  Returns the session's 1-based
+        label.  Raises :class:`SessionBudgetError` once all sessions are
+        spent, leaving the state untouched.
         """
-        if self.exhausted:
+        session = self.counter  # scheme indices are 0-based
+        if session >= self.params.sessions:
             raise SessionBudgetError(f"all {self.params.sessions} sessions generated")
-        label = self.counter + 1
-        session = label - 1  # scheme indices are 0-based
         material = scheme.gen_session(self.pk, self._master, self.params, session, rng)
-        buffer = ObliviousBuffer(self.params, session, material)
-        self.counter = label
+        self.counter += 1
         if self.log is not None:
-            self.log.append(SessionKeyEvent(counter=label, session=session, aux=material.aux))
-        self._ready.append((label, buffer, material.aux))
-        return label
+            self.log.append(SessionKeyEvent(session, material.aux))
+        self._ready.append((self.counter, ObliviousBuffer(self.params, session, material), material.aux))
+        return self.counter
 
     def fetch_session(self) -> tuple[int, ObliviousBuffer, SourceElement]:
         """The signer's read of {aux, ctr}: the oldest session not yet fetched."""
@@ -301,39 +295,25 @@ class Quote:
 
 
 def quote_encode(quote: Quote) -> bytes:
-    out = bytearray()
-    out.append(QUOTE_VERSION)
-    out += struct.pack(">Q", quote.counter)
-    out += quote.raenc_mr.digest
-    out += quote.app_mr.digest
-    out += struct.pack(">Q", len(quote.result))
-    out += quote.result
-    out += quote.y.serialize()
-    out += quote.z.serialize()
-    return bytes(out)
+    header = _QUOTE_HEADER.pack(
+        QUOTE_VERSION, quote.counter, quote.raenc_mr.digest, quote.app_mr.digest, len(quote.result)
+    )
+    return header + quote.result + quote.y.serialize() + quote.z.serialize()
 
 
 def quote_decode(group: GroupParams, data: bytes) -> Quote:
-    if len(data) < 1 + 8 + 32 + 32 + 8:
+    if len(data) < _QUOTE_HEADER.size:
         raise DecodeError("quote too short")
-    if data[0] != QUOTE_VERSION:
-        raise DecodeError(f"unsupported quote version {data[0]}")
-    pos = 1
-    (counter,) = struct.unpack_from(">Q", data, pos)
-    pos += 8
-    raenc_mr = Measurement(data[pos : pos + 32])
-    pos += 32
-    app_mr = Measurement(data[pos : pos + 32])
-    pos += 32
-    (rlen,) = struct.unpack_from(">Q", data, pos)
-    pos += 8
-    if len(data) != pos + rlen + 48 + 96:
+    version, counter, raenc_mr, app_mr, rlen = _QUOTE_HEADER.unpack_from(data)
+    if version != QUOTE_VERSION:
+        raise DecodeError(f"unsupported quote version {version}")
+    pos = _QUOTE_HEADER.size + rlen
+    if len(data) != pos + 48 + 96:
         raise DecodeError("quote length does not match its result field")
-    result = data[pos : pos + rlen]
-    pos += rlen
     y = SourceElement.deserialize(group, data[pos : pos + 48])
     z = SourceElement.deserialize(group, data[pos + 48 :])
-    return Quote(counter=counter, y=y, z=z, raenc_mr=raenc_mr, app_mr=app_mr, result=result)
+    return Quote(counter=counter, y=y, z=z, raenc_mr=Measurement(raenc_mr), app_mr=Measurement(app_mr),
+                 result=data[_QUOTE_HEADER.size : pos])
 
 
 # ----------------------------------------------------------------- signer
@@ -395,10 +375,9 @@ def user_verify(pk: PublicKey, params: SchemeParams, quote: Quote, nonce: bytes)
 
     Rebuilds the signed message from the quote fields, re-derives the
     subset selection from (nonce, message, signer measurement) and runs
-    the compressed verification for the quoted session.
+    the compressed verification for the quoted session, which rejects a
+    label outside 1..N.
     """
-    if not 1 <= quote.counter <= params.sessions:
-        return False
     message = protocol_message(quote.raenc_mr, quote.app_mr, quote.result)
     x = selector_input(nonce, message)
     selection = scheme.eot_select(params, x, quote.raenc_mr.digest)
@@ -471,8 +450,8 @@ def run_protocol(
     serve it and verifies the quote from its bytes.  Key generation draws
     from one forked rng stream and the verifier from another.
     """
-    if sessions > params.sessions:
-        raise ParameterError(f"requested {sessions} sessions, provisioned {params.sessions}")
+    if not 1 <= sessions <= params.sessions:
+        raise ParameterError(f"requested {sessions} sessions; 1 to {params.sessions} are provisioned")
     root = DeterministicRandomness(seed)
     keygen_rng = root.fork(b"keygen")
     request_rng = root.fork(b"requests")
@@ -573,17 +552,11 @@ def adversary_forge_attempts(
         "logged signature body presented for a different message" + collision,
     ))
 
-    # (b) re-aggregate the leaked subset for the selection the new message demands
-    by_index = dict(zip(view.selection.indices, view.subkeys))
-    picked = []
-    missing = 0
-    for position, index in enumerate(selection_star.indices):
-        if index in by_index:
-            picked.append(by_index[index])
-        else:
-            missing += 1
-            picked.append(view.subkeys[position])  # best effort: wrong digit, same position
-    ok = check_compressed(view.aux, scheme.aggregate(params, picked))
+    # (b) re-aggregate the leaked subset for the selection the new message
+    # demands: one subkey per position was released, so the best the
+    # adversary has is that subset, lacking each position whose digit differs
+    missing = sum(a != b for a, b in zip(selection_star.digits, view.selection.digits))
+    ok = check_compressed(view.aux, scheme.aggregate(params, view.subkeys))
     attempts.append(ForgeryAttempt(
         "re-aggregation", session, "verified" if ok else "rejected",
         f"{missing} of {params.symbols} required subkeys were never released" + collision,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otsske.backend import available_backends, load_backend
+from otsske.groups import aux_generator, setup
 from otsske.params import (
     B_COEFF,
     B_TWIST,
@@ -74,7 +75,7 @@ def traced_names():
 
 TRACED = traced_names()
 # groups.py, scheme.py and bench.py read these
-READ = ("NAME", "GT_ONE", "G2_AUX_GENERATOR", "g1_add", "g2_add", "g1_mul", "g2_mul", "g1_neg",
+READ = ("NAME", "GT_ONE", "g1_add", "g2_add", "g1_mul", "g2_mul", "g1_neg",
         "g2_add_many", "g2_mul_many", "g2_sum", "g2_steps", "g2_table", "g2_table_mul", "g1_compress",
         "g2_compress", "g1_decompress", "g2_decompress", "g1_in_subgroup", "g2_in_subgroup", "pairing",
         "multi_miller_loop", "final_exp")
@@ -293,7 +294,11 @@ def test_backends_agree_on_random_operations():
 
 
 def test_aux_generator_properties(backend):
-    aux = backend.G2_AUX_GENERATOR
+    # the package reads it from params on either backend; the compiled core
+    # does not re-export it (pure imports it only for its own tables)
+    aux = aux_generator(setup(256, backend=backend.NAME)).second
+    if backend.NAME == "native":
+        assert not hasattr(backend, "G2_AUX_GENERATOR")
     assert aux == G2_AUX_GENERATOR != ()
     assert aux != G2_GENERATOR
     assert backend.g2_mul(aux, ORDER) == ()

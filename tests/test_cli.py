@@ -1,5 +1,8 @@
 """Command-line interface: pipelines, exit codes, determinism."""
 
+import re
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
@@ -26,8 +29,11 @@ class TestSetup:
         assert "subkeys per session: 16" in result.output
 
     def test_unsupported_lambda(self, runner):
-        result = invoke(runner, ["setup", "--lambda", "512"])
+        # no security-level option: every supported level selects the same curve
+        result = invoke(runner, ["setup", "--lambda", "256"])
         assert result.exit_code == 2
+        assert "No such option" in result.output and "--lambda" in result.output
+        assert "lambda=256" in invoke(runner, ["setup"]).output
 
     def test_bad_radix(self, runner):
         result = invoke(runner, ["setup", "--t", "1"])
@@ -187,6 +193,13 @@ class TestDemo:
         result = invoke(runner, ["demo", *self.DEMO, "--sessions", "5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_sessions_exits_two(self, runner, count):
+        # nothing was verified, so this is a usage error, not a verification failure
+        result = invoke(runner, ["demo", *self.DEMO, "--sessions", count])
+        assert result.exit_code == 2
+        assert "QUOTE" not in result.output
+
     @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
     def test_seed_bounds_run(self, runner, seed):
         result = invoke(runner, ["demo", "--t", "2", "--n", "2", "--N", "2",
@@ -236,3 +249,17 @@ def test_seed_outside_signed_64_bits_exits_two(runner, command, seed):
     result = invoke(runner, [*command, "--seed", str(seed)])
     assert result.exit_code == 2
     assert "--seed" in result.output
+
+
+def test_readme_cli_synopsis_names_real_options():
+    # each `otsske <cmd>` line of the fenced block under README.md's "## CLI"
+    # names only options that command has
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", text, re.M | re.S)
+    assert block, "README.md has no fenced block under ## CLI"
+    lines = [line.split() for line in block.group(1).splitlines() if line.startswith("otsske ")]
+    assert {words[1] for words in lines} == set(main.commands)
+    stale = [(words[1], option) for words in lines
+             for option in re.findall(r"--[A-Za-z][\w-]*", " ".join(words[2:]))
+             if not any(option in p.opts for p in main.commands[words[1]].params)]
+    assert stale == []

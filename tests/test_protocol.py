@@ -261,20 +261,25 @@ class TestQuoteCodec:
         assert blob[9:41] == quote.raenc_mr.digest
         assert len(blob) == 1 + 8 + 32 + 32 + 8 + len(quote.result) + 48 + 96
 
+    def test_header_short_rejected(self, completed_run):
+        blob = quote_encode(completed_run.quotes[0])
+        with pytest.raises(DecodeError, match="^quote too short$"):
+            quote_decode(completed_run.pk.group, blob[:80])
+
     def test_truncation_rejected(self, completed_run):
         blob = quote_encode(completed_run.quotes[0])
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="^quote length does not match its result field$"):
             quote_decode(completed_run.pk.group, blob[:-1])
 
     def test_trailing_rejected(self, completed_run):
         blob = quote_encode(completed_run.quotes[0])
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="^quote length does not match its result field$"):
             quote_decode(completed_run.pk.group, blob + b"\x00")
 
     def test_bad_version_rejected(self, completed_run):
         blob = bytearray(quote_encode(completed_run.quotes[0]))
         blob[0] = 9
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="^unsupported quote version 9$"):
             quote_decode(completed_run.pk.group, bytes(blob))
 
     def test_tampered_element_rejected(self, completed_run):
@@ -332,6 +337,12 @@ class TestEndToEnd:
         with pytest.raises(ParameterError):
             run_protocol(proto_params, seed=1, sessions=proto_params.sessions + 1)
 
+    @pytest.mark.parametrize("sessions", [0, -3])
+    def test_no_sessions_rejected(self, proto_params, sessions):
+        # an empty run verifies nothing, so it is a usage error, not a failed verification
+        with pytest.raises(ParameterError, match=f"requested {sessions} sessions"):
+            run_protocol(proto_params, seed=1, sessions=sessions)
+
     def test_exhaustion_error(self, proto_params):
         rng = DeterministicRandomness(79)
         coproc = CoProcessor(proto_params, rng)
@@ -375,12 +386,14 @@ class TestFreshness:
         assert not user_verify(pk, proto_params, tampered, completed_run.nonces[0])
 
     def test_out_of_range_counter_fails(self, proto_params, completed_run):
+        # labels are 1..N; verify_compressed alone rejects the others
         q = completed_run.quotes[0]
-        bad = protocol.Quote(
-            counter=proto_params.sessions + 1, y=q.y, z=q.z,
-            raenc_mr=q.raenc_mr, app_mr=q.app_mr, result=q.result,
-        )
-        assert not user_verify(completed_run.pk, proto_params, bad, completed_run.nonces[0])
+        for counter in (0, proto_params.sessions + 1):
+            bad = protocol.Quote(
+                counter=counter, y=q.y, z=q.z,
+                raenc_mr=q.raenc_mr, app_mr=q.app_mr, result=q.result,
+            )
+            assert not user_verify(completed_run.pk, proto_params, bad, completed_run.nonces[0])
 
     def test_verifier_policy_one_accept_per_nonce(self, proto_params):
         rng = DeterministicRandomness(81)
@@ -415,7 +428,7 @@ class TestAdversaryLog:
         views = completed_run.log.session_views()
         assert sorted(views) == list(range(proto_params.sessions))
         for session, view in views.items():
-            assert view.counter == session + 1
+            assert view.quote.counter == session + 1
             assert view.message == protocol_message(
                 view.quote.raenc_mr, view.quote.app_mr, view.quote.result
             )

@@ -20,7 +20,7 @@ from otsske.groups import (
     reset_pairing_counter,
     setup,
 )
-from otsske.params import G2_GENERATOR, ORDER
+from otsske.params import G2_AUX_GENERATOR, G2_GENERATOR, ORDER
 from otsske.scheme import CompressedSignature, FullSignature, SchemeParams
 
 
@@ -40,11 +40,11 @@ def pairing_work(monkeypatch):
     constant right arguments among its terms (the bases with line tables), and
     the final exps."""
     work = {"terms": [], "fixed": [], "final_exps": 0}
+    constants = {G2_GENERATOR: "G2", G2_AUX_GENERATOR: "aux"}
     for name in available_backends():
         backend = load_backend(name)
-        constants = {G2_GENERATOR: "G2", backend.G2_AUX_GENERATOR: "aux"}
 
-        def multi_miller_loop(pairs, real=backend.multi_miller_loop, constants=constants):
+        def multi_miller_loop(pairs, real=backend.multi_miller_loop):
             pairs = tuple(pairs)
             work["terms"].append(len(pairs))
             work["fixed"].append(tuple(constants[q] for _, q in pairs if q in constants))
