@@ -427,8 +427,6 @@ class ProtocolRun:
     log: AdversaryLog
     transcript: list[tuple[str, str]]
     verdicts: list[bool]
-    quotes: list[Quote]
-    nonces: list[bytes]
 
     @property
     def all_verified(self) -> bool:
@@ -464,8 +462,6 @@ def run_protocol(
 
     transcript: list[tuple[str, str]] = []
     verdicts: list[bool] = []
-    quotes: list[Quote] = []
-    nonces: list[bytes] = []
     for index in range(sessions):
         coproc.generate_next(keygen_rng)
         request = verifier.make_request(request_rng, b"app result %d" % index, enclave_mr)
@@ -477,18 +473,8 @@ def run_protocol(
         verdict = verifier.verify(quote_decode(coproc.pk.group, encoded), nonce)
         transcript.append(("VERDICT", "true" if verdict else "false"))
         verdicts.append(verdict)
-        quotes.append(quote)
-        nonces.append(nonce)
 
-    return ProtocolRun(
-        params=params,
-        pk=coproc.pk,
-        log=log,
-        transcript=transcript,
-        verdicts=verdicts,
-        quotes=quotes,
-        nonces=nonces,
-    )
+    return ProtocolRun(params=params, pk=coproc.pk, log=log, transcript=transcript, verdicts=verdicts)
 
 
 # --------------------------------------------------------- forgery harness
@@ -506,8 +492,8 @@ class ForgeryAttempt:
         return self.outcome == "verified"
 
 
-_STRATEGIES = ("replay", "re-aggregation", "cross-session-substitution", "mix-and-match", "same-message-resign")
-GAME_MESSAGES = 4  # new messages the security game tries to forge per session
+_STRATEGIES = ("replay", "cross-session-substitution", "mix-and-match", "same-message-resign")
+GAME_MESSAGES = 5  # new messages the security game tries to forge per session
 
 
 def adversary_forge_attempts(
@@ -515,13 +501,14 @@ def adversary_forge_attempts(
     pk: PublicKey,
     params: SchemeParams,
     session: int,
-    new_message: bytes,
+    new_messages: list[bytes],
     rng=None,
 ) -> list[ForgeryAttempt]:
     """Run the forgery catalogue against one session using only logged values.
 
-    Strategies (a)-(d) target ``new_message``; strategy (e) re-signs the
-    session's own logged message, which the scheme deliberately allows.
+    Strategies (a)-(c) target each of ``new_messages``; strategy (d)
+    re-signs the session's own logged message once, which the scheme
+    deliberately allows.
     """
     views = log.session_views()
     view = views.get(session)
@@ -531,56 +518,39 @@ def adversary_forge_attempts(
             for name in _STRATEGIES
         ]
     rng = rng or DeterministicRandomness(b"forgery-harness")
-
-    # the verifier-side derivation for the forged message, keeping the
-    # logged nonce (the adversary cannot influence a fresh verifier nonce)
-    x_star = selector_input(view.nonce, new_message)
-    selection_star = scheme.eot_select(params, x_star, view.caller.digest)
+    # cross-session material, if another session leaked
+    other = next((v for s, v in sorted(views.items()) if s != session), None)
     attempts: list[ForgeryAttempt] = []
-    # at toy parameters (small t^n) the new message can select the logged
-    # subset, in which case the released material legitimately signs it
-    collision = " [selection collision]" if selection_star.value == view.selection.value else ""
+    for message in new_messages:
+        # the verifier-side derivation for the forged message, keeping the
+        # logged nonce (the adversary cannot influence a fresh verifier nonce)
+        x_star = selector_input(view.nonce, message)
+        selection_star = scheme.eot_select(params, x_star, view.caller.digest)
+        # at toy parameters (small t^n) the new message can select the logged
+        # subset, in which case the released material legitimately signs it
+        collision = " [selection collision]" if selection_star.value == view.selection.value else ""
+        # one subkey per position was released, so the logged body is the
+        # best aggregate the adversary has: it lacks each position whose digit differs
+        missing = sum(a != b for a, b in zip(selection_star.digits, view.selection.digits))
+        # (a) replay the logged quote body against the new message
+        tries = [("replay", view.quote.y, view.quote.z,
+                  f"logged signature body presented for a different message; {missing} of "
+                  f"{params.symbols} required subkeys were never released" + collision)]
+        # (b)/(c) swap in the other session's aux or aggregate
+        if other is not None:
+            tries.append(("cross-session-substitution", view.aux, other.quote.z,
+                          f"aggregate borrowed from session {other.session}"))
+            tries.append(("mix-and-match", other.aux, view.quote.z,
+                          f"aux from session {other.session} with this session's aggregate"))
+        for strategy, y, z, detail in tries:
+            sig = CompressedSignature(y=y, z=z, key=x_star)
+            ok = scheme.verify_compressed(pk, params, session, sig, message, selection=selection_star)
+            attempts.append(ForgeryAttempt(strategy, session, "verified" if ok else "rejected", detail))
+        if other is None:
+            attempts.extend(ForgeryAttempt(name, session, "insufficient", "only one session logged")
+                            for name in ("cross-session-substitution", "mix-and-match"))
 
-    def check_compressed(y: SourceElement, z: SourceElement) -> bool:
-        sig = CompressedSignature(y=y, z=z, key=x_star)
-        return scheme.verify_compressed(pk, params, session, sig, new_message, selection=selection_star)
-
-    # (a) replay the logged quote body against the new message
-    ok = check_compressed(view.quote.y, view.quote.z)
-    attempts.append(ForgeryAttempt(
-        "replay", session, "verified" if ok else "rejected",
-        "logged signature body presented for a different message" + collision,
-    ))
-
-    # (b) re-aggregate the leaked subset for the selection the new message
-    # demands: one subkey per position was released, so the best the
-    # adversary has is that subset, lacking each position whose digit differs
-    missing = sum(a != b for a, b in zip(selection_star.digits, view.selection.digits))
-    ok = check_compressed(view.aux, scheme.aggregate(params, view.subkeys))
-    attempts.append(ForgeryAttempt(
-        "re-aggregation", session, "verified" if ok else "rejected",
-        f"{missing} of {params.symbols} required subkeys were never released" + collision,
-    ))
-
-    # (c)/(d) cross-session material, if another session leaked
-    others = [v for s, v in sorted(views.items()) if s != session]
-    if not others:
-        attempts.append(ForgeryAttempt("cross-session-substitution", session, "insufficient", "only one session logged"))
-        attempts.append(ForgeryAttempt("mix-and-match", session, "insufficient", "only one session logged"))
-    else:
-        other = others[0]
-        ok = check_compressed(view.aux, other.quote.z)
-        attempts.append(ForgeryAttempt(
-            "cross-session-substitution", session, "verified" if ok else "rejected",
-            f"aggregate borrowed from session {other.session}",
-        ))
-        ok = check_compressed(other.aux, view.quote.z)
-        attempts.append(ForgeryAttempt(
-            "mix-and-match", session, "verified" if ok else "rejected",
-            f"aux from session {other.session} with this session's aggregate",
-        ))
-
-    # (e) fresh randomized signature for the already-signed message
+    # (d) one fresh randomized signature for the already-signed message
     resigned = scheme.sign_full(
         pk, params, session, view.subkeys, view.selection, view.aux, view.message, rng
     )
@@ -626,21 +596,18 @@ class GameReport:
 
 
 def run_security_game(params: SchemeParams, seed: int | bytes) -> GameReport:
-    """Honest run over all sessions, then the forgery catalogue per session
-    against each of ``GAME_MESSAGES`` new messages."""
+    """Honest run over all sessions, then the forgery catalogue per session:
+    ``GAME_MESSAGES`` new messages and one re-sign of the logged message."""
     run = run_protocol(params, seed, params.sessions)
     if not run.all_verified:
         raise ProtocolError("honest run failed; game preconditions not met")
     harness_rng = DeterministicRandomness(seed).fork(b"game")
+    forger = measure(b"malicious enclave"), measure(b"malicious app")
     attempts: list[ForgeryAttempt] = []
     for session in range(params.sessions):
-        for index in range(GAME_MESSAGES):
-            target = b"forged result %d for session %d" % (index, session)
-            new_message = protocol_message(
-                measure(b"malicious enclave"), measure(b"malicious app"), target
-            )
-            per = adversary_forge_attempts(run.log, run.pk, params, session, new_message, rng=harness_rng)
-            if index:
-                per = [a for a in per if a.strategy != "same-message-resign"]
-            attempts.extend(per)
+        targets = [
+            protocol_message(*forger, b"forged result %d for session %d" % (index, session))
+            for index in range(GAME_MESSAGES)
+        ]
+        attempts.extend(adversary_forge_attempts(run.log, run.pk, params, session, targets, rng=harness_rng))
     return GameReport(attempts)

@@ -300,12 +300,13 @@ def test_criterion_7_protocol_freshness():
     while accepted < 100:
         run = run_protocol(params, seed=20_000 + run_index, sessions=params.sessions, group=group)
         assert run.all_verified
-        for idx, quote in enumerate(run.quotes):
+        views = run.log.session_views()
+        for idx, view in views.items():
             if accepted >= 100:
                 break
             accepted += 1
-            other = run.nonces[(idx + 1) % len(run.nonces)]
-            if not user_verify(run.pk, params, quote, other):
+            other = views[(idx + 1) % len(views)].nonce
+            if not user_verify(run.pk, params, view.quote, other):
                 rejected_replays += 1
         run_index += 1
     assert rejected_replays == 100

@@ -17,7 +17,7 @@ from otsske.errors import (
     SessionBudgetError,
     SessionConsumedError,
 )
-from otsske.groups import DeterministicRandomness, setup
+from otsske.groups import DeterministicRandomness, pairing_counter, reset_pairing_counter, setup
 from otsske.protocol import (
     AdversaryLog,
     AttestationRequest,
@@ -53,6 +53,29 @@ def proto_params():
 @pytest.fixture(scope="module")
 def completed_run(proto_params):
     return run_protocol(proto_params, seed=1900, sessions=4)
+
+
+@pytest.fixture(scope="module")
+def completed_views(completed_run):
+    return completed_run.log.session_views()
+
+
+@pytest.fixture(scope="module")
+def spied_game(proto_params):
+    """The seed-91 game, each compressed verification it submits, and its pairing terms."""
+    submitted = []
+    verify = scheme.verify_compressed
+
+    def spy(pk, params, session, sig, message, **kwargs):
+        submitted.append((session, sig.y.serialize(), sig.z.serialize(), message))
+        return verify(pk, params, session, sig, message, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheme, "verify_compressed", spy)
+        reset_pairing_counter()
+        report = run_security_game(proto_params, seed=91)
+        pairings = pairing_counter()
+    return report, submitted, pairings
 
 
 class TestMeasurement:
@@ -248,42 +271,42 @@ class TestCostStructure:
 
 
 class TestQuoteCodec:
-    def test_roundtrip(self, completed_run):
-        quote = completed_run.quotes[0]
+    def test_roundtrip(self, completed_run, completed_views):
+        quote = completed_views[0].quote
         blob = quote_encode(quote)
         assert quote_decode(completed_run.pk.group, blob) == quote
 
-    def test_layout(self, completed_run):
-        quote = completed_run.quotes[0]
+    def test_layout(self, completed_views):
+        quote = completed_views[0].quote
         blob = quote_encode(quote)
         assert blob[0] == 1
         assert int.from_bytes(blob[1:9], "big") == quote.counter
         assert blob[9:41] == quote.raenc_mr.digest
         assert len(blob) == 1 + 8 + 32 + 32 + 8 + len(quote.result) + 48 + 96
 
-    def test_header_short_rejected(self, completed_run):
-        blob = quote_encode(completed_run.quotes[0])
+    def test_header_short_rejected(self, completed_run, completed_views):
+        blob = quote_encode(completed_views[0].quote)
         with pytest.raises(DecodeError, match="^quote too short$"):
             quote_decode(completed_run.pk.group, blob[:80])
 
-    def test_truncation_rejected(self, completed_run):
-        blob = quote_encode(completed_run.quotes[0])
+    def test_truncation_rejected(self, completed_run, completed_views):
+        blob = quote_encode(completed_views[0].quote)
         with pytest.raises(DecodeError, match="^quote length does not match its result field$"):
             quote_decode(completed_run.pk.group, blob[:-1])
 
-    def test_trailing_rejected(self, completed_run):
-        blob = quote_encode(completed_run.quotes[0])
+    def test_trailing_rejected(self, completed_run, completed_views):
+        blob = quote_encode(completed_views[0].quote)
         with pytest.raises(DecodeError, match="^quote length does not match its result field$"):
             quote_decode(completed_run.pk.group, blob + b"\x00")
 
-    def test_bad_version_rejected(self, completed_run):
-        blob = bytearray(quote_encode(completed_run.quotes[0]))
+    def test_bad_version_rejected(self, completed_run, completed_views):
+        blob = bytearray(quote_encode(completed_views[0].quote))
         blob[0] = 9
         with pytest.raises(DecodeError, match="^unsupported quote version 9$"):
             quote_decode(completed_run.pk.group, bytes(blob))
 
-    def test_tampered_element_rejected(self, completed_run):
-        blob = bytearray(quote_encode(completed_run.quotes[0]))
+    def test_tampered_element_rejected(self, completed_run, completed_views):
+        blob = bytearray(quote_encode(completed_views[0].quote))
         blob[-1] ^= 0xFF
         with pytest.raises(DecodeError):
             quote_decode(completed_run.pk.group, bytes(blob))
@@ -294,7 +317,7 @@ class TestEndToEnd:
         assert completed_run.all_verified
 
     def test_counters_monotonic_gap_free(self, completed_run):
-        counters = [q.counter for q in completed_run.quotes]
+        counters = [e.quote.counter for e in completed_run.log.events if isinstance(e, protocol.QuoteEvent)]
         assert counters == list(range(1, len(counters) + 1))
 
     @pytest.mark.parametrize("owner, name", [(RAEnclave, "handle"), (scheme, "gen_session")],
@@ -371,29 +394,29 @@ class TestEndToEnd:
 
 
 class TestFreshness:
-    def test_replay_under_other_nonce_fails(self, proto_params, completed_run):
+    def test_replay_under_other_nonce_fails(self, proto_params, completed_run, completed_views):
         pk = completed_run.pk
-        quote = completed_run.quotes[0]
-        assert not user_verify(pk, proto_params, quote, completed_run.nonces[1])
+        quote = completed_views[0].quote
+        assert not user_verify(pk, proto_params, quote, completed_views[1].nonce)
 
-    def test_tampered_result_fails(self, proto_params, completed_run):
+    def test_tampered_result_fails(self, proto_params, completed_run, completed_views):
         pk = completed_run.pk
-        q = completed_run.quotes[0]
+        q = completed_views[0].quote
         tampered = protocol.Quote(
             counter=q.counter, y=q.y, z=q.z, raenc_mr=q.raenc_mr,
             app_mr=q.app_mr, result=q.result + b"!",
         )
-        assert not user_verify(pk, proto_params, tampered, completed_run.nonces[0])
+        assert not user_verify(pk, proto_params, tampered, completed_views[0].nonce)
 
-    def test_out_of_range_counter_fails(self, proto_params, completed_run):
+    def test_out_of_range_counter_fails(self, proto_params, completed_run, completed_views):
         # labels are 1..N; verify_compressed alone rejects the others
-        q = completed_run.quotes[0]
+        q = completed_views[0].quote
         for counter in (0, proto_params.sessions + 1):
             bad = protocol.Quote(
                 counter=counter, y=q.y, z=q.z,
                 raenc_mr=q.raenc_mr, app_mr=q.app_mr, result=q.result,
             )
-            assert not user_verify(completed_run.pk, proto_params, bad, completed_run.nonces[0])
+            assert not user_verify(completed_run.pk, proto_params, bad, completed_views[0].nonce)
 
     def test_verifier_policy_one_accept_per_nonce(self, proto_params):
         rng = DeterministicRandomness(81)
@@ -406,9 +429,9 @@ class TestFreshness:
         assert verifier.verify(quote, nonce)
         assert not verifier.verify(quote, nonce)  # nonce already spent
 
-    def test_verifier_rejects_unknown_nonce(self, proto_params, completed_run):
+    def test_verifier_rejects_unknown_nonce(self, proto_params, completed_run, completed_views):
         verifier = RemoteVerifier(completed_run.pk, proto_params)
-        assert not verifier.verify(completed_run.quotes[0], b"\x00" * 16)
+        assert not verifier.verify(completed_views[0].quote, b"\x00" * 16)
 
 
 class TestAdversaryLog:
@@ -455,38 +478,53 @@ class TestAdversaryLog:
 class TestForgeryHarness:
     def test_empty_log_insufficient(self, proto_params, completed_run):
         attempts = protocol.adversary_forge_attempts(
-            AdversaryLog(), completed_run.pk, proto_params, 0, b"m"
+            AdversaryLog(), completed_run.pk, proto_params, 0, [b"m", b"n"]
         )
         assert all(a.outcome == "insufficient" for a in attempts)
+        assert [a.strategy for a in attempts] == [
+            "replay", "cross-session-substitution", "mix-and-match", "same-message-resign"
+        ]
 
     def test_new_message_strategies_fail(self, proto_params, completed_run):
         target = protocol_message(measure(b"evil"), measure(b"evil app"), b"forged")
         for session in range(proto_params.sessions):
             attempts = protocol.adversary_forge_attempts(
-                completed_run.log, completed_run.pk, proto_params, session, target
+                completed_run.log, completed_run.pk, proto_params, session, [target]
             )
             by_name = {a.strategy: a for a in attempts}
-            for name in ("replay", "re-aggregation", "cross-session-substitution", "mix-and-match"):
+            for name in ("replay", "cross-session-substitution", "mix-and-match"):
                 assert by_name[name].outcome == "rejected", (session, name)
             assert by_name["same-message-resign"].outcome == "verified"
 
     def test_single_session_log_lacks_cross_material(self, proto_params):
         run = run_protocol(proto_params, seed=90, sessions=1)
         attempts = protocol.adversary_forge_attempts(
-            run.log, run.pk, proto_params, 0, b"\x11" * 32
+            run.log, run.pk, proto_params, 0, [b"\x11" * 32]
         )
         by_name = {a.strategy: a for a in attempts}
         assert by_name["cross-session-substitution"].outcome == "insufficient"
         assert by_name["mix-and-match"].outcome == "insufficient"
         assert by_name["replay"].outcome == "rejected"
 
-    def test_game_report_sound(self, proto_params):
-        report = run_security_game(proto_params, seed=91)
+    def test_game_report_sound(self, proto_params, spied_game):
+        report, _, _ = spied_game
         assert report.sound
         news = report.new_message_attempts
-        assert len(news) >= proto_params.sessions * 4 * protocol.GAME_MESSAGES
+        assert len(news) == proto_params.sessions * 3 * protocol.GAME_MESSAGES
         assert all(not a.verified for a in news)
         assert all(a.verified for a in report.same_message_attempts)
+
+    def test_game_submits_each_attempt_once(self, spied_game):
+        _, submitted, _ = spied_game
+        assert len(submitted) == len(set(submitted))
+
+    def test_game_discards_no_work(self, proto_params, spied_game):
+        # 3 pairing terms per verification: the honest run's, one per
+        # new-message attempt and one per session's re-sign, and no others
+        report, _, pairings = spied_game
+        news, sames = report.new_message_attempts, report.same_message_attempts
+        assert len(sames) == proto_params.sessions
+        assert pairings == 3 * (proto_params.sessions + len(news) + len(sames))
 
     def test_compressed_resign_reproduces_quote(self, proto_params, completed_run):
         # re-signing with the leaked material reproduces the exact quote body
