@@ -725,7 +725,9 @@ INLINE int jac_in_subgroup(const field *F, const u64 *p)
  * every row into an index u, and entry u of table i is the affine sum of
  * [2^(l d)](-endo)^i(P) over the set bits l of u.  The digits share one
  * doubling chain, so a multiplication is d doublings (11 on G2, 22 on G1)
- * and at most d * dims mixed additions. */
+ * and at most d * dims mixed additions.  group_mul_many reads the d
+ * column-shifted copies [2^j] of table 0 instead, built on its first call
+ * (comb_shifted), and needs no doublings: see lane_sums. */
 
 #define COMB_TEETH 6 /* w, as pure._COMB_TEETH */
 #define COMB_SIZE (1 << COMB_TEETH)
@@ -736,6 +738,7 @@ typedef struct {
     int dims, cols;                    /* digits of k mod r, and d */
     u64 base[24];                      /* affine P, Montgomery: the lookup key */
     u64 tab[COMB_DIMS][COMB_SIZE][24]; /* affine entries, Montgomery; entry 0 unused */
+    u64 (*shifted)[COMB_SIZE][24];     /* [2^j] of tab[0] for column j < d, or NULL */
 } comb;
 
 static comb COMB_G1, COMB_G2, COMB_AUX;
@@ -842,10 +845,10 @@ static int comb_build(const field *F, comb *c, const u64 *p)
     return 0;
 }
 
-INLINE const comb *comb_for(const field *F, const u64 *a)
+INLINE comb *comb_for(const field *F, const u64 *a)
 {
     /* the comb whose base is the affine point a (Montgomery), or NULL */
-    static const comb *const combs[] = {&COMB_G1, &COMB_G2, &COMB_AUX};
+    static comb *const combs[] = {&COMB_G1, &COMB_G2, &COMB_AUX};
     for (int i = 0; i < 3; i++)
         if (combs[i]->F == F && !memcmp(combs[i]->base, a, 16 * F->n))
             return combs[i];
@@ -864,11 +867,12 @@ static u64 div_x(u64 *k)
     return (u64)rem;
 }
 
-INLINE void comb_mul(const field *F, u64 *r, const comb *c, const u64 *k)
+INLINE void comb_digits(const field *F, const comb *c, u64 (*digit)[3], const u64 *k)
 {
-    /* [k]P for k < r in plain limbs: four digits in base |x|, taken in
-     * groups of chains as the digits in base m (128 bits on G1) */
-    u64 q[4], e[4], digit[COMB_DIMS][3] = {{0}};
+    /* the dims digits of k < r (plain limbs) in base m: four digits in base
+     * |x|, taken in groups of chains (128 bits on G1), each with a zero limb
+     * above it for the bits of the top row past the digit */
+    u64 q[4], e[4];
     memcpy(q, k, sizeof q);
     for (int i = 0; i < 4; i++)
         e[i] = div_x(q);
@@ -878,20 +882,140 @@ INLINE void comb_mul(const field *F, u64 *r, const comb *c, const u64 *k)
             a = a * X_ABS + e[i * F->chains + j];
         digit[i][0] = (u64)a;
         digit[i][1] = (u64)(a >> 64);
+        digit[i][2] = 0;
     }
+}
+
+INLINE int comb_index(const comb *c, const u64 *digit, int j)
+{
+    /* the table index u of column j of a digit */
+    int u = 0;
+    for (int t = 0; t < COMB_TEETH; t++) {
+        int bit = t * c->cols + j;
+        u |= (int)((digit[bit >> 6] >> (bit & 63)) & 1) << t;
+    }
+    return u;
+}
+
+INLINE void comb_mul(const field *F, u64 *r, const comb *c, const u64 *k)
+{
+    /* [k]P for k < r in plain limbs */
+    u64 digit[COMB_DIMS][3];
+    comb_digits(F, c, digit, k);
     jac_set_infinity(F, r);
     for (int j = c->cols - 1; j >= 0; j--) {
         jac_double(F, r, r);
         for (int i = 0; i < c->dims; i++) {
-            int u = 0;
-            for (int t = 0; t < COMB_TEETH; t++) {
-                int bit = t * c->cols + j;
-                u |= (int)((digit[i][bit >> 6] >> (bit & 63)) & 1) << t;
-            }
+            int u = comb_index(c, digit[i], j);
             if (u)
                 jac_madd(F, r, r, c->tab[i][u]);
         }
     }
+}
+
+static int comb_shifted(const field *F, comb *c)
+{
+    /* c->shifted, built once: each entry of column j is the entry of column
+     * j - 1 doubled, and all are made affine with one inversion.  -1 with
+     * MemoryError set if an allocation fails. */
+    const int n = F->n, size = COMB_SIZE - 1;
+    if (c->shifted)
+        return 0;
+    u64 (*shifted)[COMB_SIZE][24] = new_array(c->cols, sizeof *shifted);
+    u64 (*jac)[36] = shifted ? new_array((Py_ssize_t)size * c->cols, sizeof *jac) : NULL;
+    if (!jac) {
+        PyMem_Free(shifted);
+        return -1;
+    }
+    for (int u = 0; u < size; u++) {
+        memcpy(jac[u], c->tab[0][u + 1], 16 * n);
+        set_one(jac[u] + 2 * n, n);
+    }
+    for (int i = size; i < size * c->cols; i++)
+        jac_double(F, jac[i], jac[i - size]);
+    int rc = batch_to_affine(F, jac, (Py_ssize_t)size * c->cols);
+    for (int i = 0; !rc && i < size * c->cols; i++)
+        memcpy(shifted[i / size][i % size + 1], jac[i], 16 * n);
+    PyMem_Free(jac);
+    if (rc)
+        PyMem_Free(shifted);
+    else
+        c->shifted = shifted;
+    return rc;
+}
+
+typedef struct {
+    u64 num[12], den[12]; /* the slope of a pair; den 1 / den after batch_inv */
+} slope_t;
+
+static int lane_sums(const field *F, u64 (*v)[36], Py_ssize_t lanes, int width)
+{
+    /* The sum of each lane of width affine points (Z = 1, or Z = 0 for
+     * infinity), lane l at v[l * width], left in v[l * width]: as
+     * pure._lane_sums, pairwise level by level with an odd last point
+     * carried up, and one batch_inv per level for every lane's slopes.
+     * Each pair is summed as pure._sums sums it: infinity gives the other
+     * point, P - P gives infinity, P + P doubles (y = 0: infinity).  Pair
+     * i of a level is written to slot i, below the slots it reads.  -1 with
+     * MemoryError set if the scratch cannot be allocated. */
+    const int n = F->n;
+    Py_ssize_t most = lanes * (width / 2);
+    slope_t *s = new_array(most, sizeof *s);
+    u64 (*prefix)[12] = s ? new_array(most, sizeof *prefix) : NULL;
+    if (!prefix) {
+        PyMem_Free(s);
+        return -1;
+    }
+    for (int m = width; lanes && m > 1; m = (m + 1) / 2) {
+        const int h = m / 2;
+        for (Py_ssize_t l = 0; l < lanes; l++)
+            for (int i = 0; i < h; i++) {
+                const u64 *p = v[l * width + 2 * i], *q = v[l * width + 2 * i + 1];
+                slope_t *e = s + l * h + i;
+                memset(e->den, 0, sizeof e->den);
+                if (F->is_zero(p + 2 * n) || F->is_zero(q + 2 * n))
+                    continue;
+                if (memcmp(p, q, 8 * n)) {
+                    F->sub(e->num, q + n, p + n);
+                    F->sub(e->den, q, p);
+                } else if (!memcmp(p + n, q + n, 8 * n) && !F->is_zero(p + n)) {
+                    F->mul(e->num, p, p);
+                    F->add(e->den, e->num, e->num);
+                    F->add(e->num, e->num, e->den); /* 3 x^2 */
+                    F->add(e->den, p + n, p + n);   /* 2 y */
+                }
+            }
+        batch_inv(F, s->den, sizeof *s / sizeof(u64), lanes * h, prefix);
+        for (Py_ssize_t l = 0; l < lanes; l++) {
+            u64 (*lane)[36] = v + l * width;
+            for (int i = 0; i < h; i++) {
+                const slope_t *e = s + l * h + i;
+                u64 *p = lane[2 * i], *q = lane[2 * i + 1], lam[12], x3[12];
+                if (F->is_zero(p + 2 * n))
+                    memcpy(lane[i], q, sizeof *lane);
+                else if (F->is_zero(q + 2 * n))
+                    memmove(lane[i], p, sizeof *lane);
+                else if (F->is_zero(e->den))
+                    memset(lane[i] + 2 * n, 0, 8 * n);
+                else {
+                    F->mul(lam, e->num, e->den);
+                    F->mul(x3, lam, lam);
+                    F->sub(x3, x3, p);
+                    F->sub(x3, x3, q);
+                    F->sub(q, p, x3); /* x1 - x3: q is read no more */
+                    F->mul(q, lam, q);
+                    F->sub(lane[i] + n, q, p + n);
+                    memcpy(lane[i], x3, 8 * n);
+                    set_one(lane[i] + 2 * n, n);
+                }
+            }
+            if (m % 2)
+                memcpy(lane[h], lane[m - 1], sizeof *lane);
+        }
+    }
+    PyMem_Free(prefix);
+    PyMem_Free(s);
+    return 0;
 }
 
 /* ----------------------------------------------------------------- pairing */
@@ -1407,19 +1531,25 @@ INLINE PyObject *group_neg(const field *F, PyObject *p)
     return point_to_py(F, a);
 }
 
-static PyObject *points_to_py(const field *F, u64 (*jac)[36], Py_ssize_t count)
+static PyObject *affine_to_py(const field *F, u64 (*p)[36], Py_ssize_t count)
 {
-    /* the list of the affine forms of count Jacobian points, which it
-     * overwrites, with one inversion */
-    PyObject *out = batch_to_affine(F, jac, count) ? NULL : PyList_New(count);
+    /* the list of count points with Z = 1, or Z = 0 for infinity */
+    PyObject *out = PyList_New(count);
     for (Py_ssize_t i = 0; out && i < count; i++) {
-        PyObject *p = point_to_py(F, jac[i]);
-        if (p)
-            PyList_SET_ITEM(out, i, p);
+        PyObject *q = point_to_py(F, p[i]);
+        if (q)
+            PyList_SET_ITEM(out, i, q);
         else
             Py_CLEAR(out);
     }
     return out;
+}
+
+static PyObject *points_to_py(const field *F, u64 (*jac)[36], Py_ssize_t count)
+{
+    /* the list of the affine forms of count Jacobian points, which it
+     * overwrites, with one inversion */
+    return batch_to_affine(F, jac, count) ? NULL : affine_to_py(F, jac, count);
 }
 
 INLINE PyObject *group_add_many(const field *F, PyObject *ps, PyObject *qs)
@@ -1486,19 +1616,26 @@ done:
     return out;
 }
 
+static int scalar_mod_r(u64 *r, PyObject *v)
+{
+    /* plain limbs of v mod r for an int v */
+    PyObject *m = PyNumber_Remainder(v, ORDER_PY);
+    int rc = m ? limbs_from_py(r, m, 6) : -1;
+    Py_XDECREF(m);
+    return rc;
+}
+
 static int mul_into(const field *F, u64 *r, const u64 *a, const comb *c, PyObject *v)
 {
     /* r = [v]A (Jacobian) for an int v and a parsed point A: the comb c on
      * v mod r when c is A's, the window otherwise; r may alias a */
     u64 km[6], base[36];
-    int neg, rc;
+    int neg;
     if (c) {
-        PyObject *m = PyNumber_Remainder(v, ORDER_PY);
-        rc = m ? limbs_from_py(km, m, 6) : -1;
-        Py_XDECREF(m);
-        if (!rc)
-            comb_mul(F, r, c, km);
-        return rc;
+        if (scalar_mod_r(km, v))
+            return -1;
+        comb_mul(F, r, c, km);
+        return 0;
     }
     PyObject *kb = scalar_bytes(v, &neg);
     if (!kb)
@@ -1524,22 +1661,78 @@ INLINE PyObject *group_mul(const field *F, PyObject *p, PyObject *k)
     return out;
 }
 
+INLINE int comb_mul_many(const field *F, u64 (*v)[36], comb *c, PyObject *kt)
+{
+    /* [k]P for each k of the tuple kt into v[i], affine (Z = 1, or 0 for
+     * infinity), as pure._mul_many on a generator: the entry of column j of
+     * digit t of scalar i, read from c->shifted[j], is point j of lane
+     * i * dims + t.  Each lane is summed, each digit's sum is taken through
+     * (-endo)^t into v[i * dims + t], and each scalar's dims sums are
+     * summed.  Every move goes to a slot below the ones still to be read.
+     * v holds dims * cols points per scalar. */
+    const int n = F->n, dims = c->dims, cols = c->cols;
+    Py_ssize_t len = PyTuple_GET_SIZE(kt);
+    u64 km[6], digit[COMB_DIMS][3];
+    if (comb_shifted(F, c))
+        return -1;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *k = PyNumber_Index(PyTuple_GET_ITEM(kt, i));
+        int rc = k ? scalar_mod_r(km, k) : -1;
+        Py_XDECREF(k);
+        if (rc)
+            return -1;
+        comb_digits(F, c, digit, km);
+        for (int t = 0; t < dims; t++)
+            for (int j = 0; j < cols; j++) {
+                u64 *e = v[(i * dims + t) * cols + j];
+                int u = comb_index(c, digit[t], j);
+                memset(e + 2 * n, 0, 8 * n);
+                if (u) {
+                    memcpy(e, c->shifted[j][u], 16 * n);
+                    set_one(e + 2 * n, n);
+                }
+            }
+    }
+    if (lane_sums(F, v, len * dims, cols))
+        return -1;
+    for (Py_ssize_t l = 0; l < len * dims; l++) {
+        memmove(v[l], v[l * cols], sizeof *v);
+        for (int t = 0; t < l % dims && !F->is_zero(v[l] + 2 * n); t++) {
+            u64 e[24];
+            F->endo(e, v[l]);
+            F->neg(e + n, e + n);
+            memcpy(v[l], e, 16 * n);
+        }
+    }
+    if (lane_sums(F, v, len, dims))
+        return -1;
+    for (Py_ssize_t i = 0; i < len; i++)
+        memmove(v[i], v[i * dims], sizeof *v);
+    return 0;
+}
+
 INLINE PyObject *group_mul_many(const field *F, PyObject *p, PyObject *ks)
 {
-    /* [k]P for each k, as group_mul, made affine with one inversion; the
-     * point is read before the scalars, as in pure._mul_many */
+    /* [k]P for each k, as group_mul: on a generator by comb_mul_many, else
+     * by mul_into and made affine with one inversion; the point is read
+     * before the scalars, as in pure._mul_many */
     u64 a[36], (*jac)[36] = NULL;
     int tp = point_from_py(F, a, p);
     PyObject *kt = tp < 0 ? NULL : PySequence_Tuple(ks), *out = NULL;
     if (!kt)
         return NULL;
     Py_ssize_t len = PyTuple_GET_SIZE(kt);
-    const comb *c = tp ? comb_for(F, a) : NULL;
-    if (!(jac = new_array(len, sizeof *jac)))
+    comb *c = tp ? comb_for(F, a) : NULL;
+    if (!(jac = new_array(len, (c ? c->dims * c->cols : 1) * sizeof *jac)))
         goto done;
+    if (c) {
+        if (!comb_mul_many(F, jac, c, kt))
+            out = affine_to_py(F, jac, len);
+        goto done;
+    }
     for (Py_ssize_t i = 0; i < len; i++) {
         PyObject *v = PyNumber_Index(PyTuple_GET_ITEM(kt, i));
-        int rc = v ? mul_into(F, jac[i], a, c, v) : -1;
+        int rc = v ? mul_into(F, jac[i], a, NULL, v) : -1;
         Py_XDECREF(v);
         if (rc)
             goto done;
@@ -1922,7 +2115,7 @@ static PyMethodDef methods[] = {
     {"g1_mul", FASTCALL(g1_mul), "[k]P in G1 for any integer k."},
     {"g2_mul", FASTCALL(g2_mul), "[k]P in G2 for any integer k."},
     {"g2_add_many", FASTCALL(g2_add_many), "[P_i + Q_i] for two G2 sequences of equal length, with one inversion."},
-    {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2, with one inversion."},
+    {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2; a generator's in 6 inversions, else in one."},
     {"g2_sum", g2_sum, METH_O, "The sum of a sequence of G2 points, with one inversion."},
     {"g2_steps", FASTCALL(g2_steps), "[P, [t]P, ..., [t^(count-1)]P] in G2, with one inversion."},
     {"g2_table", g2_table, METH_O, "The comb tables of a G2 point of order r, for g2_table_mul (ValueError)."},

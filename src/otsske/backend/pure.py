@@ -446,15 +446,25 @@ def _add_many(F, ps, qs):
     return _sums(F, [_point(F, p) for p in ps], [_point(F, s) for s in qs])
 
 
+def _lane_sums(F, points, width):
+    """The sum of each lane of a flat list of parsed points, lane l being
+    points[l * width : (l + 1) * width], pairwise level by level: P0 + P1,
+    P2 + P3, ..., with an odd last point carried up (added to infinity).
+    Each level is one _sums call for every lane, so a level costs one
+    inversion however many lanes there are, and 32 points cost 5."""
+    while points and width > 1:
+        if width % 2:
+            points = [q for i in range(0, len(points), width) for q in points[i : i + width] + [INFINITY]]
+            width += 1
+        points = _sums(F, points[0::2], points[1::2])
+        width //= 2
+    return points
+
+
 def _sum(F, points):
-    """The sum of a sequence of points, pairwise level by level: P0 + P1,
-    P2 + P3, ..., with an odd last point carried up unchanged (``_sums``
-    keeps the P it has no Q for).  One inversion per level, so 32 points
-    cost 5."""
-    level = [_point(F, p) for p in points]
-    while len(level) > 1:
-        level = _sums(F, level[0::2], level[1::2])
-    return level[0] if level else INFINITY
+    """The sum of a sequence of points: the one-lane case of _lane_sums."""
+    points = [_point(F, p) for p in points] or [INFINITY]
+    return _lane_sums(F, points, len(points))[0]
 
 
 def _neg(F, p):
@@ -648,11 +658,14 @@ g1_in_subgroup, g2_in_subgroup = partial(_in_subgroup, _G1), partial(_in_subgrou
 # The digits' combs share one doubling chain, so a multiplication is d
 # doublings and at most d * dims mixed additions, with one inversion at the
 # end: d = 11 on G2 and 22 on G1, against the 43 of a comb on all 255 bits.
-# Several multiplications of one base run side by side in affine
-# coordinates instead: each column is one doubling and dims additions of
-# every chain, and each of those shares one inversion across the chains,
-# which in CPython costs less than the Jacobian formulas' extra
-# multiplications.
+# Several multiplications of one generator need no doublings at all: the
+# generator also keeps, from its first _mul_many on, the d column-shifted
+# copies [2^c] of its table 0.  A scalar's comb is then the sum of one entry
+# per (column, digit): each digit's d entries are summed, the digit's sum is
+# taken through (-endo)^i, and the dims sums are added.  Each sum is a lane
+# of _lane_sums, so the whole batch costs 6 levels of one inversion each on
+# G2 (d = 11: 4 levels, then 2 for the digits) and a scalar 43 affine
+# additions.
 
 _COMB_TEETH = 6  # w
 _COMB_BASES = set()
@@ -723,16 +736,6 @@ def _comb_mul(F, tables, k):
     return _batch_to_affine(F, [acc])[0]
 
 
-def _comb_mul_many(F, tables, ks):
-    """[k]P for each 0 <= k < r, the chains side by side in affine coordinates."""
-    accs = [INFINITY] * len(ks)
-    for column in zip(*(_comb_columns(F, k) for k in ks)):
-        accs = _sums(F, accs, accs)
-        for i, table in enumerate(tables):
-            accs = _sums(F, accs, [table[us[i]] for us in column])
-    return accs
-
-
 def _mul(F, p, k):
     """[k]P: the comb for a table base, the windowed chain otherwise."""
     k = index(k)
@@ -742,14 +745,38 @@ def _mul(F, p, k):
     return _jac_mul(F, p, k)
 
 
+@cache
+def _comb_shifted(F, p):
+    """[2^c] of a generator's comb table 0 for c = d - 1 down to 0, in the
+    order of _comb_columns: built on its first _mul_many, kept for the process."""
+    _, _, d = _comb_shape(F)
+    shifted = [_comb_tables(F, p)[0]]
+    while len(shifted) < d:
+        entries = shifted[0][1:]
+        shifted.insert(0, [INFINITY] + _sums(F, entries, entries))
+    return shifted
+
+
 def _mul_many(F, p, ks):
-    """[k]P for each k in ks, as _mul computes it: the combs side by side for
-    a table base, one windowed chain per scalar otherwise."""
+    """[k]P for each k in ks, as _mul computes it: for a generator, each
+    scalar's comb entries summed in lanes (see the comb notes above); one
+    windowed chain per scalar otherwise."""
     p = _point(F, p)
     ks = [index(k) for k in ks]
-    if p in _COMB_BASES:
-        return _comb_mul_many(F, _comb_tables(F, p), [k % ORDER for k in ks])
-    return [_jac_mul(F, p, k) for k in ks]
+    if p not in _COMB_BASES:
+        return [_jac_mul(F, p, k) for k in ks]
+    _, dims, d = _comb_shape(F)
+    shifted = _comb_shifted(F, p)
+    entries = []  # lane k * dims + i: the d entries of digit i of scalar k
+    for k in ks:
+        columns = _comb_columns(F, k % ORDER)
+        entries += (table[us[i]] for i in range(dims) for table, us in zip(shifted, columns))
+    digits = _lane_sums(F, entries, d)
+    for j, s in enumerate(digits):
+        for _ in range(j % dims):  # digit i's sum through (-endo)^i
+            s = s and _neg_endo(F, s)
+        digits[j] = s
+    return _lane_sums(F, digits, dims)
 
 
 def _steps(F, p, t, count):

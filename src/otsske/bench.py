@@ -6,7 +6,9 @@ Timed regions
                     ``g2_mul_many`` on the G2 generator's comb: the n
                     blinding points g^beta_j, each offset by the session
                     term g^(alpha r i t^n), and the first row step
-                    g^(alpha r n).
+                    g^(alpha r n).  Each is a tree sum of 44 entries of
+                    the generator's column-shifted comb tables, with 6
+                    inversions for all n + 1 together.
 * ``keygen.aux``    the session's aux value g^r.
 * ``keygen.sk``     filling the n x t subkey matrix: h^r (on the key's
                     comb table of h), the n row heads
@@ -27,8 +29,9 @@ Timed regions
                     ``multi_miller_loop`` on one term.
 
 Before its samples, each operation runs untimed: ``WARMUP`` times, or once
-for the store load and the backend rows.  So the key's two comb tables,
-built on first use, are built before the keygen and verify samples.
+for the store load and the backend rows.  So the key's two comb tables and
+the generator's shifted tables, built on first use, are built before the
+keygen and verify samples.
 
 Absolute times are hardware- and backend-specific; the published reference
 measurements (C++/MIRACL on an i7-7820HQ, SGX build) are embedded in the

@@ -54,6 +54,13 @@ def _read(path: str) -> bytes:
         raise click.UsageError(f"cannot read {path}: {exc}")
 
 
+def _write(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
+
+
 @click.group()
 def main() -> None:
     """Session-based one-time signatures and attestation tooling."""
@@ -84,8 +91,8 @@ def keygen(radix, symbols, sessions, seed, out_path):
         scheme.gen_session(pk, master, params, session, rng)
         for session in range(params.sessions)
     ]
-    Path(out_path).write_bytes(scheme.encode_session_store(params, pk, master, materials))
-    Path(out_path + ".pub").write_bytes(scheme.encode_public_key(params, pk))
+    _write(out_path, scheme.encode_session_store(params, pk, master, materials))
+    _write(out_path + ".pub", scheme.encode_public_key(params, pk))
     click.echo(f"wrote {out_path} and {out_path}.pub ({params.sessions} sessions)")
 
 
@@ -115,7 +122,7 @@ def sign(key_path, session, variant, seed, in_path, out_path):
         sig = scheme.sign_full(pk, params, session, subkeys, selection, material.aux, message, rng)
     else:
         sig = scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux)
-    Path(out_path).write_bytes(scheme.encode_signature(sig))
+    _write(out_path, scheme.encode_signature(sig))
     click.echo(f"signed {in_path} with session {session} ({variant})")
 
 
@@ -150,7 +157,7 @@ def demo(radix, symbols, sessions, seed, session_count, out_path):
         raise click.UsageError(f"--sessions: {exc}")
     text = run.transcript_text()
     if out_path:
-        Path(out_path).write_text(text)
+        _write(out_path, text.encode())
         click.echo(f"wrote transcript to {out_path}")
     else:
         click.echo(text, nl=False)
@@ -175,7 +182,7 @@ def game(radix, symbols, sessions, seed, out_path):
     lines.append(f"outcome: {'sound' if report.sound else 'UNSOUND'}")
     text = "\n".join(lines) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        _write(out_path, text.encode())
         click.echo(f"wrote report to {out_path}")
     else:
         click.echo(text, nl=False)
@@ -204,7 +211,7 @@ def bench_cmd(radix, symbols, sessions, reps, seed, out_path, no_backend_compare
     report = bench_mod.bench_run(config)
     click.echo(report.to_table(), nl=False)
     if out_path:
-        Path(out_path).write_text(report.to_kv())
+        _write(out_path, report.to_kv().encode())
         click.echo(f"wrote report to {out_path}")
 
 

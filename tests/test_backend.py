@@ -983,15 +983,16 @@ def test_comb_digit_boundaries_against_definition(backend, base):
     ks, expected = digit_boundary_case(base)
     assert [getattr(backend, f"{group}_mul")(p, k) for k in ks] == expected
     if group == "g2":
-        # the side-by-side path reads the same digits
+        # g2_mul_many reads the same digits from its shifted tables
         assert backend.g2_mul_many(p, ks) == expected
 
 
 def test_comb_runs_d_columns(monkeypatch):
     # one doubling per column, shared by every digit's comb: d = 11 on G2
-    # and 22 on G1 (6 teeth on 64- and 128-bit digits), and on the
-    # side-by-side path one batched doubling and one batched addition per
-    # digit in each column
+    # and 22 on G1 (6 teeth on 64- and 128-bit digits).  g2_mul_many on a
+    # generator makes no doubling: its shifted tables cost d - 1 = 10
+    # batched doublings once, and then a call of any length is 6 levels of
+    # _sums (4 for the 11 entries of each digit, 2 for the 4 digits)
     pure = load_backend("pure")
     for group, p in TABLE_BASES.values():
         getattr(pure, f"{group}_mul")(p, 1)  # the tables are built on first use
@@ -1012,9 +1013,24 @@ def test_comb_runs_d_columns(monkeypatch):
         calls.clear()
         getattr(pure, f"{group}_mul")(p, ORDER - 1)
         assert calls == {"_jac_double": {"g1": 22, "g2": 11}[group]}
+    pure._comb_shifted.cache_clear()
     calls.clear()
-    pure.g2_mul_many(G2_GENERATOR, [ORDER - 1, 5])
-    assert calls == {"_sums": 11 * (1 + 4)}
+    pure.g2_mul_many(G2_GENERATOR, [])
+    assert calls == {"_sums": 10}
+    for count in (1, 2, 33):
+        calls.clear()
+        pure.g2_mul_many(G2_GENERATOR, [ORDER - 1 - i for i in range(count)])
+        assert calls == {"_sums": 6}, count
+
+
+def test_lane_sums_keep_lanes_apart():
+    # lanes of odd width, with P + P, P - P and infinity inside a lane: each
+    # lane's sum is its own left fold, whatever its neighbours hold
+    pure = load_backend("pure")
+    p, q = pure.g2_mul(G2_GENERATOR, 5), pure.g2_mul(G2_GENERATOR, 7)
+    lanes = [[p, p, pure.g2_neg(p)], [(), q, p], [pure.g2_neg(p), p, ()], [q, q, q]]
+    flat = [pure._point(pure._G2, x) for lane in lanes for x in lane]
+    assert pure._lane_sums(pure._G2, flat, 3) == [fold_add(pure, lane) for lane in lanes]
 
 
 def rebuilt(item, kind):

@@ -251,6 +251,24 @@ def test_seed_outside_signed_64_bits_exits_two(runner, command, seed):
     assert "--seed" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["keygen", *TOY, "--seed", "1"],
+    ["sign", "--key", "{key}", "--in", "{key}", "--seed", "1"],
+    ["demo", "--t", "2", "--n", "2", "--N", "2", "--sessions", "1"],
+    ["game", "--t", "2", "--n", "4", "--N", "1"],
+    ["bench", "--t", "2", "--n", "4", "--N", "1", "--reps", "2", "--seed", "1", "--no-backend-compare"],
+], ids=lambda command: command[0])
+def test_unwritable_out_exits_two(runner, tmp_path, command):
+    # an output path in a missing directory is a usage error (exit 2), not a
+    # traceback with the exit status of a failed verification
+    key = tmp_path / "key.bin"
+    invoke(runner, ["keygen", *TOY, "--seed", "1", "--out", str(key)])
+    out = tmp_path / "missing" / "out"
+    result = invoke(runner, [*(arg.format(key=key) for arg in command), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"cannot write {out}" in result.output
+
+
 def test_readme_cli_synopsis_names_real_options():
     # each `otsske <cmd>` line of the fenced block under README.md's "## CLI"
     # names only options that command has

@@ -207,22 +207,27 @@ class TestKeyTables:
             assert calls == [("g2_table_mul", None)]
 
     def test_tables_live_and_die_with_their_key(self):
-        """In pure, 50 keys' tables leave the generators' table cache as it
-        was, and go with their keys: a new key per round cannot grow memory."""
+        """In pure, 50 keys' tables and sessions leave the generators' table
+        caches (the comb tables and their shifted copies) as they were, and
+        the keys' tables go with their keys: a new key per round cannot grow
+        memory, since only the process-constant generators are cached."""
         pure = load_backend("pure")
         group = setup(256, backend="pure")
         params = SchemeParams(sessions=2, symbols=2, radix=2)
         rng = DeterministicRandomness(20)
-        scheme.keygen_setup(params, rng, group=group)  # the generators' tables
-        cached = pure._comb_tables.cache_info().currsize
+        pk, master = scheme.keygen_setup(params, rng, group=group)
+        scheme.gen_session(pk, master, params, 0, rng)  # the generators' tables
+        caches = (pure._comb_tables, pure._comb_shifted)
+        cached = [cache.cache_info().currsize for cache in caches]
         keys = []
         for _ in range(50):
-            pk, _ = scheme.keygen_setup(params, rng, group=group)
+            pk, master = scheme.keygen_setup(params, rng, group=group)
+            scheme.gen_session(pk, master, params, 1, rng)
             assert scheme.index_point(pk, 3) == pk.g1.exp(3).second_only().mul(pk.h)
             assert pure.g2_table_mul(pk._h_table, 2) == pk.h.exp(2).second
             keys.append(weakref.ref(pk))
-        del pk
-        assert pure._comb_tables.cache_info().currsize == cached
+        del pk, master
+        assert [cache.cache_info().currsize for cache in caches] == cached
         gc.collect()
         assert [key for key in keys if key() is not None] == []
 
