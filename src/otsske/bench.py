@@ -22,7 +22,10 @@ Timed regions
                     with the index point g1^k h on the key's comb table
                     of g1 and y raised to n.
 * ``store_load``    decoding a store of the public key, master exponent
-                    and one session (``decode_session_store``).
+                    and one session (``decode_session_store``): the
+                    key's h and its g1 check, then the session
+                    regenerated from its stored r and betas, as
+                    ``gen_session`` builds it.
 * ``ecdsa.*``       P-256 keygen / SHA-256 sign / verify via OpenSSL.
 * ``backend.<name>.*``  core operations of every built backend; the
                     ``miller_loop`` and ``miller_loop_fixed`` rows time

@@ -6,7 +6,10 @@ Every subcommand is deterministic under ``--seed``.
 
 from __future__ import annotations
 
+import fcntl
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -55,10 +58,36 @@ def _read(path: str) -> bytes:
 
 
 def _write(path: str, data: bytes) -> None:
+    """Write ``data`` beside ``path`` and move it over ``path`` in one step,
+    each durable before this returns: a crash leaves the old file or the
+    new one, and a store ``sign`` has rewritten stays rewritten."""
+    new = f"{path}.new"
     try:
-        Path(path).write_bytes(data)
+        with open(new, "wb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(new, path)
+        directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except OSError as exc:
         raise click.UsageError(f"cannot write {path}: {exc}")
+
+
+@contextmanager
+def _locked(path: str):
+    """Hold an exclusive lock on ``<path>.lock``: ``path`` itself is
+    replaced, not rewritten, so its own inode cannot carry the lock."""
+    try:
+        lock = open(f"{path}.lock", "a")
+    except OSError as exc:
+        raise click.UsageError(f"cannot lock {path}: {exc}")
+    with lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        yield
 
 
 @click.group()
@@ -104,17 +133,24 @@ def keygen(radix, symbols, sessions, seed, out_path):
 @click.option("--in", "in_path", required=True, help="message file")
 @click.option("--out", "out_path", required=True, help="signature output")
 def sign(key_path, session, variant, seed, in_path, out_path):
-    """Sign a message file with one session's material."""
+    """Sign a message file with one session's material, and spend the session.
+
+    The session leaves the store before the signature is written: a session
+    signs once, and a failed write loses it rather than signing again.
+    """
     rng = _rng(seed)
-    try:
-        params, pk, _master, materials = scheme.decode_session_store(_read(key_path))
-    except DecodeError as exc:
-        raise click.UsageError(f"malformed key store: {exc}")
-    by_session = {m.session: m for m in materials}
-    if session not in by_session:
-        raise click.UsageError(f"session {session} not present in the store")
-    material = by_session[session]
     message = _read(in_path)
+    with _locked(key_path):
+        try:
+            params, pk, master, materials = scheme.decode_session_store(_read(key_path))
+        except DecodeError as exc:
+            raise click.UsageError(f"malformed key store: {exc}")
+        by_session = {m.session: m for m in materials}
+        if session not in by_session:
+            spent = 0 <= session < params.sessions
+            raise click.UsageError(f"session {session} {'was spent' if spent else 'not present in the store'}")
+        material = by_session.pop(session)
+        _write(key_path, scheme.encode_session_store(params, pk, master, list(by_session.values())))
     key = rng.random_bytes(16)
     selection = scheme.prp_select(params, key, message)
     subkeys = scheme.subkeys_at(material, selection)

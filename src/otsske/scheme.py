@@ -18,7 +18,7 @@ Two signature variants exist:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +43,11 @@ from .params import ORDER
 
 SIG_TAG_FULL = 0x01
 SIG_TAG_COMPRESSED = 0x02
+
+# A store load regenerates each session's t*n matrix from n scalars, so the
+# store's size does not bound its work; this does.  It admits t = 2^16 at
+# n = 4, the largest-radix t^n = 2^64 point that is built in practice.
+MAX_STORE_SUBKEYS = 2**18
 
 
 # ----------------------------------------------------------------- types
@@ -123,11 +128,18 @@ class MasterSecret:
 
 @dataclass(frozen=True)
 class SessionKeyMaterial:
-    """One session's n x t subkey matrix plus its published aux value."""
+    """One session's n x t subkey matrix plus its published aux value.
+
+    ``r`` and the n ``betas`` determine the rest (see ``gen_session``), so
+    they are all that the session store keeps.  They stay out of ``repr``,
+    and the co-processor's buffer copies ``subkeys`` alone.
+    """
 
     session: int
     subkeys: tuple[tuple[SourceElement, ...], ...]  # [symbol][digit]
     aux: SourceElement
+    r: Scalar = field(repr=False)
+    betas: tuple[Scalar, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -173,12 +185,14 @@ def keygen_setup(
     the second-group side alone.
     """
     group = group or setup(params.security_level)
-    g = generator(group)
     alpha = random_nonzero_scalar(rng)
-    g1 = g.exp(alpha)
     rho = random_nonzero_scalar(rng)
-    h = g.second_only().exp(rho)
-    pk = PublicKey(group, g1, h)
+    return _keys(group, alpha, generator(group).second_only().exp(rho))
+
+
+def _keys(group: GroupParams, alpha: Scalar, h: SourceElement) -> tuple[PublicKey, MasterSecret]:
+    """The public key g1 = g^alpha, h and the master secret of alpha."""
+    pk = PublicKey(group, generator(group).exp(alpha), h)
     return pk, MasterSecret(alpha, pk.g2.exp(alpha))
 
 
@@ -194,13 +208,12 @@ def _session_randomness(params: SchemeParams, rng) -> tuple[Scalar, tuple[Scalar
     # draw order is fixed: r first, then the n-1 free beta values; r = 0
     # would make aux the identity and every subset's sum the same point
     r = random_nonzero_scalar(rng)
-    betas = [random_scalar(rng) for _ in range(params.symbols - 1)]
-    betas.append(-sum(betas) % ORDER)
-    return r, tuple(betas)
+    return r, _blinding_exponents([random_scalar(rng) for _ in range(params.symbols - 1)])
 
 
-def _aux_element(pk: PublicKey, r: Scalar) -> SourceElement:
-    return SourceElement(pk.group, pk.group.backend.g1_mul(pk.g.first, r), None)
+def _blinding_exponents(free: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """beta_1..beta_n from the n-1 free ones: beta_n makes them sum to 0."""
+    return (*free, -sum(free) % ORDER)
 
 
 def _generator_terms(
@@ -220,25 +233,6 @@ def _generator_terms(
     return points[:-1], points[-1]
 
 
-def _walk_rows(
-    group: GroupParams, heads: Sequence[tuple], step: tuple, t: int
-) -> tuple[tuple[SourceElement, ...], ...]:
-    """Rows of a subkey matrix: row j is head_j + b*S_j for b in [0, t),
-    with S_0 = step and S_(j+1) = t*S_j.
-
-    The n steps come from one ``g2_steps`` chain, and the rows advance side
-    by side, one column per ``g2_add_many`` call: each call shares one
-    inversion.  Session generation and store loading both build their rows
-    here, so a loaded matrix is rebuilt exactly as it was generated.
-    """
-    backend = group.backend
-    steps = backend.g2_steps(step, t, len(heads))
-    columns = [list(heads)]
-    for _ in range(t - 1):
-        columns.append(backend.g2_add_many(columns[-1], steps))
-    return tuple(tuple(SourceElement(group, None, column[j]) for column in columns) for j in range(len(heads)))
-
-
 def _subkey_matrix(
     pk: PublicKey,
     master: MasterSecret,
@@ -252,14 +246,20 @@ def _subkey_matrix(
     Requires pk.g1 = g^alpha for alpha = master.alpha.  Then every g1 power
     is a generator multiple that ``_generator_terms`` already folded into
     ``blinding`` (the offset v_j) and ``step`` (g^(alpha r n)), and h^r is
-    read from the key's comb table of h: row j starts at C * blinding_j with
-    C = g2^a * h^r, and walking b in order turns each row into t-1 group
-    additions instead of t exponentiations.
+    read from the key's comb table of h: row j starts at head_j = C * v_j
+    with C = g2^a * h^r, and entry (j, b) is head_j + b*S_j, with S_0 =
+    step and S_(j+1) = t*S_j.  So each row is t-1 group additions instead
+    of t exponentiations.  The n steps come from one ``g2_steps`` chain,
+    and the rows advance side by side, one column per ``g2_add_many``
+    call: each call shares one inversion.
     """
     backend = pk.group.backend
     c = backend.g2_add(master.g2_alpha.second, backend.g2_table_mul(pk._h_table, r))
-    heads = backend.g2_add_many([c] * len(blinding), blinding)
-    return _walk_rows(pk.group, heads, step, t)
+    columns = [backend.g2_add_many([c] * len(blinding), blinding)]
+    steps = backend.g2_steps(step, t, len(blinding))
+    for _ in range(t - 1):
+        columns.append(backend.g2_add_many(columns[-1], steps))
+    return tuple(tuple(SourceElement(pk.group, None, column[j]) for column in columns) for j in range(len(blinding)))
 
 
 def gen_session(
@@ -275,8 +275,9 @@ def gen_session(
     Requires pk.g1 = g^alpha for alpha = master.alpha, as ``keygen_setup``
     makes it and ``decode_session_store`` checks it: the g1 powers of the
     matrix are then computed as multiples of the G2 generator (see
-    ``_subkey_matrix``).  The generation transients (r and the blinding
-    exponents) never leave this call.
+    ``_subkey_matrix``).  The session's r and betas are kept in the
+    material, for the store alone; the co-processor's buffer, the
+    processor and the log never see them.
 
     ``phase_sink``, when given, is called with the name of each phase as it
     ends: ``"v"`` (drawing r and the betas, then the n offset blinding
@@ -288,15 +289,30 @@ def gen_session(
     """
     if not 0 <= session < params.sessions:
         raise ParameterError(f"session {session} outside [0, {params.sessions})")
-    mark = phase_sink or (lambda _phase: None)
     r, betas = _session_randomness(params, rng)
+    return _session_material(pk, master, params, session, r, betas, phase_sink)
+
+
+def _session_material(
+    pk: PublicKey,
+    master: MasterSecret,
+    params: SchemeParams,
+    session: int,
+    r: Scalar,
+    betas: tuple[Scalar, ...],
+    mark: Callable[[str], None] | None = None,
+) -> SessionKeyMaterial:
+    """The session that r and the n betas determine: ``gen_session`` builds
+    it from fresh draws and ``decode_session_store`` from stored ones, so a
+    loaded session is the generated one by construction."""
+    mark = mark or (lambda _phase: None)
     blinding, step = _generator_terms(pk, params, master, session, r, betas)
     mark("v")
-    aux = _aux_element(pk, r)
+    aux = SourceElement(pk.group, pk.group.backend.g1_mul(pk.g.first, r), None)
     mark("aux")
     subkeys = _subkey_matrix(pk, master, r, blinding, step, params.radix)
     mark("sk")
-    return SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux)
+    return SessionKeyMaterial(session, subkeys, aux, r, betas)
 
 
 # ------------------------------------------------------------- index coding
@@ -606,12 +622,12 @@ def encode_session_store(
     master: MasterSecret,
     materials: Sequence[SessionKeyMaterial],
 ) -> bytes:
-    """Secret-side store: public key, master exponent and session material.
+    """Secret-side store: public key, master exponent and, per session, what
+    determines it: its index, its r and its n-1 free betas.
 
     The public key rides along because ``h`` has no stored exponent and
-    cannot be rebuilt from the master secret.  Generation transients are
-    never serialized.  Each session is stored at most once, and only one
-    that ``params`` has room for.
+    cannot be rebuilt from the master secret.  Each session is stored at
+    most once, and only one that ``params`` has room for.
     """
     sessions = [material.session for material in materials]
     for session in sessions:
@@ -624,41 +640,9 @@ def encode_session_store(
     fields.append(struct.pack(">Q", len(materials)))
     for material in materials:
         fields.append(struct.pack(">Q", material.session))
-        fields.append(material.aux.serialize())
-        flat = b"".join(
-            material.subkeys[j][b].serialize()
-            for j in range(params.symbols)
-            for b in range(params.radix)
-        )
-        fields.append(flat)
+        fields.append(material.r.to_bytes(32, "big"))
+        fields.append(b"".join(beta.to_bytes(32, "big") for beta in material.betas[:-1]))
     return _pack_fields(fields)
-
-
-def _decode_subkeys(
-    group: GroupParams, params: SchemeParams, flat: bytes
-) -> tuple[tuple[SourceElement, ...], ...]:
-    """Rebuild a stored n x t matrix from its n row heads and its entry (0, 1).
-
-    Those n + 1 points, with S_0 = (0, 1) - (0, 0), determine an honest
-    matrix (see ``_walk_rows``); each other entry must compress to its
-    stored bytes.
-    """
-    n, t = params.symbols, params.radix
-    backend = group.backend
-
-    def stored(j: int, b: int) -> bytes:
-        offset = 96 * (j * t + b)
-        return flat[offset : offset + 96]
-
-    heads = [SourceElement.deserialize(group, stored(j, 0)).second for j in range(n)]
-    entry01 = SourceElement.deserialize(group, stored(0, 1)).second
-    step = backend.g2_add(entry01, backend.g2_mul(heads[0], -1))
-    rows = _walk_rows(group, heads, step, t)
-    for j, row in enumerate(rows):
-        for b in range(1, t):
-            if backend.g2_compress(row[b].second) != stored(j, b):
-                raise DecodeError(f"subkey ({j}, {b}) does not continue its row")
-    return rows
 
 
 def decode_session_store(
@@ -669,26 +653,25 @@ def decode_session_store(
     The embedded key's g1 field must equal the encoding of g^alpha, byte for
     byte, for the stored exponent alpha: g1 is computed, never decoded, so
     the check needs no square root, subgroup check or pairing.  Per
-    session, the aux value, the n row heads (j, 0) and the entry (0, 1) are
-    fully decoded (square root and subgroup check); every other subkey is
-    derived from them by the generator's row walk and must equal its stored
-    encoding byte for byte.  A subkey swapped for any other valid point is
-    therefore rejected with :class:`DecodeError`, except at n = 1, t = 2,
-    where both entries are fully decoded and nothing is derived.  So is a
-    store that holds one session index twice, one whose h is the identity,
-    and one with an identity aux.
+    session, 0 < r < order and every stored beta lies in [0, order); the
+    session is then regenerated from them by the code ``gen_session`` runs,
+    so it is honest by construction.  A store that holds one session index
+    twice, one whose h is the identity, or one whose t*n exceeds
+    ``MAX_STORE_SUBKEYS`` is rejected with :class:`DecodeError`; so is a
+    store in the former layout, which held
+    each session's aux and n*t subkeys, as its 48-byte aux field is not r.
     """
     reader = _FieldReader(data)
     params, group, g1_bytes, h = _read_public_key(reader.take(), backend)
+    if params.subkey_count > MAX_STORE_SUBKEYS:
+        raise DecodeError(f"t * n must stay at most {MAX_STORE_SUBKEYS} in a store")
     alpha = int.from_bytes(reader.take(32), "big")
     if not 0 < alpha < ORDER:
         raise DecodeError("master exponent out of range")
     # g1 = g^alpha on both sides, or the stored key and exponent disagree
-    g1 = generator(group).exp(alpha)
-    if g1.serialize() != g1_bytes:
+    pk, master = _keys(group, alpha, h)
+    if pk.g1.serialize() != g1_bytes:
         raise DecodeError("master exponent does not match the public key")
-    pk = PublicKey(group, g1, h)
-    master = MasterSecret(alpha, pk.g2.exp(alpha))
     materials = []
     for _ in range(reader.take_int()):
         session = reader.take_int()
@@ -696,10 +679,13 @@ def decode_session_store(
             raise DecodeError("stored session index out of range")
         if any(material.session == session for material in materials):
             raise DecodeError(f"session {session} is stored more than once")
-        aux = SourceElement.deserialize(group, reader.take(48))
-        if aux.is_identity():
-            raise DecodeError(f"session {session}'s aux is the identity")
-        subkeys = _decode_subkeys(group, params, reader.take(96 * params.subkey_count))
-        materials.append(SessionKeyMaterial(session=session, subkeys=subkeys, aux=aux))
+        r = int.from_bytes(reader.take(32), "big")
+        if not 0 < r < ORDER:
+            raise DecodeError(f"session {session}'s r is out of range")
+        free = reader.take(32 * (params.symbols - 1))
+        betas = [int.from_bytes(free[i : i + 32], "big") for i in range(0, len(free), 32)]
+        if any(beta >= ORDER for beta in betas):
+            raise DecodeError(f"session {session}'s betas are out of range")
+        materials.append(_session_material(pk, master, params, session, r, _blinding_exponents(betas)))
     reader.finish()
     return params, pk, master, materials

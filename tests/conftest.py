@@ -1,4 +1,5 @@
 import importlib.util
+import struct
 import subprocess
 import sys
 import sysconfig
@@ -43,6 +44,7 @@ BUILD_STATUS = _build_compiled_core()
 from otsske import scheme  # noqa: E402 - must follow the build
 from otsske.backend import NATIVE_STATUS  # noqa: E402
 from otsske.groups import DeterministicRandomness, setup  # noqa: E402
+from otsske.params import ORDER  # noqa: E402
 
 
 def pytest_report_header(config):
@@ -74,6 +76,38 @@ def toy_keys(toy_params, group):
 @pytest.fixture(scope="session")
 def medium_keys(medium_params, group):
     return scheme.keygen_setup(medium_params, DeterministicRandomness(202), group=group)
+
+
+@pytest.fixture(scope="session")
+def old_layout_store():
+    """Encodes a session store in the former layout, which held each
+    session's index, 48-byte aux and n*t 96-byte subkeys, row by row."""
+
+    def encode(params, pk, master, materials):
+        fields = [scheme.encode_public_key(params, pk), master.alpha.to_bytes(32, "big"),
+                  struct.pack(">Q", len(materials))]
+        for material in materials:
+            flat = b"".join(subkey.serialize() for row in material.subkeys for subkey in row)
+            fields += [struct.pack(">Q", material.session), material.aux.serialize(), flat]
+        return scheme._pack_fields(fields)
+
+    return encode
+
+
+def reuse_forger(signed):
+    """(y, H, S_0) of a session from two of its compressed signatures, given
+    as (selection value, signature).  Every aggregate of a session is
+    H + [B]S_0, so S_0 = [(B1 - B2)^-1](z1 - z2) and H = z1 - [B1]S_0."""
+    (b1, first), (b2, second) = signed
+    s0 = first.z.mul(second.z.exp(-1)).exp(pow(b1 - b2, -1, ORDER))
+    return first.y, first.z.mul(s0.exp(-b1)), s0
+
+
+def forge(params, forger, message):
+    """A compressed signature of ``message`` from ``reuse_forger``'s result."""
+    y, head, s0 = forger
+    selection = scheme.prp_select(params, b"forger", message)
+    return scheme.CompressedSignature(y=y, z=head.mul(s0.exp(selection.value)), key=selection.key)
 
 
 @pytest.fixture()

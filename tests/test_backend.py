@@ -786,6 +786,18 @@ def test_multi_miller_loop_rejects_non_sequences_and_zero_slopes(backend):
         backend.multi_miller_loop([(G1_GENERATOR, G2_GENERATOR), (G1_GENERATOR, flat)])
 
 
+def test_native_export_refuses_a_wrong_argument_count():
+    native = require("native")
+    with pytest.raises(TypeError, match=r"^g2_add\(\) takes exactly 2 arguments \(1 given\)$"):
+        native.g2_add(G2_GENERATOR)
+
+
+def test_native_multi_miller_loop_refuses_a_term_that_is_not_a_pair():
+    native = require("native")
+    with pytest.raises(ValueError, match=r"^a pairing term must be a \(P, Q\) pair$"):
+        native.multi_miller_loop([(G1_GENERATOR, G2_GENERATOR, G1_GENERATOR)])
+
+
 @pytest.mark.parametrize("group", GROUPS)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,17 @@
 """Command-line interface: pipelines, exit codes, determinism."""
 
+import os
 import re
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import otsske
+from conftest import forge, reuse_forger
 from otsske import scheme
 from otsske.cli import main
 from otsske.groups import DeterministicRandomness, SourceElement
@@ -49,15 +55,16 @@ class TestSignVerifyPipeline:
         assert result.exit_code == 0
         assert key.exists() and key.with_suffix(".bin.pub").exists()
 
-        for variant in ("compressed", "full"):
+        # one session per signature: a session signs once
+        for session, variant in (("0", "compressed"), ("1", "full")):
             sig = tmp_path / f"sig-{variant}.bin"
             result = invoke(runner, [
-                "sign", "--key", str(key), "--session", "1", "--variant", variant,
+                "sign", "--key", str(key), "--session", session, "--variant", variant,
                 "--seed", "6", "--in", str(msg), "--out", str(sig),
             ])
             assert result.exit_code == 0
             result = invoke(runner, [
-                "verify", "--key", str(key) + ".pub", "--session", "1",
+                "verify", "--key", str(key) + ".pub", "--session", session,
                 "--in", str(msg), "--sig", str(sig),
             ])
             assert result.exit_code == 0, result.output
@@ -133,13 +140,75 @@ class TestSignVerifyPipeline:
         msg.write_bytes(b"payload")
         key = tmp_path / "key.bin"
         invoke(runner, ["keygen", *TOY, "--seed", "12", "--out", str(key)])
+        # each sign spends its session, so each signs from its own copy of the store
         blobs = []
-        for name in ("a.sig", "b.sig"):
-            sig = tmp_path / name
-            invoke(runner, ["sign", "--key", str(key), "--session", "0", "--variant", "full",
-                            "--seed", "13", "--in", str(msg), "--out", str(sig)])
+        for name in ("a", "b"):
+            copy, sig = tmp_path / f"{name}.key", tmp_path / f"{name}.sig"
+            copy.write_bytes(key.read_bytes())
+            result = invoke(runner, ["sign", "--key", str(copy), "--session", "0", "--variant", "full",
+                                     "--seed", "13", "--in", str(msg), "--out", str(sig)])
+            assert result.exit_code == 0
             blobs.append(sig.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_a_session_signs_once(self, runner, tmp_path):
+        """Two signatures of one session sign any message of it
+        (``reuse_forger``), so a second sign of a session is refused, and
+        the store keeps the sessions that have not signed."""
+        key = tmp_path / "key.bin"
+        invoke(runner, ["keygen", *TOY, "--seed", "15", "--out", str(key)])
+        params, pk = scheme.decode_public_key((tmp_path / "key.bin.pub").read_bytes())
+        signed = []
+        for seed, name in enumerate("ab"):
+            msg, sig = tmp_path / name, tmp_path / f"{name}.sig"
+            msg.write_bytes(name.encode())
+            result = invoke(runner, ["sign", "--key", str(key), "--session", "0", "--seed", str(seed),
+                                     "--in", str(msg), "--out", str(sig)])
+            signed.append((name.encode(), sig, result))
+        if signed[1][1].exists():  # a second signature: forge a third message
+            pairs = []
+            for message, sig, _ in signed:
+                signature = scheme.decode_signature(pk.group, sig.read_bytes())
+                pairs.append((scheme.prp_select(params, signature.key, message).value, signature))
+            (tmp_path / "c").write_bytes(b"c")
+            (tmp_path / "c.sig").write_bytes(scheme.encode_signature(forge(params, reuse_forger(pairs), b"c")))
+            result = invoke(runner, ["verify", "--key", str(key) + ".pub", "--session", "0",
+                                     "--in", str(tmp_path / "c"), "--sig", str(tmp_path / "c.sig")])
+            assert result.exit_code == 1, "a third message signed from two signatures of session 0"
+        assert signed[0][2].exit_code == 0
+        assert signed[1][2].exit_code == 2
+        assert "session 0 was spent" in signed[1][2].output
+        assert [m.session for m in scheme.decode_session_store(key.read_bytes())[3]] == [1]
+
+    def test_spent_store_is_durable_before_the_signature(self, runner, tmp_path, monkeypatch):
+        # each write syncs its file, then after the rename the directory; the
+        # store's two syncs come before the signature's name exists
+        key, msg, sig = tmp_path / "key.bin", tmp_path / "msg", tmp_path / "msg.sig"
+        msg.write_bytes(b"payload")
+        invoke(runner, ["keygen", *TOY, "--seed", "17", "--out", str(key)])
+        synced, fsync = [], os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(
+            (stat.S_ISDIR(os.fstat(fd).st_mode), sig.exists())) or fsync(fd))
+        result = invoke(runner, ["sign", "--key", str(key), "--session", "0",
+                                 "--in", str(msg), "--out", str(sig)])
+        assert result.exit_code == 0
+        assert synced == [(False, False), (True, False), (False, False), (True, True)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "key.bin", "key.bin.lock", "key.bin.pub", "msg", "msg.sig"]
+
+    def test_concurrent_signs_of_one_session(self, tmp_path):
+        # two processes race for session 0: the store's lock lets one sign
+        key, msg = tmp_path / "key.bin", tmp_path / "msg"
+        msg.write_bytes(b"payload")
+        invoke(CliRunner(), ["keygen", *TOY, "--seed", "16", "--out", str(key)])
+        env = dict(os.environ, PYTHONPATH=str(Path(otsske.__file__).parent.parent))
+        procs = [subprocess.Popen([sys.executable, "-m", "otsske.cli", "sign", "--key", str(key),
+                                   "--session", "0", "--in", str(msg), "--out", str(tmp_path / f"{i}.sig")],
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for i in range(2)]
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        assert sorted(proc.returncode for proc in procs) == [0, 2], outputs
+        assert [p.name for p in tmp_path.glob("*.sig")] in (["0.sig"], ["1.sig"])
 
     def test_garbage_corpus_never_crashes(self, runner, tmp_path):
         """Malformed inputs must map to the exit-code contract, not tracebacks."""

@@ -17,7 +17,7 @@ from otsske import protocol, scheme
 from otsske.backend import available_backends
 from otsske.errors import DecodeError, ParameterError
 from otsske.groups import DeterministicRandomness, SourceElement, pair, setup
-from otsske.params import G1_GENERATOR, G2_GENERATOR
+from otsske.params import G1_GENERATOR, G2_GENERATOR, ORDER
 
 BACKENDS = available_backends()
 PARAMS = scheme.SchemeParams(sessions=2, symbols=2, radix=2)
@@ -208,20 +208,42 @@ def test_forgery_under_an_identity_g1_is_refused_at_decode(backend):
         scheme.decode_public_key(data, backend=backend)
 
 
-@pytest.mark.parametrize("entry", [(1, 1), (1, 0), (0, 1), (0, 0)])
+STORE_CHANGES = {
+    "r-zero": lambda m: dataclasses.replace(m, r=0),
+    "r-order": lambda m: dataclasses.replace(m, r=ORDER),
+    "beta-order": lambda m: dataclasses.replace(m, betas=(ORDER, *m.betas[1:])),
+}
+
+
+@pytest.mark.parametrize("change", [*STORE_CHANGES, "former-layout"])
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_store_with_a_swapped_subkey_is_rejected(backend, entry):
-    # one subkey replaced by another valid G2 point: a non-head entry, a row
-    # head, the entry (0, 1) that fixes the first row step, and the first head
+def test_store_of_a_session_no_generation_makes_is_refused(backend, change, old_layout_store):
+    # r in (0, order) and betas in [0, order), as drawn; the former layout
+    # held aux (48 bytes) where r (32 bytes) now is
     group, table = encodings(backend)
-    _, (params, pk, _, _), data = table["session_store"]
-    j, b = entry
-    other = pk.g2.exp(12345).serialize()
-    offset = len(data) - 96 * (params.subkey_count - (j * params.radix + b))
-    assert data[offset : offset + 96] != other
-    swapped = data[:offset] + other + data[offset + 96 :]
-    with pytest.raises(DecodeError, match="does not continue its row"):
-        scheme.decode_session_store(swapped, backend=backend)
+    _, (params, pk, master, [material]), _ = table["session_store"]
+    if change == "former-layout":
+        data = old_layout_store(params, pk, master, [material])
+        message = "^field of 48 bytes where 32 expected$"
+    else:
+        data = scheme.encode_session_store(params, pk, master, [STORE_CHANGES[change](material)])
+        message = "^session 1's (r is|betas are) out of range$"
+    with pytest.raises(DecodeError, match=message):
+        scheme.decode_session_store(data, backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_whose_key_claims_too_many_subkeys_is_refused(backend):
+    # the radix is the key's fourth integer field (body at byte 56 of the
+    # key, 64 of the store); a load would regenerate t*n subkeys a session,
+    # while the key alone, which builds no matrix, still reads
+    group, table = encodings(backend)
+    _, _, data = table["session_store"]
+    data = data[:64] + struct.pack(">Q", 2**17 + 1) + data[72:]
+    with pytest.raises(DecodeError, match=r"^t \* n must stay at most 262144 in a store$"):
+        scheme.decode_session_store(data, backend=backend)
+    key = data[8 : 8 + struct.unpack(">Q", data[:8])[0]]
+    assert scheme.decode_public_key(key, backend=backend)[0].radix == 2**17 + 1
 
 
 SHAPES = [(2, 1), (2, 3), (3, 2), (4, 3)]
@@ -259,8 +281,9 @@ def test_store_that_repeats_a_session_is_refused(backend):
     assert other != material
     with pytest.raises(ParameterError, match="a session is stored more than once"):
         scheme.encode_session_store(params, pk, master, [material, other])
-    # the store written by hand: its key and exponent, a count of 2, both records
-    record = 16 + (8 + 48) + (8 + 96 * params.subkey_count)
+    # the store written by hand: its key and exponent, a count of 2, both
+    # records (session index, r and the n - 1 free betas)
+    record = 16 + (8 + 32) + (8 + 32 * (params.symbols - 1))
     head = data[: -record - 16]
     second = scheme.encode_session_store(params, pk, master, [other])[-record:]
     assert scheme.decode_session_store(head + scheme._pack_fields([struct.pack(">Q", 1)]) + second,
@@ -279,26 +302,3 @@ def test_store_of_a_session_outside_the_params_is_refused(backend):
     narrow = scheme.SchemeParams(sessions=1, symbols=params.symbols, radix=params.radix)
     with pytest.raises(ParameterError, match=r"^session 1 outside \[0, 1\)$"):
         scheme.encode_session_store(narrow, pk, master, [material])
-
-
-@pytest.mark.parametrize("shape", SHAPES, ids=[f"t{t}n{n}" for t, n in SHAPES])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_store_with_an_infinite_row_step(backend, shape):
-    # entry (0, 1) equal to its head makes the first row step, and with it
-    # every row step, infinity, so every row must repeat its head.  With
-    # that swap alone a store is rejected, unless the swapped entry is all
-    # that its rows hold past their heads (t = 2, n = 1); a store whose rows
-    # all repeat their heads decodes.
-    (params, pk, master, materials), data = two_session_store(backend, *shape)
-    flat = len(data) - 96 * params.subkey_count  # the last session's matrix
-    swapped = data[: flat + 96] + data[flat : flat + 96] + data[flat + 192 :]
-    if shape == (2, 1):
-        head = materials[1].subkeys[0][0]
-        assert scheme.decode_session_store(swapped, backend=backend)[3][1].subkeys == ((head, head),)
-    else:
-        with pytest.raises(DecodeError, match="does not continue its row"):
-            scheme.decode_session_store(swapped, backend=backend)
-    repeated = [dataclasses.replace(m, subkeys=tuple((row[0],) * params.radix for row in m.subkeys))
-                for m in materials]
-    data = scheme.encode_session_store(params, pk, master, repeated)
-    assert scheme.decode_session_store(data, backend=backend)[3] == repeated

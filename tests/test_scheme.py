@@ -10,6 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import forge, reuse_forger
 from otsske import scheme
 from otsske.backend import available_backends, load_backend
 from otsske.errors import DecodeError, ParameterError, RepresentationError, UnsupportedSecurityLevelError
@@ -86,6 +87,15 @@ class TestSchemeParams:
         with pytest.raises(ParameterError):
             SchemeParams(sessions=2, symbols=2**62, radix=Radix(3))
 
+    def test_accepts_the_largest_radix_of_the_sweep(self, group):
+        # t = 2^16 at n = 4 (t^n = 2^64) builds, and its key reads back: only
+        # a store load bounds t*n, since only a load regenerates a matrix
+        params = SchemeParams(sessions=1, symbols=4, radix=65536)
+        assert params.subkey_count == scheme.MAX_STORE_SUBKEYS
+        pk, _ = scheme.keygen_setup(params, DeterministicRandomness(3), group=group)
+        data = scheme.encode_public_key(params, pk)
+        assert scheme.decode_public_key(data, backend=group.backend_name) == (params, pk)
+
     def test_rejects_unsupported_security_level(self):
         # no curve is configured for it, so a key written at it could not be read back
         with pytest.raises(UnsupportedSecurityLevelError, match="unsupported security level 999"):
@@ -121,11 +131,15 @@ class TestKeygen:
             scheme.gen_session(pk, master, toy_params, toy_params.sessions, DeterministicRandomness(1))
 
     def test_secrets_dropped_by_default(self, toy_params, toy_keys):
-        # the session object holds its public aux and subkeys, never r or a beta
+        # the session object keeps r and the betas for the store, but its
+        # repr shows only the public aux and the subkeys
         pk, master = toy_keys
         material = scheme.gen_session(pk, master, toy_params, 0, DeterministicRandomness(3))
-        fields = [f.name for f in dataclasses.fields(material)]
+        fields = [f.name for f in dataclasses.fields(material) if f.repr]
         assert fields == ["session", "subkeys", "aux"]
+        assert (material.r, material.betas) == session_randomness(toy_params, seed=3)
+        shown = repr(material)
+        assert all(str(secret) not in shown for secret in (material.r, *material.betas))
 
 
 class TestIndexPoint:
@@ -289,39 +303,51 @@ class TestSessionStructure:
                     assert material.subkeys[j][b] == entry, (session, j, b)
 
     @pytest.mark.parametrize("backend", available_backends())
-    def test_session_store_golden(self, backend):
-        """The t=4, n=32 store of sessions 0 and 5, keys and sessions drawn
-        from one stream seeded 7, is pinned by its SHA-256: the value the
-        generator gave with one g2_mul or g2_add per step, before its G2
-        work was batched."""
+    def test_session_store_golden(self, backend, old_layout_store):
+        """The t=4, n=32 sessions 0 and 5, keys and sessions drawn from one
+        stream seeded 7, are pinned by the SHA-256 of their store in the
+        former layout, which held every subkey: the value the generator gave
+        with one g2_mul or g2_add per step, before its G2 work was batched.
+        Their store in today's layout regenerates them."""
         params = SchemeParams(sessions=8, symbols=32, radix=4)
         rng = DeterministicRandomness(7)
         pk, master = scheme.keygen_setup(params, rng, group=setup(256, backend=backend))
         materials = [scheme.gen_session(pk, master, params, session, rng) for session in (0, 5)]
-        store = scheme.encode_session_store(params, pk, master, materials)
+        store = old_layout_store(params, pk, master, materials)
         assert hashlib.sha256(store).hexdigest() == STORE_SHA256
+        store = scheme.encode_session_store(params, pk, master, materials)
+        assert scheme.decode_session_store(store, backend)[3] == materials
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_row_steps_are_one_g2_steps_call(self, backend, monkeypatch):
         """At t=4, n=32 a session computes its 32 row steps in one
-        ``g2_steps`` call, and so does the store loader per session.
-        Generation makes no ``g2_mul``: h^r is read from the key's table."""
+        ``g2_steps`` call.  Generation makes no ``g2_mul``: h^r is read from
+        the key's table.  A store load regenerates each session the same
+        way: one ``g2_mul_many`` and one ``g2_steps`` per session, and no
+        ``g2_mul`` but the key's g^alpha and g2^alpha on the generators'
+        combs.  It decompresses the key's h alone, however many sessions
+        the store holds."""
         params = SchemeParams(sessions=2, symbols=32, radix=4)
         group = setup(256, backend=backend)
         pk, master = scheme.keygen_setup(params, DeterministicRandomness(14), group=group)
         calls = []
-        for name in ("g2_steps", "g2_mul"):
+        bases = {G2_GENERATOR: "generator", G2_AUX_GENERATOR: "aux"}
+        for name in ("g2_steps", "g2_mul", "g2_mul_many", "g2_decompress", "g1_decompress"):
             def spy(*args, real=getattr(group.backend, name), name=name):
-                calls.append(name)
+                calls.append((name, bases.get(args[0], args[0])) if name == "g2_mul" else name)
                 return real(*args)
 
             monkeypatch.setattr(group.backend, name, spy)
-        material = scheme.gen_session(pk, master, params, 1, DeterministicRandomness(15))
-        assert calls == ["g2_steps"]
-        store = scheme.encode_session_store(params, pk, master, [material])
-        calls.clear()
-        assert scheme.decode_session_store(store, backend=backend)[3] == [material]
-        assert calls.count("g2_steps") == 1
+        rng = DeterministicRandomness(15)
+        materials = [scheme.gen_session(pk, master, params, session, rng) for session in (1, 0)]
+        assert calls == ["g2_mul_many", "g2_steps"] * 2
+        for count in (1, 2):
+            store = scheme.encode_session_store(params, pk, master, materials[:count])
+            calls.clear()
+            assert scheme.decode_session_store(store, backend=backend)[3] == materials[:count]
+            assert sorted(calls, key=str) == sorted(
+                ["g2_decompress", ("g2_mul", "generator"), ("g2_mul", "aux")]
+                + ["g2_mul_many", "g2_steps"] * count, key=str)
 
     def test_aggregate_requires_full_subset(self, toy_params, toy_keys):
         material = make_session(toy_params, toy_keys)
@@ -665,7 +691,7 @@ class TestNoIdentityAux:
     """A session with r = 0 would have aux = O, and every subset of it
     would sum to g2^(alpha n).  Then y = O, z = g2^(alpha n) would verify
     for every message of every session.  So r is drawn nonzero, a store
-    with an identity aux is refused, and a compressed verify rejects
+    with r = 0 is refused, and a compressed verify rejects
     y = O before any pairing."""
 
     PARAMS = SchemeParams(sessions=2, symbols=4, radix=2)
@@ -695,11 +721,12 @@ class TestNoIdentityAux:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_a_store_with_an_identity_aux_is_refused(self, backend):
+        # aux = g^r, so the store refuses the r that makes it the identity
         pk, master = self.keys(backend)
         material = scheme.gen_session(pk, master, self.PARAMS, 1, DeterministicRandomness(26))
-        degenerate = dataclasses.replace(material, aux=material.aux.exp(0))
+        degenerate = dataclasses.replace(material, r=0)
         store = scheme.encode_session_store(self.PARAMS, pk, master, [degenerate])
-        with pytest.raises(DecodeError, match="aux is the identity"):
+        with pytest.raises(DecodeError, match="^session 1's r is out of range$"):
             scheme.decode_session_store(store, backend)
 
     @pytest.mark.parametrize("backend", available_backends())
@@ -895,26 +922,13 @@ class TestOneTimeBudget:
             out.append((selection.value, scheme.sign_compressed(pk, params, session, subkeys, selection, material.aux)))
         return material, out
 
-    @staticmethod
-    def reuse_forger(signed):
-        """(y, H, S_0) of a session from two of its signatures."""
-        (b1, first), (b2, second) = signed
-        s0 = first.z.mul(second.z.exp(-1)).exp(pow(b1 - b2, -1, ORDER))
-        return first.y, first.z.mul(s0.exp(-b1)), s0
-
-    @staticmethod
-    def forge(params, forger, message):
-        y, head, s0 = forger
-        selection = scheme.prp_select(params, b"forger", message)
-        return CompressedSignature(y=y, z=head.mul(s0.exp(selection.value)), key=selection.key)
-
     def test_two_signatures_of_a_session_forge_every_message(self, medium_params, medium_keys):
         pk, _ = medium_keys
         material, signed = self.signatures(medium_params, medium_keys, 0, [b"first", b"second"])
-        forger = self.reuse_forger(signed)
+        forger = reuse_forger(signed)
         # the recovered S_0 is the session's first row step
         assert forger[2] == material.subkeys[0][1].mul(material.subkeys[0][0].exp(-1))
-        forged = [self.forge(medium_params, forger, m) for m in self.NEW]
+        forged = [forge(medium_params, forger, m) for m in self.NEW]
         assert [scheme.verify_compressed(pk, medium_params, 0, s, m) for s, m in zip(forged, self.NEW)] == [True] * 8
 
     def test_one_signature_forges_nothing_past_a_collision(self, medium_params, medium_keys):
@@ -933,13 +947,13 @@ class TestOneTimeBudget:
     def test_a_sessions_step_forges_nothing_for_another_session(self, medium_params, medium_keys):
         pk, _ = medium_keys
         _, signed0 = self.signatures(medium_params, medium_keys, 0, [b"first", b"second"])
-        y0, head0, s0 = self.reuse_forger(signed0)
+        y0, head0, s0 = reuse_forger(signed0)
         _, [(b1, signed1)] = self.signatures(medium_params, medium_keys, 1, [b"other"])
         # session 1's own signature, moved along session 0's step
         head1 = signed1.z.mul(s0.exp(-b1))
         for message in self.NEW[:4]:
             for forger in ((y0, head0, s0), (signed1.y, head1, s0)):
-                forged = self.forge(medium_params, forger, message)
+                forged = forge(medium_params, forger, message)
                 assert not scheme.verify_compressed(pk, medium_params, 1, forged, message)
 
     def test_union_forger_covers_at_the_predicted_rate(self, group):
