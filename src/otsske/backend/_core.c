@@ -725,20 +725,29 @@ INLINE int jac_in_subgroup(const field *F, const u64 *p)
  * every row into an index u, and entry u of table i is the affine sum of
  * [2^(l d)](-endo)^i(P) over the set bits l of u.  The digits share one
  * doubling chain, so a multiplication is d doublings (11 on G2, 22 on G1)
- * and at most d * dims mixed additions.  group_mul_many reads the d
- * column-shifted copies [2^j] of table 0 instead, built on its first call
- * (comb_shifted), and needs no doublings: see lane_sums. */
+ * and at most d * dims mixed additions.  group_mul_many reads column-shifted
+ * tables instead, built on its first call (comb_shifted), and needs no
+ * doublings: see comb_mul_many.  They have their own width, w' =
+ * SHIFT_TEETH = 8, whose d' = 8 columns cover G2's 64-bit digit with none to
+ * spare: table j holds, at u, the sum of [2^(8 l + j)]P over the set bits l
+ * of u (8 tables of 256 entries), and a scalar reads 32 entries.
+ * The tables of comb_build keep w = 6, since they are built more often: a
+ * public key's g2_table for its h and g1 (two per provisioning round), where
+ * 8 teeth made one build about three times as slow, and the three
+ * generators' at import. */
 
 #define COMB_TEETH 6 /* w, as pure._COMB_TEETH */
 #define COMB_SIZE (1 << COMB_TEETH)
-#define COMB_DIMS 4 /* the most digits: G2's, in base |x| */
+#define COMB_DIMS 4   /* the most digits: G2's, in base |x| */
+#define SHIFT_TEETH 8 /* w', as pure._SHIFT_TEETH */
+#define SHIFT_SIZE (1 << SHIFT_TEETH)
 
 typedef struct {
     const field *F;
-    int dims, cols;                    /* digits of k mod r, and d */
+    int dims, cols, shift_cols;        /* digits of k mod r, d and d' */
     u64 base[24];                      /* affine P, Montgomery: the lookup key */
     u64 tab[COMB_DIMS][COMB_SIZE][24]; /* affine entries, Montgomery; entry 0 unused */
-    u64 (*shifted)[COMB_SIZE][24];     /* [2^j] of tab[0] for column j < d, or NULL */
+    u64 (*shifted)[SHIFT_SIZE][24];    /* the w'-tooth table of column j < d', or NULL */
 } comb;
 
 static comb COMB_G1, COMB_G2, COMB_AUX;
@@ -816,6 +825,7 @@ static int comb_build(const field *F, comb *c, const u64 *p)
     c->F = F;
     c->dims = 4 / F->chains;
     c->cols = ((X_BIT_COUNT + 1) * F->chains + COMB_TEETH - 1) / COMB_TEETH;
+    c->shift_cols = ((X_BIT_COUNT + 1) * F->chains + SHIFT_TEETH - 1) / SHIFT_TEETH;
     memcpy(c->base, p, 16 * n);
     memcpy(rows[0], p, 16 * n);
     set_one(rows[0] + 2 * n, n);
@@ -886,12 +896,12 @@ INLINE void comb_digits(const field *F, const comb *c, u64 (*digit)[3], const u6
     }
 }
 
-INLINE int comb_index(const comb *c, const u64 *digit, int j)
+INLINE int comb_index(const u64 *digit, int teeth, int cols, int j)
 {
-    /* the table index u of column j of a digit */
+    /* the table index u of column j of a digit read as teeth rows of cols bits */
     int u = 0;
-    for (int t = 0; t < COMB_TEETH; t++) {
-        int bit = t * c->cols + j;
+    for (int t = 0; t < teeth; t++) {
+        int bit = t * cols + j;
         u |= (int)((digit[bit >> 6] >> (bit & 63)) & 1) << t;
     }
     return u;
@@ -906,42 +916,11 @@ INLINE void comb_mul(const field *F, u64 *r, const comb *c, const u64 *k)
     for (int j = c->cols - 1; j >= 0; j--) {
         jac_double(F, r, r);
         for (int i = 0; i < c->dims; i++) {
-            int u = comb_index(c, digit[i], j);
+            int u = comb_index(digit[i], COMB_TEETH, c->cols, j);
             if (u)
                 jac_madd(F, r, r, c->tab[i][u]);
         }
     }
-}
-
-static int comb_shifted(const field *F, comb *c)
-{
-    /* c->shifted, built once: each entry of column j is the entry of column
-     * j - 1 doubled, and all are made affine with one inversion.  -1 with
-     * MemoryError set if an allocation fails. */
-    const int n = F->n, size = COMB_SIZE - 1;
-    if (c->shifted)
-        return 0;
-    u64 (*shifted)[COMB_SIZE][24] = new_array(c->cols, sizeof *shifted);
-    u64 (*jac)[36] = shifted ? new_array((Py_ssize_t)size * c->cols, sizeof *jac) : NULL;
-    if (!jac) {
-        PyMem_Free(shifted);
-        return -1;
-    }
-    for (int u = 0; u < size; u++) {
-        memcpy(jac[u], c->tab[0][u + 1], 16 * n);
-        set_one(jac[u] + 2 * n, n);
-    }
-    for (int i = size; i < size * c->cols; i++)
-        jac_double(F, jac[i], jac[i - size]);
-    int rc = batch_to_affine(F, jac, (Py_ssize_t)size * c->cols);
-    for (int i = 0; !rc && i < size * c->cols; i++)
-        memcpy(shifted[i / size][i % size + 1], jac[i], 16 * n);
-    PyMem_Free(jac);
-    if (rc)
-        PyMem_Free(shifted);
-    else
-        c->shifted = shifted;
-    return rc;
 }
 
 typedef struct {
@@ -952,12 +931,18 @@ static int lane_sums(const field *F, u64 (*v)[36], Py_ssize_t lanes, int width)
 {
     /* The sum of each lane of width affine points (Z = 1, or Z = 0 for
      * infinity), lane l at v[l * width], left in v[l * width]: as
-     * pure._lane_sums, pairwise level by level with an odd last point
-     * carried up, and one batch_inv per level for every lane's slopes.
-     * Each pair is summed as pure._sums sums it: infinity gives the other
-     * point, P - P gives infinity, P + P doubles (y = 0: infinity).  Pair
-     * i of a level is written to slot i, below the slots it reads.  -1 with
-     * MemoryError set if the scratch cannot be allocated. */
+     * pure._lane_sums, pairwise level by level, with one batch_inv per
+     * level for every lane's slopes.  A pair with infinity gives its other
+     * point.  Unlike pure._lane_sums, this requires what its callers keep:
+     * - width is a power of two (2, a comb's d' = 8 columns or its 4
+     *   digits), so no level has an odd point to carry up;
+     * - the two points of a pair, if finite, have distinct x.  P + P and
+     *   P - P would read a zero denominator and give a wrong point.  Each
+     *   pair is [a]B + [b]B for one B of order r with 0 < a, b, a != b and
+     *   a + b < r: comb_shifted's entries and rows, and comb_mul_many's
+     *   column entries of disjoint bits and digit sums [a_i m^i]B, a_i < m.
+     * Pair i of a level is written to slot i, below the slots it reads.
+     * -1 with MemoryError set if the scratch cannot be allocated. */
     const int n = F->n;
     Py_ssize_t most = lanes * (width / 2);
     slope_t *s = new_array(most, sizeof *s);
@@ -966,7 +951,7 @@ static int lane_sums(const field *F, u64 (*v)[36], Py_ssize_t lanes, int width)
         PyMem_Free(s);
         return -1;
     }
-    for (int m = width; lanes && m > 1; m = (m + 1) / 2) {
+    for (int m = width; lanes && m > 1; m /= 2) {
         const int h = m / 2;
         for (Py_ssize_t l = 0; l < lanes; l++)
             for (int i = 0; i < h; i++) {
@@ -975,15 +960,8 @@ static int lane_sums(const field *F, u64 (*v)[36], Py_ssize_t lanes, int width)
                 memset(e->den, 0, sizeof e->den);
                 if (F->is_zero(p + 2 * n) || F->is_zero(q + 2 * n))
                     continue;
-                if (memcmp(p, q, 8 * n)) {
-                    F->sub(e->num, q + n, p + n);
-                    F->sub(e->den, q, p);
-                } else if (!memcmp(p + n, q + n, 8 * n) && !F->is_zero(p + n)) {
-                    F->mul(e->num, p, p);
-                    F->add(e->den, e->num, e->num);
-                    F->add(e->num, e->num, e->den); /* 3 x^2 */
-                    F->add(e->den, p + n, p + n);   /* 2 y */
-                }
+                F->sub(e->num, q + n, p + n);
+                F->sub(e->den, q, p);
             }
         batch_inv(F, s->den, sizeof *s / sizeof(u64), lanes * h, prefix);
         for (Py_ssize_t l = 0; l < lanes; l++) {
@@ -995,8 +973,6 @@ static int lane_sums(const field *F, u64 (*v)[36], Py_ssize_t lanes, int width)
                     memcpy(lane[i], q, sizeof *lane);
                 else if (F->is_zero(q + 2 * n))
                     memmove(lane[i], p, sizeof *lane);
-                else if (F->is_zero(e->den))
-                    memset(lane[i] + 2 * n, 0, 8 * n);
                 else {
                     F->mul(lam, e->num, e->den);
                     F->mul(x3, lam, lam);
@@ -1009,13 +985,61 @@ static int lane_sums(const field *F, u64 (*v)[36], Py_ssize_t lanes, int width)
                     set_one(lane[i] + 2 * n, n);
                 }
             }
-            if (m % 2)
-                memcpy(lane[h], lane[m - 1], sizeof *lane);
         }
     }
     PyMem_Free(prefix);
     PyMem_Free(s);
     return 0;
+}
+
+static int comb_shifted(const field *F, comb *c)
+{
+    /* c->shifted, built once, as pure._comb_shifted: the rows [2^i]P,
+     * i < w' d', are one doubling chain made affine with one inversion.
+     * Entry u of table j is then entry (u without its top bit) + row (top
+     * bit of u, column j): one lane_sums level of pairs per top bit, over
+     * every table.  -1 with MemoryError set if an allocation fails. */
+    const int n = F->n, cols = c->shift_cols, count = SHIFT_TEETH * cols;
+    if (c->shifted)
+        return 0;
+    u64 (*shifted)[SHIFT_SIZE][24] = new_array(cols, sizeof *shifted);
+    /* the rows, then the pairs of a level: at most cols * SHIFT_SIZE points */
+    u64 (*rows)[36] = shifted ? new_array(count + cols * SHIFT_SIZE, sizeof *rows) : NULL;
+    if (!rows) {
+        PyMem_Free(shifted);
+        return -1;
+    }
+    u64 (*pairs)[36] = rows + count;
+    memcpy(rows[0], c->base, 16 * n);
+    set_one(rows[0] + 2 * n, n);
+    for (int i = 1; i < count; i++)
+        jac_double(F, rows[i], rows[i - 1]);
+    int rc = batch_to_affine(F, rows, count);
+    for (int j = 0; !rc && j < cols; j++)
+        memcpy(shifted[j][1], rows[j], 16 * n);
+    for (int top = 1; !rc && top < SHIFT_TEETH; top++) {
+        const int half = 1 << top;
+        for (int j = 0; j < cols; j++)
+            for (int u = 0; u < half; u++) {
+                u64 *e = pairs[2 * (j * half + u)];
+                memset(e + 2 * n, 0, 8 * n); /* entry 0: infinity */
+                if (u) {
+                    memcpy(e, shifted[j][u], 16 * n);
+                    set_one(e + 2 * n, n);
+                }
+                memcpy(pairs[2 * (j * half + u) + 1], rows[top * cols + j], sizeof *pairs);
+            }
+        rc = lane_sums(F, pairs, (Py_ssize_t)cols * half, 2);
+        for (int j = 0; !rc && j < cols; j++)
+            for (int u = 0; u < half; u++)
+                memcpy(shifted[j][half + u], pairs[2 * (j * half + u)], 16 * n);
+    }
+    PyMem_Free(rows);
+    if (rc)
+        PyMem_Free(shifted);
+    else
+        c->shifted = shifted;
+    return rc;
 }
 
 /* ----------------------------------------------------------------- pairing */
@@ -1669,8 +1693,8 @@ INLINE int comb_mul_many(const field *F, u64 (*v)[36], comb *c, PyObject *kt)
      * i * dims + t.  Each lane is summed, each digit's sum is taken through
      * (-endo)^t into v[i * dims + t], and each scalar's dims sums are
      * summed.  Every move goes to a slot below the ones still to be read.
-     * v holds dims * cols points per scalar. */
-    const int n = F->n, dims = c->dims, cols = c->cols;
+     * v holds dims * d' points per scalar. */
+    const int n = F->n, dims = c->dims, cols = c->shift_cols;
     Py_ssize_t len = PyTuple_GET_SIZE(kt);
     u64 km[6], digit[COMB_DIMS][3];
     if (comb_shifted(F, c))
@@ -1685,7 +1709,7 @@ INLINE int comb_mul_many(const field *F, u64 (*v)[36], comb *c, PyObject *kt)
         for (int t = 0; t < dims; t++)
             for (int j = 0; j < cols; j++) {
                 u64 *e = v[(i * dims + t) * cols + j];
-                int u = comb_index(c, digit[t], j);
+                int u = comb_index(digit[t], SHIFT_TEETH, cols, j);
                 memset(e + 2 * n, 0, 8 * n);
                 if (u) {
                     memcpy(e, c->shifted[j][u], 16 * n);
@@ -1723,7 +1747,7 @@ INLINE PyObject *group_mul_many(const field *F, PyObject *p, PyObject *ks)
         return NULL;
     Py_ssize_t len = PyTuple_GET_SIZE(kt);
     comb *c = tp ? comb_for(F, a) : NULL;
-    if (!(jac = new_array(len, (c ? c->dims * c->cols : 1) * sizeof *jac)))
+    if (!(jac = new_array(len, (c ? c->dims * c->shift_cols : 1) * sizeof *jac)))
         goto done;
     if (c) {
         if (!comb_mul_many(F, jac, c, kt))
@@ -2115,7 +2139,7 @@ static PyMethodDef methods[] = {
     {"g1_mul", FASTCALL(g1_mul), "[k]P in G1 for any integer k."},
     {"g2_mul", FASTCALL(g2_mul), "[k]P in G2 for any integer k."},
     {"g2_add_many", FASTCALL(g2_add_many), "[P_i + Q_i] for two G2 sequences of equal length, with one inversion."},
-    {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2; a generator's in 6 inversions, else in one."},
+    {"g2_mul_many", FASTCALL(g2_mul_many), "[[k]P for k in ks] in G2; a generator's in 5 inversions, else in one."},
     {"g2_sum", g2_sum, METH_O, "The sum of a sequence of G2 points, with one inversion."},
     {"g2_steps", FASTCALL(g2_steps), "[P, [t]P, ..., [t^(count-1)]P] in G2, with one inversion."},
     {"g2_table", g2_table, METH_O, "The comb tables of a G2 point of order r, for g2_table_mul (ValueError)."},

@@ -658,25 +658,33 @@ g1_in_subgroup, g2_in_subgroup = partial(_in_subgroup, _G1), partial(_in_subgrou
 # The digits' combs share one doubling chain, so a multiplication is d
 # doublings and at most d * dims mixed additions, with one inversion at the
 # end: d = 11 on G2 and 22 on G1, against the 43 of a comb on all 255 bits.
-# Several multiplications of one generator need no doublings at all: the
-# generator also keeps, from its first _mul_many on, the d column-shifted
-# copies [2^c] of its table 0.  A scalar's comb is then the sum of one entry
-# per (column, digit): each digit's d entries are summed, the digit's sum is
-# taken through (-endo)^i, and the dims sums are added.  Each sum is a lane
-# of _lane_sums, so the whole batch costs 6 levels of one inversion each on
-# G2 (d = 11: 4 levels, then 2 for the digits) and a scalar 43 affine
-# additions.
+# Several multiplications of one generator need no doublings at all:
+# _mul_many reads the generator's column-shifted tables instead, built on
+# its first _mul_many and kept for the process.  These read a digit with
+# their own width, w' = 8 teeth: on G2 the d' = 8 columns cover the 64-bit
+# digit with none to spare, and table c holds, at u, the sum of
+# [2^(8 l + c)]P over the set bits l of u (8 tables of 256: 2048 points).
+# A scalar's comb is then the sum of one entry per (column, digit): each
+# digit's d' entries are summed, the digit's sum is taken through
+# (-endo)^i, and the dims sums are added.  Each sum is a lane of
+# _lane_sums, so the whole batch costs 5 levels of one inversion each on G2
+# (3 for a digit's 8 entries, then 2 for the 4 digits) and a scalar 31
+# affine additions.  The single-multiplication tables keep w = 6, since
+# they are built more often: a public key builds g2_table for its h and
+# g1 (two per provisioning round), where 8 teeth made one build about
+# three times as slow, and set-up builds the three generators' tables.
 
 _COMB_TEETH = 6  # w
+_SHIFT_TEETH = 8  # w' of the column-shifted tables
 _COMB_BASES = set()
 
 
 @cache
-def _comb_shape(F):
+def _comb_shape(F, teeth=_COMB_TEETH):
     """(m, dims, d): the radix |X|^chains, the digits of k mod r in base m,
-    and the columns of a digit's comb."""
+    and the columns of a digit's comb of this many teeth."""
     m = _X_ABS**F.chains
-    return m, 4 // F.chains, -(-m.bit_length() // _COMB_TEETH)
+    return m, 4 // F.chains, -(-m.bit_length() // teeth)
 
 
 def _comb_build(F, p):
@@ -710,17 +718,18 @@ def _comb_tables(F, p):
     return _comb_build(F, p)
 
 
-def _comb_columns(F, k):
-    """The table indices of each column of 0 <= k < r, column d - 1 first:
-    per column, one index per digit of k in base m."""
-    m, dims, d = _comb_shape(F)
+def _comb_columns(F, k, teeth=_COMB_TEETH):
+    """The table indices of each column of 0 <= k < r on a comb of this
+    many teeth, column d - 1 first: per column, one index per digit of k in
+    base m."""
+    m, dims, d = _comb_shape(F, teeth)
     mask = (1 << d) - 1
     digits = []
     for _ in range(dims):
         k, a = divmod(k, m)
-        # the rows of a as d-digit binary strings, row w - 1 first: a
+        # the rows of a as d-digit binary strings, the top row first: a
         # column's digits then read as u, high bit first
-        rows = [format((a >> (i * d)) & mask, f"0{d}b") for i in reversed(range(_COMB_TEETH))]
+        rows = [format((a >> (i * d)) & mask, f"0{d}b") for i in reversed(range(teeth))]
         digits.append([int("".join(column), 2) for column in zip(*rows)])
     return list(zip(*digits))
 
@@ -747,14 +756,25 @@ def _mul(F, p, k):
 
 @cache
 def _comb_shifted(F, p):
-    """[2^c] of a generator's comb table 0 for c = d - 1 down to 0, in the
-    order of _comb_columns: built on its first _mul_many, kept for the process."""
-    _, _, d = _comb_shape(F)
-    shifted = [_comb_tables(F, p)[0]]
-    while len(shifted) < d:
-        entries = shifted[0][1:]
-        shifted.insert(0, [INFINITY] + _sums(F, entries, entries))
-    return shifted
+    """A generator's column-shifted tables, column d' - 1 first as
+    _comb_columns reads them: built on its first _mul_many, kept for the
+    process.  The rows [2^i]P are one doubling chain made affine with one
+    inversion.  Entry u of table c is then entry (u without its top bit) +
+    row (top bit of u, column c): one _sums for each top bit, over every
+    table.  Entry u is [e]P for a distinct 0 < e < 2^(w' d') < r, so no sum
+    is a doubling or infinity."""
+    _, _, d = _comb_shape(F, _SHIFT_TEETH)
+    rows = [(p[0], p[1], F.one)]
+    while len(rows) < _SHIFT_TEETH * d:
+        rows.append(_jac_double(F, rows[-1]))
+    rows = _batch_to_affine(F, rows)
+    tables = [[INFINITY, row] for row in rows[:d]]
+    for top in range(1, _SHIFT_TEETH):
+        tops = [rows[top * d + c] for c in range(d) for _ in range(1 << top)]
+        sums = _sums(F, [e for table in tables for e in table], tops)
+        for c, table in enumerate(tables):
+            table += sums[c << top : (c + 1) << top]
+    return tables[::-1]
 
 
 def _mul_many(F, p, ks):
@@ -765,11 +785,11 @@ def _mul_many(F, p, ks):
     ks = [index(k) for k in ks]
     if p not in _COMB_BASES:
         return [_jac_mul(F, p, k) for k in ks]
-    _, dims, d = _comb_shape(F)
+    _, dims, d = _comb_shape(F, _SHIFT_TEETH)
     shifted = _comb_shifted(F, p)
-    entries = []  # lane k * dims + i: the d entries of digit i of scalar k
+    entries = []  # lane k * dims + i: the d' entries of digit i of scalar k
     for k in ks:
-        columns = _comb_columns(F, k % ORDER)
+        columns = _comb_columns(F, k % ORDER, _SHIFT_TEETH)
         entries += (table[us[i]] for i in range(dims) for table, us in zip(shifted, columns))
     digits = _lane_sums(F, entries, d)
     for j, s in enumerate(digits):

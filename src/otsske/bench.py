@@ -6,9 +6,9 @@ Timed regions
                     ``g2_mul_many`` on the G2 generator's comb: the n
                     blinding points g^beta_j, each offset by the session
                     term g^(alpha r i t^n), and the first row step
-                    g^(alpha r n).  Each is a tree sum of 44 entries of
-                    the generator's column-shifted comb tables, with 6
-                    inversions for all n + 1 together.
+                    g^(alpha r n).  Each is a tree sum of 32 entries of
+                    the generator's 8-tooth column-shifted comb tables,
+                    with 5 inversions for all n + 1 together.
 * ``keygen.aux``    the session's aux value g^r.
 * ``keygen.sk``     filling the n x t subkey matrix: h^r (on the key's
                     comb table of h), the n row heads

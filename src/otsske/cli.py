@@ -114,6 +114,10 @@ def setup_cmd(radix, symbols, sessions):
 def keygen(radix, symbols, sessions, seed, out_path):
     """Generate the public key and all N sessions of signing material."""
     params = _build_params(radix, symbols, sessions)
+    try:
+        scheme.check_store_size(params, params.sessions)
+    except ParameterError as exc:
+        raise click.UsageError(str(exc))
     rng = _rng(seed)
     pk, master = scheme.keygen_setup(params, rng)
     materials = [

@@ -45,8 +45,9 @@ SIG_TAG_FULL = 0x01
 SIG_TAG_COMPRESSED = 0x02
 
 # A store load regenerates each session's t*n matrix from n scalars, so the
-# store's size does not bound its work; this does.  It admits t = 2^16 at
-# n = 4, the largest-radix t^n = 2^64 point that is built in practice.
+# store's size does not bound its work; this does, over all its sessions.
+# It admits one session at t = 2^16, n = 4, the largest-radix t^n = 2^64
+# point that is built in practice.
 MAX_STORE_SUBKEYS = 2**18
 
 
@@ -616,6 +617,16 @@ def decode_public_key(data: bytes, backend: str | None = None) -> tuple[SchemePa
     return params, pk
 
 
+def check_store_size(params: SchemeParams, sessions: int) -> None:
+    """Refuse, with :class:`ParameterError`, a store of this many sessions
+    whose load would regenerate more than ``MAX_STORE_SUBKEYS`` subkeys."""
+    if sessions * params.subkey_count > MAX_STORE_SUBKEYS:
+        raise ParameterError(
+            f"a store holds at most {MAX_STORE_SUBKEYS} subkeys, "
+            f"not {sessions} x {params.subkey_count} (sessions x t * n)"
+        )
+
+
 def encode_session_store(
     params: SchemeParams,
     pk: PublicKey,
@@ -627,8 +638,10 @@ def encode_session_store(
 
     The public key rides along because ``h`` has no stored exponent and
     cannot be rebuilt from the master secret.  Each session is stored at
-    most once, and only one that ``params`` has room for.
+    most once, and only one that ``params`` has room for; a store that
+    ``check_store_size`` refuses is not written.
     """
+    check_store_size(params, len(materials))
     sessions = [material.session for material in materials]
     for session in sessions:
         if not 0 <= session < params.sessions:
@@ -656,24 +669,27 @@ def decode_session_store(
     session, 0 < r < order and every stored beta lies in [0, order); the
     session is then regenerated from them by the code ``gen_session`` runs,
     so it is honest by construction.  A store that holds one session index
-    twice, one whose h is the identity, or one whose t*n exceeds
-    ``MAX_STORE_SUBKEYS`` is rejected with :class:`DecodeError`; so is a
-    store in the former layout, which held
+    twice, one whose h is the identity, or one that ``check_store_size``
+    refuses (before any session is regenerated) is rejected with
+    :class:`DecodeError`; so is a store in the former layout, which held
     each session's aux and n*t subkeys, as its 48-byte aux field is not r.
     """
     reader = _FieldReader(data)
     params, group, g1_bytes, h = _read_public_key(reader.take(), backend)
-    if params.subkey_count > MAX_STORE_SUBKEYS:
-        raise DecodeError(f"t * n must stay at most {MAX_STORE_SUBKEYS} in a store")
     alpha = int.from_bytes(reader.take(32), "big")
     if not 0 < alpha < ORDER:
         raise DecodeError("master exponent out of range")
+    count = reader.take_int()
+    try:
+        check_store_size(params, count)
+    except ParameterError as exc:
+        raise DecodeError(str(exc)) from exc
     # g1 = g^alpha on both sides, or the stored key and exponent disagree
     pk, master = _keys(group, alpha, h)
     if pk.g1.serialize() != g1_bytes:
         raise DecodeError("master exponent does not match the public key")
     materials = []
-    for _ in range(reader.take_int()):
+    for _ in range(count):
         session = reader.take_int()
         if session >= params.sessions:
             raise DecodeError("stored session index out of range")

@@ -999,12 +999,64 @@ def test_comb_digit_boundaries_against_definition(backend, base):
         assert backend.g2_mul_many(p, ks) == expected
 
 
+# g2_mul_many reads a digit on its own 8-tooth tables, 8 columns of 8 rows
+# of the 64-bit digit: its edge scalars put each digit at a row boundary
+# (2^(8l) - 1 fills rows 0 to l - 1, 2^(8l) opens row l) or at index 255 of
+# columns (bits 8t + j set for every row t), in every digit position.
+@functools.cache
+def column_boundary_case(base):
+    """The column- and row-boundary scalars of a G2 comb base, and [k]P for each by affine_mul."""
+    group, p = TABLE_BASES[base]
+    m = RADIX[group]
+    digits = [2 ** (8 * l) + e for l in range(1, 8) for e in (-1, 0)]
+    digits += [0x0101010101010101 << j for j in range(8)] + [0x7F7F7F7F7F7F7F7F, 0x8080808080808080]
+    ks = [a * m**i for a in digits for i in range(4)]
+    ks += [sum(a * m**i for i in range(4)) for a in (0x7F7F7F7F7F7F7F7F, 0x8080808080808080)]
+    assert max(ks) < ORDER and max(digits) < m
+    return ks, [affine_mul(group, p, k) for k in ks]
+
+
+@pytest.mark.parametrize("base", ["g2", "aux"])
+def test_mul_many_column_boundaries_against_definition(backend, base):
+    ks, expected = column_boundary_case(base)
+    assert backend.g2_mul_many(TABLE_BASES[base][1], ks) == expected
+
+
+def test_mul_many_lanes_never_double_or_cancel(monkeypatch):
+    # _core.c's lane_sums has no P + P or P - P case and carries no odd
+    # point: each pair that the shifted tables' build and g2_mul_many sum,
+    # over the edge scalars, has a point at infinity or two distinct x, and
+    # every lane width is a power of two
+    pure = load_backend("pure")
+    real_sums, real_lane_sums, pairs, widths = pure._sums, pure._lane_sums, [], set()
+
+    def sums(F, ps, qs):
+        pairs.extend(zip(ps, qs))
+        return real_sums(F, ps, qs)
+
+    def lane_sums(F, points, width):
+        widths.add(width)
+        return real_lane_sums(F, points, width)
+
+    monkeypatch.setattr(pure, "_sums", sums)
+    monkeypatch.setattr(pure, "_lane_sums", lane_sums)
+    pure._comb_shifted.cache_clear()
+    for base in ("g2", "aux"):
+        ks = digit_boundary_case(base)[0] + column_boundary_case(base)[0]
+        pure.g2_mul_many(TABLE_BASES[base][1], ks)
+    finite = [(p, q) for p, q in pairs if p and q]
+    assert len(finite) > 2 * 1976  # the two builds' sums, then the calls'
+    assert all(p[0] != q[0] for p, q in finite)
+    assert widths == {8, 4}
+
+
 def test_comb_runs_d_columns(monkeypatch):
     # one doubling per column, shared by every digit's comb: d = 11 on G2
     # and 22 on G1 (6 teeth on 64- and 128-bit digits).  g2_mul_many on a
-    # generator makes no doubling: its shifted tables cost d - 1 = 10
-    # batched doublings once, and then a call of any length is 6 levels of
-    # _sums (4 for the 11 entries of each digit, 2 for the 4 digits)
+    # generator makes no doubling: its 8-tooth shifted tables cost a chain
+    # of 63 doublings and 7 levels of _sums once, and then a call of any
+    # length is 5 levels of _sums (3 for the 8 entries of each digit, 2 for
+    # the 4 digits)
     pure = load_backend("pure")
     for group, p in TABLE_BASES.values():
         getattr(pure, f"{group}_mul")(p, 1)  # the tables are built on first use
@@ -1028,11 +1080,11 @@ def test_comb_runs_d_columns(monkeypatch):
     pure._comb_shifted.cache_clear()
     calls.clear()
     pure.g2_mul_many(G2_GENERATOR, [])
-    assert calls == {"_sums": 10}
+    assert calls == {"_jac_double": 63, "_sums": 7}
     for count in (1, 2, 33):
         calls.clear()
         pure.g2_mul_many(G2_GENERATOR, [ORDER - 1 - i for i in range(count)])
-        assert calls == {"_sums": 6}, count
+        assert calls == {"_sums": 5}, count
 
 
 def test_lane_sums_keep_lanes_apart():

@@ -126,6 +126,15 @@ class TestSignVerifyPipeline:
                                  str(tmp_path / "nope"), "--out", str(tmp_path / "sig")])
         assert result.exit_code == 2
 
+    def test_keygen_refuses_a_store_its_loader_would_refuse(self, runner, tmp_path):
+        # 2 sessions of t * n = 2^18 subkeys pass the store bound: refused
+        # before any session is generated, and nothing is written
+        out = tmp_path / "store"
+        result = invoke(runner, ["keygen", "--t", "65536", "--n", "4", "--N", "2", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "a store holds at most 262144 subkeys, not 2 x 262144" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_session_exits_two(self, runner, tmp_path):
         msg = tmp_path / "msg.bin"
         msg.write_bytes(b"payload")

@@ -9,6 +9,7 @@ exception other than :class:`DecodeError` fails the test.
 import dataclasses
 import functools
 import struct
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,11 +241,42 @@ def test_store_whose_key_claims_too_many_subkeys_is_refused(backend):
     group, table = encodings(backend)
     _, _, data = table["session_store"]
     data = data[:64] + struct.pack(">Q", 2**17 + 1) + data[72:]
-    with pytest.raises(DecodeError, match=r"^t \* n must stay at most 262144 in a store$"):
+    message = r"^a store holds at most 262144 subkeys, not 1 x 262146 \(sessions x t \* n\)$"
+    with pytest.raises(DecodeError, match=message):
         scheme.decode_session_store(data, backend=backend)
     key = data[8 : 8 + struct.unpack(">Q", data[:8])[0]]
     assert scheme.decode_public_key(key, backend=backend)[0].radix == 2**17 + 1
 
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_store_over_the_subkey_bound_in_all_is_refused_before_any_load(backend, monkeypatch):
+    # two sessions at t = 2^16, n = 4 hold 2^19 subkeys: each alone is
+    # within the bound, both are twice it.  The load refuses them before
+    # it regenerates either, and the encoder refuses to write them.
+    params = scheme.SchemeParams(sessions=2, symbols=4, radix=2**16)
+    pk, master = scheme.keygen_setup(params, DeterministicRandomness(7), group=setup(256, backend=backend))
+    fields = [scheme.encode_public_key(params, pk), master.alpha.to_bytes(32, "big"), struct.pack(">Q", 2)]
+    for session in range(2):
+        fields += [struct.pack(">Q", session), (1).to_bytes(32, "big"), bytes(32 * 3)]
+    data = scheme._pack_fields(fields)
+    calls = []
+
+    def regenerated(pk, master, params, session, r, betas):
+        calls.append(session)
+        return types.SimpleNamespace(session=session)
+
+    monkeypatch.setattr(scheme, "_session_material", regenerated)
+    message = r"^a store holds at most 262144 subkeys, not 2 x 262144 \(sessions x t \* n\)$"
+    with pytest.raises(DecodeError, match=message):
+        scheme.decode_session_store(data, backend=backend)
+    assert calls == []
+    with pytest.raises(ParameterError, match=message):
+        scheme.encode_session_store(params, pk, master, [object(), object()])
+    # the store is well formed: without the bound, both sessions would load
+    monkeypatch.setattr(scheme, "check_store_size", lambda *args: None)
+    assert len(scheme.decode_session_store(data, backend=backend)[3]) == 2
+    assert calls == [0, 1]
 
 SHAPES = [(2, 1), (2, 3), (3, 2), (4, 3)]
 
